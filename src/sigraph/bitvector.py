@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_right
+from itertools import compress
 
 from .errors import QueryRangeError, SerializationError
 
@@ -24,6 +25,10 @@ _SAMPLE = 4096          # one select hint per this many occurrences
 
 # _BYTE_SEL[b] lists the positions (0..7) of the set bits of byte b, LSB first.
 _BYTE_SEL = [[k for k in range(8) if b >> k & 1] for b in range(256)]
+
+# bit_string() bytes mapped to 1 where the bit equals 0 / equals 1
+_IS_ZERO = bytes.maketrans(b"01", b"\x01\x00")
+_IS_ONE = bytes.maketrans(b"01", b"\x00\x01")
 
 _MAGIC = b"SBVC"
 _VERSION = 1
@@ -195,6 +200,12 @@ class BitVector:
                 return base + byte_i * 8 + _BYTE_SEL[byte][k - 1] + 1
             k -= c
         raise AssertionError("select walked past the target word")
+
+    def positions(self, b: int) -> list[int]:
+        """1-based positions of every occurrence of bit b, in increasing
+        order: select(b, 1..count(b)) in one pass over the words."""
+        flags = self.bit_string().encode("ascii").translate(_IS_ONE if b else _IS_ZERO)
+        return list(compress(range(1, self._n + 1), flags))
 
     # -- reporting and serialization ------------------------------------
 

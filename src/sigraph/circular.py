@@ -150,17 +150,19 @@ class CircularArcGraph:
 
     def __init__(
         self,
-        sp: AlphabetSequence,
+        symbols: list[int],
         rp: list[int],
         rpp: list[int],
         block_size: int | None = None,
-        degree_table: bool = False,
+        degrees: list[int] | None = None,
     ):
-        if sp.sigma != 4 or len(sp) % 2:
-            raise GraphInputError("endpoint sequence must be even over symbols 0..3")
-        symbols = sp.to_list()
+        """symbols is S' as a list; degrees, when given, is kept as the
+        degree table."""
+        if len(symbols) % 2:
+            raise GraphInputError("endpoint sequence must have even length")
         n = len(symbols) // 2
         q = symbols.count(_NL)
+        # the four counts summing to 2n also keeps every symbol in 0..3
         if (
             symbols.count(_NR) != q
             or symbols.count(_RL) != n - q
@@ -180,11 +182,7 @@ class CircularArcGraph:
         self._grid_r = PointGrid(_rank_permutation(rpp))
         self._rmax_n = RangeMaxIndex(rp, block_size)
         self._rmax_r = RangeMaxIndex(rpp, block_size)
-        self._degrees = (
-            [self._degree_by_formula(v) for v in range(1, n + 1)]
-            if degree_table
-            else None
-        )
+        self._degrees = degrees
 
     @classmethod
     def from_realization(
@@ -206,8 +204,8 @@ class CircularArcGraph:
                 symbols[l - 1] = _RL
                 symbols[r - 1] = _RR
                 rpp.append(r)
-        sp = AlphabetSequence(symbols, sigma=4)
-        return cls(sp, rp, rpp, block_size, degree_table)
+        degrees = _arc_degrees(real) if degree_table else None
+        return cls(symbols, rp, rpp, block_size, degrees)
 
     # -- S' operations over the factored vectors -------------------------
 
@@ -227,11 +225,14 @@ class CircularArcGraph:
     def _rank_rr(self, p: int) -> int:
         return self._rk.rank(1, self._s.rank(1, p))
 
-    def _select_nr(self, y: int) -> int:
-        return self._s.select(1, self._rk.select(0, y))
-
-    def _select_rr(self, y: int) -> int:
-        return self._s.select(1, self._rk.select(1, y))
+    def _right_positions(self) -> tuple[list[int], list[int]]:
+        """Positions of every NR and of every RR symbol, in increasing
+        order, from one sweep over S and the right family vector."""
+        normal: list[int] = []
+        reversed_: list[int] = []
+        for p, fam in zip(self._s.positions(1), self._rk.bit_string()):
+            (reversed_ if fam == "1" else normal).append(p)
+        return normal, reversed_
 
     # -- decoding --------------------------------------------------------
 
@@ -243,19 +244,20 @@ class CircularArcGraph:
     def normal_count(self) -> int:
         return self._q
 
+    def _symbols(self) -> list[int]:
+        """S' as a list, from one sweep over S and both family vectors."""
+        lk = iter(self._lk.bit_string())
+        rk = iter(self._rk.bit_string())
+        return [
+            (_RL if next(lk) == "1" else _NL) if bit == "0"
+            else (_RR if next(rk) == "1" else _NR)
+            for bit in self._s.bit_string()
+        ]
+
     @property
     def endpoint_symbols(self) -> AlphabetSequence:
         """The four-symbol endpoint sequence, rebuilt on demand."""
-        symbols = []
-        lefts = rights = 0
-        for bit in self._s.bit_string():
-            if bit == "0":
-                lefts += 1
-                symbols.append(self._lk.access(lefts) << 1)
-            else:
-                rights += 1
-                symbols.append(self._rk.access(rights) << 1 | 1)
-        return AlphabetSequence(symbols, sigma=4)
+        return AlphabetSequence(self._symbols(), sigma=4)
 
     def _check_vertex(self, v: int) -> None:
         if not 1 <= v <= self._n:
@@ -277,7 +279,13 @@ class CircularArcGraph:
         return bool(self._lk.access(v))
 
     def realization(self) -> ArcRealization:
-        return ArcRealization(tuple(self.arc_of(v) for v in range(1, self._n + 1)))
+        """All arcs in one sweep over S and the left family vector."""
+        normal = iter(self._rp)
+        reversed_ = iter(self._rpp)
+        return ArcRealization(tuple(
+            (l, next(reversed_) if fam == "1" else next(normal))
+            for l, fam in zip(self._s.positions(0), self._lk.bit_string())
+        ))
 
     def _label_of_normal(self, x: int) -> int:
         return self._lk.select(0, x)
@@ -477,7 +485,7 @@ class CircularArcGraph:
     def to_bytes(self) -> bytes:
         w = Writer().magic(_MAGIC, _VERSION)
         w.u64(self._n).u32(self._rmax_n._c).u8(0 if self._degrees is None else 1)
-        w.block(self.endpoint_symbols.to_bytes())
+        w.block(AlphabetSequence.encode(self._symbols(), 4))
         width = width_for(2 * self._n)
         w.block(pack_uints(self._rp, width))
         w.block(pack_uints(self._rpp, width))
@@ -492,28 +500,87 @@ class CircularArcGraph:
         if version != _VERSION:
             raise GraphInputError(f"unsupported structure version {version}")
         n = r.u64()
-        c = r.u32()
-        has_table = r.u8()
-        sp = AlphabetSequence.from_bytes(r.block())
-        if len(sp) != 2 * n or sp.sigma != 4:
+        c = r.block_size()
+        has_table = r.flag("degree table")
+        symbols, sigma = AlphabetSequence.decode(r.block())
+        if len(symbols) != 2 * n or sigma != 4:
             raise GraphInputError("endpoint sequence disagrees with header")
         width = width_for(2 * n)
-        q = sp.count(_NL)
+        q = symbols.count(_NL)
         rp = unpack_uints(r.block(), q, width)
         rpp = unpack_uints(r.block(), n - q, width)
         stored = unpack_uints(r.block(), n, width_for(max(n - 1, 1))) if has_table else None
         r.done()
-        g = cls(sp, rp, rpp, c or None, degree_table=False)
-        g.realization()  # validates endpoint structure
-        if sorted(rp) != [g._select_nr(i) for i in range(1, q + 1)]:
+        g = cls(symbols, rp, rpp, c, stored)
+        real = g.realization()  # validates endpoint structure
+        normal, reversed_ = g._right_positions()
+        if sorted(rp) != normal:
             raise GraphInputError("normal right endpoints disagree with the sequence")
-        if sorted(rpp) != [g._select_rr(i) for i in range(1, n - q + 1)]:
+        if sorted(rpp) != reversed_:
             raise GraphInputError("reversed right endpoints disagree with the sequence")
-        if stored is not None:
-            g._degrees = stored
-            if stored != [g._degree_by_formula(v) for v in range(1, n + 1)]:
-                raise GraphInputError("degree table disagrees with the structure")
+        if any((l > r) != (fam == "1") for (l, r), fam in zip(real.arcs, g._lk.bit_string())):
+            raise GraphInputError("arc orientations disagree with their families")
+        if stored is not None and stored != _arc_degrees(real):
+            raise GraphInputError("degree table disagrees with the structure")
         return g
+
+
+def _arc_degrees(real: ArcRealization) -> list[int]:
+    """Every arc's degree, from one sweep over the 2n positions.
+
+    Reversed arcs pairwise intersect. A normal arc [l, r] meets the
+    normal arcs that start before r less those that end before l. A
+    normal arc and a reversed arc (l', r') miss each other exactly when
+    the normal arc nests inside the gap [r', l']; two Fenwick trees over
+    positions count those nestings, one from each family's side.
+    """
+    arcs = real.arcs
+    n = len(arcs)
+    m = 2 * n
+    owner = [0] * (m + 1)       # v at the start of arc v, -v at its end
+    for v, (l, r) in enumerate(arcs, start=1):
+        owner[l] = v
+        owner[r] = -v
+    nrev = sum(1 for l, r in arcs if l > r)
+    q = n - nrev
+    gaps = [0] * (m + 1)        # +1 at l' for every reversed gap opened so far
+    closed = [0] * (m + 1)      # +1 at l for every normal arc ended so far
+
+    def add(tree, i):
+        while i <= m:
+            tree[i] += 1
+            i += i & -i
+
+    def prefix(tree, i):
+        c = 0
+        while i:
+            c += tree[i]
+            i &= i - 1
+        return c
+
+    deg = [0] * n
+    lefts = rights = opened = 0     # normal starts, normal ends, reversed gaps
+    for p in range(1, m + 1):
+        v = owner[p]
+        if v > 0:
+            l, r = arcs[v - 1]
+            if l < r:
+                # normals ending before l miss v; so do the gaps around v
+                deg[v - 1] += nrev - (opened - prefix(gaps, r)) - rights
+                lefts += 1
+            else:
+                # the gap [r, l] closes here: normals inside it miss v
+                deg[v - 1] += q - (rights - prefix(closed, r)) + nrev - 1
+        else:
+            l, r = arcs[-v - 1]
+            if l < r:
+                deg[-v - 1] += lefts - 1
+                add(closed, l)
+                rights += 1
+            else:
+                add(gaps, l)
+                opened += 1
+    return deg
 
 
 def _rank_permutation(values: list[int]) -> list[int]:

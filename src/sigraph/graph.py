@@ -42,12 +42,14 @@ class IntervalQueries:
     """Query layer shared by every linear-interval representation.
 
     Concrete classes provide _l, _r, _rank_left (left endpoints at or
-    before a position), _argmax_r and _argmin_r over vertex ranges.
+    before a position), _argmax_r and _argmin_r over vertex ranges, plus
+    _rights, every r_v in label order for bulk decoding.
     """
 
     __slots__ = ()
 
     _n: int
+    _s: BitVector
 
     @property
     def n(self) -> int:
@@ -62,9 +64,15 @@ class IntervalQueries:
         return self._l(v), self._r(v)
 
     def realization(self) -> IntervalRealization:
-        return IntervalRealization(
-            tuple(self.interval_of(v) for v in range(1, self._n + 1))
-        )
+        """All intervals in one sweep over S; the realization's own
+        invariants then check the pairing, so loaders call this on
+        untrusted input."""
+        lefts = self._s.positions(0)
+        if len(lefts) != self._n:
+            raise GraphInputError(
+                f"endpoint sequence holds {len(lefts)} left endpoints, expected {self._n}"
+            )
+        return IntervalRealization(tuple(zip(lefts, self._rights())))
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
@@ -149,6 +157,9 @@ class SuccinctIntervalGraph(IntervalQueries):
     def _r(self, v: int) -> int:
         return self._rlist[v - 1]
 
+    def _rights(self) -> list[int]:
+        return self._rlist
+
     def _rank_left(self, p: int) -> int:
         return self._s.rank(0, p)
 
@@ -194,10 +205,10 @@ class SuccinctIntervalGraph(IntervalQueries):
         if version != _VERSION:
             raise GraphInputError(f"unsupported structure version {version}")
         n = r.u64()
-        c = r.u32()
+        c = r.block_size()
         s = BitVector.from_bytes(r.block())
         rights = unpack_uints(r.block(), n, width_for(2 * n))
         r.done()
-        g = cls(s, rights, c or None)
+        g = cls(s, rights, c)
         g.realization()  # full invariant check on untrusted input
         return g

@@ -122,6 +122,20 @@ class Reader:
     def u64(self) -> int:
         return struct.unpack("<Q", self._take(8))[0]
 
+    def flag(self, what: str) -> int:
+        """A u8 that must be 0 or 1, so every accepted byte re-encodes."""
+        v = self.u8()
+        if v > 1:
+            raise SerializationError(f"{what} byte must be 0 or 1, found {v}")
+        return v
+
+    def block_size(self) -> int:
+        """A range-index block size: a u32 that must be positive."""
+        c = self.u32()
+        if c == 0:
+            raise SerializationError("range index block size must be positive")
+        return c
+
     def block(self) -> bytes:
         return self._take(self.u64())
 

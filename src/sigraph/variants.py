@@ -69,6 +69,9 @@ class ProperIntervalGraph(IntervalQueries):
     def _r(self, v: int) -> int:
         return self._s.select(1, v)
 
+    def _rights(self) -> list[int]:
+        return self._s.positions(1)
+
     def _rank_left(self, p: int) -> int:
         return self._s.rank(0, p)
 
@@ -123,61 +126,44 @@ class ProperIntervalGraph(IntervalQueries):
         return g
 
 
-class _Fenwick:
-    __slots__ = ("_t",)
-
-    def __init__(self, n: int):
-        self._t = [0] * (n + 1)
-
-    def add(self, i: int, delta: int) -> None:
-        t = self._t
-        while i < len(t):
-            t[i] += delta
-            i += i & -i
-
-    def prefix(self, i: int) -> int:
-        t = self._t
-        s = 0
-        while i > 0:
-            s += t[i]
-            i -= i & -i
-        return s
-
-
 def containment_depths(real: IntervalRealization, mode: str) -> list[int]:
     """Per-vertex depth: intervals containing v (proper mode) or
     contained in v (improper mode). One Fenwick sweep either way."""
-    n = real.n
-    kind = {}
-    for v, (l, r) in enumerate(real.intervals, start=1):
-        kind[l] = (0, v)
-        kind[r] = (1, v)
-    depths = [0] * (n + 1)
-    bit = _Fenwick(2 * n)
+    intervals = real.intervals
     if mode == MODE_PROPER:
-        open_count = 0
-        for p in range(1, 2 * n + 1):
-            side, v = kind[p]
-            if side == 0:
-                r = real.intervals[v - 1][1]
-                depths[v] = open_count - bit.prefix(r)
-                bit.add(r, 1)
-                open_count += 1
-            else:
-                bit.add(p, -1)
-                open_count -= 1
-    elif mode == MODE_IMPROPER:
-        closed_count = 0
-        for p in range(1, 2 * n + 1):
-            side, v = kind[p]
-            if side == 1:
-                l = real.intervals[v - 1][0]
-                depths[v] = closed_count - bit.prefix(l)
-                bit.add(l, 1)
-                closed_count += 1
-    else:
-        raise GraphInputError(f"unknown depth mode {mode!r}")
-    return depths[1:]
+        # in label order, the earlier intervals ending after r_v contain v
+        return _earlier_greater([r for _, r in intervals])
+    if mode == MODE_IMPROPER:
+        # in right-endpoint order, the earlier intervals starting after
+        # l_v lie inside v
+        owner = [0] * (2 * real.n + 1)
+        for v, (_, r) in enumerate(intervals, start=1):
+            owner[r] = v
+        order = [v - 1 for v in owner if v]
+        depths = [0] * real.n
+        for v, c in zip(order, _earlier_greater([intervals[v][0] for v in order])):
+            depths[v] = c
+        return depths
+    raise GraphInputError(f"unknown depth mode {mode!r}")
+
+
+def _earlier_greater(keys: list[int]) -> list[int]:
+    """For each of the distinct positive keys, how many earlier keys
+    exceed it, from one sweep over a Fenwick tree of the keys seen."""
+    m = max(keys)
+    tree = [0] * (m + 1)
+    counts = []
+    for seen, x in enumerate(keys):
+        below = 0
+        i = x
+        while i:
+            below += tree[i]
+            i &= i - 1
+        counts.append(seen - below)
+        while x <= m:
+            tree[x] += 1
+            x += x & -x
+    return counts
 
 
 class KProperGraph(IntervalQueries):
@@ -188,44 +174,51 @@ class KProperGraph(IntervalQueries):
 
     def __init__(
         self,
-        t: AlphabetSequence,
+        symbols: list[int],
+        sigma: int,
         mode: str,
         block_size: int | None = None,
     ):
         if mode not in (MODE_PROPER, MODE_IMPROPER):
             raise GraphInputError(f"unknown depth mode {mode!r}")
-        if len(t) % 2 or len(t) == 0:
+        if len(symbols) % 2 or len(symbols) == 0:
             raise GraphInputError("endpoint annotation length must be even")
-        if t.sigma % 2:
+        n = len(symbols) // 2
+        if sigma % 2:
             raise GraphInputError("depth alphabet must pair even/odd symbols")
-        symbols = t.to_list()
-        self._n = len(t) // 2
-        self._t = t
+        if sigma > 2 * n:
+            raise GraphInputError(f"depth alphabet of {sigma} exceeds {n} depth classes")
+        self._n = n
+        self._t = AlphabetSequence(symbols, sigma)
         self._mode = mode
-        self._k = t.sigma // 2 - 1
+        self._k = sigma // 2 - 1
+        if max(symbols) >> 1 != self._k:
+            raise GraphInputError("depth alphabet must end at the deepest class")
         self._s = BitVector(sym & 1 for sym in symbols)
+        if self._s.count(0) != n:
+            raise GraphInputError(f"annotation must hold {n} left endpoints")
         self._rcache = self._pair_rights(symbols)
         self._rmax = RangeMaxIndex(self._rcache, block_size)
         self._rmin = RangeMinIndex(self._rcache, block_size)
 
-    def _pair_rights(self, symbols) -> list[int]:
-        # within one depth class the i-th left matches the i-th right
-        pending = [deque() for _ in range((self._t.sigma // 2) + 1)]
+    def _pair_rights(self, symbols: list[int]) -> list[int]:
+        # within one depth class the i-th left matches the i-th right;
+        # the constructor has checked that there are n lefts
+        pending = [deque() for _ in range(self._k + 1)]
         rights = [0] * self._n
-        lefts_seen = 0
+        v = 0
         for p, sym in enumerate(symbols, start=1):
-            d, side = divmod(sym, 2)
-            if side == 0:
-                lefts_seen += 1
-                pending[d].append(lefts_seen)
-            else:
-                if not pending[d]:
+            if sym & 1:
+                waiting = pending[sym >> 1]
+                if not waiting:
                     raise GraphInputError(
                         f"unmatched right endpoint at position {p}"
                     )
-                v = pending[d].popleft()
-                rights[v - 1] = p
-        if any(q for q in pending):
+                rights[waiting.popleft()] = p
+            else:
+                pending[sym >> 1].append(v)
+                v += 1
+        if any(pending):
             raise GraphInputError("unmatched left endpoints in annotation")
         return rights
 
@@ -237,13 +230,11 @@ class KProperGraph(IntervalQueries):
         block_size: int | None = None,
     ) -> "KProperGraph":
         depths = containment_depths(real, mode)
-        k = max(depths)
         symbols = [0] * (2 * real.n)
-        for v, (l, r) in enumerate(real.intervals, start=1):
-            symbols[l - 1] = 2 * depths[v - 1]
-            symbols[r - 1] = 2 * depths[v - 1] + 1
-        t = AlphabetSequence(symbols, sigma=2 * k + 2)
-        return cls(t, mode, block_size)
+        for (l, r), d in zip(real.intervals, depths):
+            symbols[l - 1] = 2 * d
+            symbols[r - 1] = 2 * d + 1
+        return cls(symbols, 2 * max(depths) + 2, mode, block_size)
 
     # -- hooks -----------------------------------------------------------
 
@@ -253,6 +244,9 @@ class KProperGraph(IntervalQueries):
     def _r(self, v: int) -> int:
         # the rights backing the range indexes double as the fast path
         return self._rcache[v - 1]
+
+    def _rights(self) -> list[int]:
+        return self._rcache
 
     def _r_from_annotation(self, v: int) -> int:
         """Right endpoint decoded from T alone: within a depth class,
@@ -328,14 +322,15 @@ class KProperGraph(IntervalQueries):
         if version != _VERSION:
             raise GraphInputError(f"unsupported structure version {version}")
         n = r.u64()
-        mode = MODE_PROPER if r.u8() == 0 else MODE_IMPROPER
-        c = r.u32()
-        t = AlphabetSequence.from_bytes(r.block())
+        mode = (MODE_PROPER, MODE_IMPROPER)[r.flag("depth mode")]
+        c = r.block_size()
+        symbols, sigma = AlphabetSequence.decode(r.block())
         r.done()
-        if len(t) != 2 * n:
+        if len(symbols) != 2 * n:
             raise GraphInputError("annotation length disagrees with header")
-        g = cls(t, mode, c or None)
+        g = cls(symbols, sigma, mode, c)
         real = g.realization()  # validates endpoint pairing
-        if containment_depths(real, mode) != [g.depth_of(v) for v in range(1, n + 1)]:
+        # a left endpoint's symbol is twice its interval's depth
+        if containment_depths(real, mode) != [symbols[l - 1] >> 1 for l, _ in real.intervals]:
             raise GraphInputError("annotation depths disagree with the realization")
         return g

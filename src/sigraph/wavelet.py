@@ -149,11 +149,7 @@ class AlphabetSequence:
         symbols = list(symbols)
         if sigma is None:
             sigma = max(symbols) + 1 if symbols else 1
-        if sigma < 1:
-            raise GraphInputError("alphabet size must be at least 1")
-        for s in symbols:
-            if not 0 <= s < sigma:
-                raise GraphInputError(f"symbol {s} outside alphabet [0, {sigma})")
+        _check_alphabet(symbols, sigma)
         self._n = len(symbols)
         self._sigma = sigma
         self._m = _Matrix(symbols, width_for(sigma - 1))
@@ -204,15 +200,20 @@ class AlphabetSequence:
     def space_bits(self) -> int:
         return sum(self.space_report().values())
 
-    def to_bytes(self) -> bytes:
+    @staticmethod
+    def encode(symbols: list[int], sigma: int) -> bytes:
+        """The blob to_bytes writes for these symbols, without building
+        the sequence."""
         w = Writer().magic(_SEQ_MAGIC, _VERSION)
-        w.u64(self._n).u32(self._sigma)
-        width = width_for(self._sigma - 1)
-        w.block(pack_uints(self.to_list(), width))
+        w.u64(len(symbols)).u32(sigma)
+        w.block(pack_uints(symbols, width_for(sigma - 1)))
         return w.getvalue()
 
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "AlphabetSequence":
+    @staticmethod
+    def decode(data: bytes) -> tuple[list[int], int]:
+        """(symbols, sigma) of a blob, validated as the constructor
+        validates them; a caller that needs the symbols but no queries
+        over them never builds the sequence."""
         r = Reader(data)
         version = r.magic(_SEQ_MAGIC)
         if version != _VERSION:
@@ -221,7 +222,23 @@ class AlphabetSequence:
         sigma = r.u32()
         symbols = unpack_uints(r.block(), n, width_for(sigma - 1))
         r.done()
-        return cls(symbols, sigma)
+        _check_alphabet(symbols, sigma)
+        return symbols, sigma
+
+    def to_bytes(self) -> bytes:
+        return self.encode(self.to_list(), self._sigma)
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "AlphabetSequence":
+        return cls(*cls.decode(data))
+
+
+def _check_alphabet(symbols: list[int], sigma: int) -> None:
+    if sigma < 1:
+        raise GraphInputError("alphabet size must be at least 1")
+    if symbols and (min(symbols) < 0 or max(symbols) >= sigma):
+        bad = next(s for s in symbols if not 0 <= s < sigma)
+        raise GraphInputError(f"symbol {bad} outside alphabet [0, {sigma})")
 
 
 class PointGrid:

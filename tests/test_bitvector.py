@@ -82,6 +82,14 @@ def test_rank_select_laws(bits):
     assert bv.count(0) == zeros
 
 
+@given(st.lists(st.integers(0, 1), max_size=600))
+@settings(max_examples=100, deadline=None)
+def test_positions_are_every_select(bits):
+    bv = BitVector(bits)
+    for b in (0, 1):
+        assert bv.positions(b) == [bv.select(b, j) for j in range(1, bv.count(b) + 1)]
+
+
 def test_large_vector_against_numpy():
     np = pytest.importorskip("numpy")
     rng = random.Random(20260821)

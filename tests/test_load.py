@@ -1,0 +1,265 @@
+"""Validated loading: bulk decoding, operation counts and corrupted blobs.
+
+Every from_bytes treats its blob as untrusted. It must reject a corrupted
+blob with GraphInputError (SerializationError is a subclass), or accept
+it only when it re-encodes byte-identically, and it must do its checks
+in sweeps rather than in per-vertex select/rank/access calls.
+"""
+
+import random
+import struct
+
+import pytest
+
+from conftest import FIG2_ARCS, fig1_realization
+from sigraph.bitvector import BitVector
+from sigraph.circular import ArcRealization, CircularArcGraph, random_arc_realization
+from sigraph.errors import GraphInputError, SerializationError
+from sigraph.graph import SuccinctIntervalGraph
+from sigraph.intervals import (
+    IntervalRealization,
+    random_proper_realization,
+    random_realization,
+)
+from sigraph.oracle import OracleGraph
+from sigraph.serial import Writer, pack_uints, width_for
+from sigraph.variants import (
+    MODE_IMPROPER,
+    MODE_PROPER,
+    KProperGraph,
+    ProperIntervalGraph,
+    containment_depths,
+)
+from sigraph.wavelet import AlphabetSequence
+
+
+def _interval(rng, n):
+    return SuccinctIntervalGraph.from_realization(random_realization(n, rng))
+
+
+def _proper(rng, n):
+    return ProperIntervalGraph.from_realization(random_proper_realization(n, rng))
+
+
+def _kproper(rng, n):
+    return KProperGraph.from_realization(random_realization(n, rng), MODE_PROPER)
+
+
+def _kimproper(rng, n):
+    return KProperGraph.from_realization(random_realization(n, rng), MODE_IMPROPER)
+
+
+def _circular(rng, n):
+    return CircularArcGraph.from_realization(random_arc_realization(n, rng))
+
+
+def _circular_table(rng, n):
+    return CircularArcGraph.from_realization(
+        random_arc_realization(n, rng), degree_table=True
+    )
+
+
+STRUCTURES = {
+    "interval": _interval,
+    "proper": _proper,
+    "kproper": _kproper,
+    "kimproper": _kimproper,
+    "circular": _circular,
+    "circular-table": _circular_table,
+}
+
+
+# -- operation counts ----------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", sorted(STRUCTURES))
+def test_load_makes_no_per_vertex_queries(kind, monkeypatch):
+    """A validated load at n = 2000 calls no select, rank or access on a
+    bit vector or a sequence; a per-vertex decode would make thousands."""
+    g = STRUCTURES[kind](random.Random(7), 2000)
+    blob = g.to_bytes()
+    calls = {}
+
+    def counting(owner, name):
+        orig = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            key = f"{owner.__name__}.{name}"
+            calls[key] = calls.get(key, 0) + 1
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner in (BitVector, AlphabetSequence):
+        for name in ("select", "rank", "access"):
+            counting(owner, name)
+    h = type(g).from_bytes(blob)
+    assert calls == {}
+    monkeypatch.undo()
+    assert h.to_bytes() == blob
+
+
+# -- bulk decoding -------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", sorted(STRUCTURES))
+def test_bulk_realization_matches_per_vertex_decode(kind):
+    rng = random.Random(f"bulk/{kind}")
+    for _ in range(25):
+        g = STRUCTURES[kind](rng, rng.randint(1, 120))
+        per_vertex = (
+            tuple(g.arc_of(v) for v in range(1, g.n + 1))
+            if isinstance(g, CircularArcGraph)
+            else tuple(g.interval_of(v) for v in range(1, g.n + 1))
+        )
+        real = g.realization()
+        assert (real.arcs if isinstance(g, CircularArcGraph) else real.intervals) == per_vertex
+
+
+def test_depths_match_brute_force_on_deep_nesting():
+    """The Fenwick sweep gives the brute-force depths on a fully nested
+    input and on a random one (test_variants covers shallow inputs)."""
+    n = 300
+    nested = IntervalRealization(tuple((i, 2 * n + 1 - i) for i in range(1, n + 1)))
+    for real in (nested, random_realization(n, random.Random(3))):
+        iv = real.intervals
+        want_p = [sum(1 for a, b in iv if a < l and b > r) for l, r in iv]
+        want_i = [sum(1 for a, b in iv if a > l and b < r) for l, r in iv]
+        assert containment_depths(real, MODE_PROPER) == want_p
+        assert containment_depths(real, MODE_IMPROPER) == want_i
+
+
+# -- canonical headers ---------------------------------------------------
+
+
+def _patched(blob: bytes, offset: int, fmt: str, value: int) -> bytes:
+    out = bytearray(blob)
+    struct.pack_into(fmt, out, offset, value)
+    return bytes(out)
+
+
+# header layouts: magic(4) version(1) n(8), then the block size as a
+# u32, after the mode byte in SKGR
+@pytest.mark.parametrize(
+    "kind,offset", [("interval", 13), ("kproper", 14), ("circular", 13)]
+)
+def test_zero_block_size_rejected(kind, offset):
+    g = STRUCTURES[kind](random.Random(1), 30)
+    with pytest.raises(SerializationError, match="block size"):
+        type(g).from_bytes(_patched(g.to_bytes(), offset, "<L", 0))
+
+
+@pytest.mark.parametrize("value", [2, 7, 255])
+def test_unknown_mode_byte_rejected(value):
+    blob = _kproper(random.Random(2), 30).to_bytes()
+    with pytest.raises(SerializationError, match="depth mode"):
+        KProperGraph.from_bytes(_patched(blob, 13, "<B", value))
+
+
+@pytest.mark.parametrize("value", [2, 7, 255])
+def test_unknown_degree_table_byte_rejected(value):
+    for build in (_circular, _circular_table):
+        blob = build(random.Random(3), 30).to_bytes()
+        with pytest.raises(SerializationError, match="degree table"):
+            CircularArcGraph.from_bytes(_patched(blob, 17, "<B", value))
+
+
+def test_extra_left_symbols_are_an_input_error():
+    """A T holding more left symbols than n used to escape as IndexError."""
+    g = _kproper(random.Random(4), 20)
+    symbols = g.annotation.to_list()
+    first_right = next(i for i, s in enumerate(symbols) if s & 1)
+    symbols[first_right] -= 1
+    blob = bytearray(g.to_bytes())
+    seq = AlphabetSequence.encode(symbols, g.annotation.sigma)
+    tail = len(blob) - len(seq)
+    blob[tail:] = seq
+    with pytest.raises(GraphInputError, match="left endpoints"):
+        KProperGraph.from_bytes(bytes(blob))
+
+
+# -- consistency checks that a single flipped bit cannot reach ----------
+
+
+def _kproper_blob(g, symbols, sigma) -> bytes:
+    w = Writer().magic(b"SKGR", 1)
+    w.u64(g.n).u8(0 if g.mode == MODE_PROPER else 1).u32(g._rmax._c)
+    w.block(AlphabetSequence.encode(symbols, sigma))
+    return w.getvalue()
+
+
+def _circular_blob(g, rp, rpp) -> bytes:
+    w = Writer().magic(b"SCAG", 1)
+    w.u64(g.n).u32(g._rmax_n._c).u8(0)
+    w.block(AlphabetSequence.encode(g.endpoint_symbols.to_list(), 4))
+    width = width_for(2 * g.n)
+    w.block(pack_uints(rp, width))
+    w.block(pack_uints(rpp, width))
+    return w.getvalue()
+
+
+def test_kproper_depth_labels_must_match_the_realization():
+    g = KProperGraph.from_realization(fig1_realization(), MODE_PROPER)
+    symbols = g.annotation.to_list()
+    sigma = g.annotation.sigma
+    assert _kproper_blob(g, symbols, sigma) == g.to_bytes()
+    # swapping depth classes 0 and 1 keeps the pairing, not the depths
+    swapped = [s ^ 2 if s < 4 else s for s in symbols]
+    with pytest.raises(GraphInputError, match="depths disagree"):
+        KProperGraph.from_bytes(_kproper_blob(g, swapped, sigma))
+    with pytest.raises(GraphInputError, match="deepest class"):
+        KProperGraph.from_bytes(_kproper_blob(g, symbols, sigma + 2))
+
+
+def test_circular_right_lists_must_match_the_sequence():
+    g = CircularArcGraph.from_realization(ArcRealization(FIG2_ARCS))
+    rp, rpp = list(g._rp), list(g._rpp)
+    assert _circular_blob(g, rp, rpp) == g.to_bytes()
+    # a normal and a reversed right endpoint trade places
+    rp[0], rpp[0] = rpp[0], rp[0]
+    with pytest.raises(GraphInputError, match="normal right endpoints"):
+        CircularArcGraph.from_bytes(_circular_blob(g, rp, rpp))
+    # arcs 1 and 2 trade ends: arc 2 becomes (4, 3), a normal arc that wraps
+    rp = list(g._rp)
+    rp[0], rp[1] = rp[1], rp[0]
+    with pytest.raises(GraphInputError, match="orientations"):
+        CircularArcGraph.from_bytes(_circular_blob(g, rp, g._rpp))
+
+
+# -- single-bit mutations ------------------------------------------------
+
+
+def _degrees_agree(g) -> bool:
+    real = g.realization()
+    oracle = (
+        OracleGraph.from_arc_positions(real.arcs)
+        if isinstance(g, CircularArcGraph)
+        else OracleGraph.from_intervals(real)
+    )
+    return all(g.degree(v) == oracle.degree(v) for v in range(1, g.n + 1))
+
+
+@pytest.mark.parametrize("n", [1, 5, 40])
+@pytest.mark.parametrize("kind", sorted(STRUCTURES))
+def test_single_bit_flips(kind, n):
+    """Every bit of a blob, flipped one at a time: each mutant is
+    rejected with GraphInputError or loads into a structure that
+    re-encodes to the same bytes and answers degree consistently with
+    its own realization."""
+    g = STRUCTURES[kind](random.Random(f"flips/{kind}/{n}"), n)
+    cls = type(g)
+    blob = g.to_bytes()
+    bits = range(8 * len(blob))
+    accepted = 0
+    for bit in bits:
+        mutant = bytearray(blob)
+        mutant[bit >> 3] ^= 1 << (bit & 7)
+        mutant = bytes(mutant)
+        try:
+            h = cls.from_bytes(mutant)
+        except GraphInputError:
+            continue
+        accepted += 1
+        assert h.to_bytes() == mutant, f"bit {bit} accepted but re-encodes differently"
+        assert _degrees_agree(h), f"bit {bit} accepted with inconsistent degrees"
+    assert accepted < len(bits) // 4
