@@ -1,13 +1,17 @@
 """Combinatorial algorithms running directly on the succinct structures.
 
-Everything here only touches the query hooks (rank over S, r decoding,
-range extremes over r), so the same code serves the plain, proper and
-k-proper representations.
+Each algorithm reads the endpoints once, in one sweep: the left
+endpoints are the 0 positions of S and the hook _rights lists every
+r_v in label order, so the same code serves the plain, proper and
+k-proper representations. Everything runs in O(n) time, except
+greedy_coloring, which keeps two heaps and runs in O(n log n).
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from itertools import accumulate
 
 
 @dataclass(frozen=True)
@@ -32,15 +36,15 @@ class Coloring:
         return max(self.colors) if self.colors else 0
 
 
+def _intervals(g):
+    """(l_v, r_v) for v = 1..n, in label order."""
+    return zip(g._s.positions(0), g._rights())
+
+
 def build_d_sequence(g) -> list[int]:
     """Open-interval count after each endpoint position; peaks give the
     clique number and d_{2n} returns to 0."""
-    out = []
-    d = 0
-    for p in range(1, 2 * g.n + 1):
-        d += 1 if g._rank_left(p) - g._rank_left(p - 1) else -1
-        out.append(d)
-    return out
+    return list(accumulate(1 if ch == "0" else -1 for ch in g._s.bit_string()))
 
 
 def dfs_order(g) -> list[int]:
@@ -60,14 +64,20 @@ def peo(g) -> list[int]:
 
 def mis(g) -> list[int]:
     """Maximum independent set: repeatedly take the interval with the
-    leftmost right endpoint, then skip everything it intersects."""
+    leftmost right endpoint, then skip everything it intersects.
+
+    The sweep keeps the pending interval with the smallest r; the first
+    left endpoint past that r proves no later interval ends sooner, so
+    the pending one is committed there."""
     out = []
-    start = 1
-    n = g.n
-    while start <= n:
-        m = g._argmin_r(start, n)
-        out.append(m)
-        start = g._rank_left(g._r(m)) + 1
+    best_v = best_r = 0
+    for v, (l, r) in enumerate(_intervals(g), start=1):
+        if best_v and l > best_r:
+            out.append(best_v)
+            best_v = 0
+        if not best_v or r < best_r:
+            best_v, best_r = v, r
+    out.append(best_v)
     return out
 
 
@@ -79,19 +89,26 @@ def mvc(g) -> list[int]:
 
 def max_clique(g) -> CliqueWitness:
     d = build_d_sequence(g)
-    cut = max(range(2 * g.n), key=lambda i: (d[i], -i)) + 1
-    members = [v for v in range(1, g._rank_left(cut) + 1) if g._r(v) > cut]
+    cut = d.index(max(d)) + 1
+    members = [v for v, (l, r) in enumerate(_intervals(g), start=1) if l <= cut < r]
     return CliqueWitness(cut, tuple(members))
 
 
 def greedy_coloring(g) -> Coloring:
     """Scan by label, giving each vertex the smallest color missing from
-    its earlier neighbors; uses exactly clique-number colors."""
-    colors = [0] * (g.n + 1)
-    for v in range(1, g.n + 1):
-        taken = {colors[u] for u in g.neighborhood(v) if u < v}
-        c = 1
-        while c in taken:
-            c += 1
-        colors[v] = c
-    return Coloring(tuple(colors[1:]))
+    its earlier neighbors; uses exactly clique-number colors.
+
+    The earlier neighbors of v are the intervals still open at l_v. One
+    heap holds (r, color) of the open intervals, another the colors they
+    have released; with none released, colors 1..len(open) are all in
+    use."""
+    colors = []
+    open_: list[tuple[int, int]] = []
+    free: list[int] = []
+    for l, r in _intervals(g):
+        while open_ and open_[0][0] < l:
+            heapq.heappush(free, heapq.heappop(open_)[1])
+        c = heapq.heappop(free) if free else len(open_) + 1
+        heapq.heappush(open_, (r, c))
+        colors.append(c)
+    return Coloring(tuple(colors))

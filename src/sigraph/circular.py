@@ -452,7 +452,10 @@ class CircularArcGraph:
                     head_b = self._decode(nxt)
             if dead_a and dead_b:
                 return None
-        return None
+        # every hop moves a live walk's frontier clockwise, so the walks
+        # meet or die well within the cap: reaching it is a bug, and
+        # None would wrongly report a disconnected pair
+        raise AssertionError("spath walks did not finish within their hop cap")
 
     # -- reporting and serialization ------------------------------------
 
@@ -496,9 +499,7 @@ class CircularArcGraph:
     @classmethod
     def from_bytes(cls, data: bytes) -> "CircularArcGraph":
         r = Reader(data)
-        version = r.magic(_MAGIC)
-        if version != _VERSION:
-            raise GraphInputError(f"unsupported structure version {version}")
+        r.magic(_MAGIC, _VERSION)
         n = r.u64()
         c = r.block_size()
         has_table = r.flag("degree table")

@@ -2,7 +2,7 @@
 
 Vertices are 1..n in increasing left-endpoint order. The structure keeps
 the 2n-bit endpoint-kind sequence S (0 marks a left endpoint), the right
-endpoints r_1..r_n, and range-extreme indexes over r. All of degree,
+endpoints r_1..r_n, and a range-max index over r. All of degree,
 adjacent and succ are constant-time; neighborhood reports in time
 proportional to the degree; spath walks the greedy succ chain.
 """
@@ -12,7 +12,7 @@ from __future__ import annotations
 from .bitvector import BitVector
 from .errors import GraphInputError, QueryRangeError
 from .intervals import IntervalRealization
-from .rmq import RangeMaxIndex, RangeMinIndex
+from .rmq import RangeMaxIndex
 from .serial import Reader, Writer, pack_uints, unpack_uints, width_for
 
 _MAGIC = b"SIGR"
@@ -42,8 +42,8 @@ class IntervalQueries:
     """Query layer shared by every linear-interval representation.
 
     Concrete classes provide _l, _r, _rank_left (left endpoints at or
-    before a position), _argmax_r and _argmin_r over vertex ranges, plus
-    _rights, every r_v in label order for bulk decoding.
+    before a position), _argmax_r over vertex ranges, plus _rights,
+    every r_v in label order for bulk decoding and the algorithms.
     """
 
     __slots__ = ()
@@ -128,7 +128,7 @@ class IntervalQueries:
 class SuccinctIntervalGraph(IntervalQueries):
     """n log n + O(n)-bit interval-graph structure over a realization."""
 
-    __slots__ = ("_n", "_s", "_rlist", "_rmax", "_rmin")
+    __slots__ = ("_n", "_s", "_rlist", "_rmax")
 
     def __init__(self, s: BitVector, rights, block_size: int | None = None):
         n = len(s) // 2
@@ -138,7 +138,6 @@ class SuccinctIntervalGraph(IntervalQueries):
         self._s = s
         self._rlist = list(rights)
         self._rmax = RangeMaxIndex(self._rlist, block_size)
-        self._rmin = RangeMinIndex(self._rlist, block_size)
 
     @classmethod
     def from_realization(
@@ -169,9 +168,6 @@ class SuccinctIntervalGraph(IntervalQueries):
     def _argmax_r(self, i: int, j: int) -> int:
         return self._rmax.query(i, j)
 
-    def _argmin_r(self, i: int, j: int) -> int:
-        return self._rmin.query(i, j)
-
     # -- reporting and serialization ------------------------------------
 
     @property
@@ -185,7 +181,6 @@ class SuccinctIntervalGraph(IntervalQueries):
             "S_directory": s_rep["directory"],
             "r": self._n * width_for(2 * self._n),
             "rmax_directory": self._rmax.space_bits(),
-            "rmin_directory": self._rmin.space_bits(),
         }
 
     def space_bits(self) -> int:
@@ -201,9 +196,7 @@ class SuccinctIntervalGraph(IntervalQueries):
     @classmethod
     def from_bytes(cls, data: bytes) -> "SuccinctIntervalGraph":
         r = Reader(data)
-        version = r.magic(_MAGIC)
-        if version != _VERSION:
-            raise GraphInputError(f"unsupported structure version {version}")
+        r.magic(_MAGIC, _VERSION)
         n = r.u64()
         c = r.block_size()
         s = BitVector.from_bytes(r.block())

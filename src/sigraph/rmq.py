@@ -11,13 +11,9 @@ Queries are 1-based inclusive ranges; answers are 1-based positions.
 
 from __future__ import annotations
 
-import struct
 from typing import Sequence
 
-from .errors import QueryRangeError, SerializationError
-
-_MAGIC = b"SRMQ"
-_VERSION = 1
+from .errors import QueryRangeError
 
 
 def default_block_size(n: int) -> int:
@@ -96,7 +92,7 @@ class _BlockExtremeIndex:
         row = self._table[k]
         return self._pick(row[lo], row[hi - (1 << k) + 1])
 
-    # -- reporting and serialization ------------------------------------
+    # -- reporting ------------------------------------------------------
 
     def space_report(self) -> dict[str, int]:
         nblocks = len(self._leaders)
@@ -110,22 +106,6 @@ class _BlockExtremeIndex:
 
     def space_bits(self) -> int:
         return sum(self.space_report().values())
-
-    def to_bytes(self) -> bytes:
-        kind = 0 if self._prefer_max else 1
-        return struct.pack("<4sBBQL", _MAGIC, _VERSION, kind, self._n, self._c)
-
-    @classmethod
-    def from_bytes(cls, data: bytes, values: Sequence[int]):
-        if len(data) != struct.calcsize("<4sBBQL") or data[:4] != _MAGIC:
-            raise SerializationError("bad range index header")
-        _, version, kind, n, c = struct.unpack("<4sBBQL", data)
-        if version != _VERSION:
-            raise SerializationError(f"unsupported range index version {version}")
-        target = RangeMaxIndex if kind == 0 else RangeMinIndex
-        if n != len(values):
-            raise SerializationError("range index length disagrees with values")
-        return target(values, block_size=c)
 
 
 class RangeMaxIndex(_BlockExtremeIndex):

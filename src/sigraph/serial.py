@@ -97,14 +97,18 @@ class Reader:
         self._data = data
         self._pos = 0
 
-    def magic(self, tag: bytes) -> int:
-        """Consume and check a magic tag; returns the version byte."""
+    def magic(self, tag: bytes, version: int) -> None:
+        """Consume and check a magic tag and the version byte after it."""
         got = self._take(4)
         if got != tag:
             raise SerializationError(
                 f"expected {tag.decode('ascii')} data, found {got!r}"
             )
-        return self.u8()
+        found = self.u8()
+        if found != version:
+            raise SerializationError(
+                f"unsupported {tag.decode('ascii')} version {found}"
+            )
 
     def _take(self, k: int) -> bytes:
         if self._pos + k > len(self._data):

@@ -1,7 +1,8 @@
 """Restricted interval families: proper (no nesting) and bounded-depth.
 
 A proper family needs only the 2n endpoint bits, since the v-th right
-endpoint is the v-th 1 and range extremes over r are the range borders.
+endpoint is the v-th 1 and the maximum of r over a label range sits at
+its last label.
 The bounded-depth structure annotates every endpoint with its interval's
 containment depth, which pairs left and right endpoints within each
 depth class and removes the explicit r array.
@@ -15,7 +16,7 @@ from .bitvector import BitVector
 from .errors import GraphInputError, NotProperError, QueryRangeError
 from .graph import IntervalQueries
 from .intervals import IntervalRealization
-from .rmq import RangeMaxIndex, RangeMinIndex
+from .rmq import RangeMaxIndex
 from .serial import Reader, Writer
 from .wavelet import AlphabetSequence
 
@@ -87,10 +88,6 @@ class ProperIntervalGraph(IntervalQueries):
         self._check_range(i, j)
         return j
 
-    def _argmin_r(self, i: int, j: int) -> int:
-        self._check_range(i, j)
-        return i
-
     # -- reporting and serialization ------------------------------------
 
     @property
@@ -113,9 +110,7 @@ class ProperIntervalGraph(IntervalQueries):
     @classmethod
     def from_bytes(cls, data: bytes) -> "ProperIntervalGraph":
         r = Reader(data)
-        version = r.magic(_PROPER_MAGIC)
-        if version != _VERSION:
-            raise GraphInputError(f"unsupported structure version {version}")
+        r.magic(_PROPER_MAGIC, _VERSION)
         n = r.u64()
         s = BitVector.from_bytes(r.block())
         r.done()
@@ -170,7 +165,7 @@ class KProperGraph(IntervalQueries):
     """Depth-annotated structure: 2n log k + O(n) bits for families where
     every interval is contained by (or contains) at most k others."""
 
-    __slots__ = ("_n", "_s", "_t", "_mode", "_k", "_rcache", "_rmax", "_rmin")
+    __slots__ = ("_n", "_s", "_t", "_mode", "_k", "_rcache", "_rmax")
 
     def __init__(
         self,
@@ -199,7 +194,6 @@ class KProperGraph(IntervalQueries):
             raise GraphInputError(f"annotation must hold {n} left endpoints")
         self._rcache = self._pair_rights(symbols)
         self._rmax = RangeMaxIndex(self._rcache, block_size)
-        self._rmin = RangeMinIndex(self._rcache, block_size)
 
     def _pair_rights(self, symbols: list[int]) -> list[int]:
         # within one depth class the i-th left matches the i-th right;
@@ -264,9 +258,6 @@ class KProperGraph(IntervalQueries):
     def _argmax_r(self, i: int, j: int) -> int:
         return self._rmax.query(i, j)
 
-    def _argmin_r(self, i: int, j: int) -> int:
-        return self._rmin.query(i, j)
-
     # -- depth reporting -------------------------------------------------
 
     @property
@@ -302,7 +293,6 @@ class KProperGraph(IntervalQueries):
             "S": s_rep["raw"],
             "S_directory": s_rep["directory"],
             "rmax_directory": self._rmax.space_bits(),
-            "rmin_directory": self._rmin.space_bits(),
         }
 
     def space_bits(self) -> int:
@@ -318,9 +308,7 @@ class KProperGraph(IntervalQueries):
     @classmethod
     def from_bytes(cls, data: bytes) -> "KProperGraph":
         r = Reader(data)
-        version = r.magic(_KPROPER_MAGIC)
-        if version != _VERSION:
-            raise GraphInputError(f"unsupported structure version {version}")
+        r.magic(_KPROPER_MAGIC, _VERSION)
         n = r.u64()
         mode = (MODE_PROPER, MODE_IMPROPER)[r.flag("depth mode")]
         c = r.block_size()

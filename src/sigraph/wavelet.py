@@ -15,7 +15,6 @@ from .errors import GraphInputError, QueryRangeError
 from .serial import Reader, Writer, pack_uints, unpack_uints, width_for
 
 _SEQ_MAGIC = b"SASQ"
-_GRID_MAGIC = b"SPGD"
 _VERSION = 1
 
 
@@ -108,27 +107,17 @@ class _Matrix:
         return acc
 
     def to_list(self) -> list[int]:
-        # one pass per level, tracking every position's image downward
-        n = self.n
-        syms = [0] * n
-        pos = list(range(n))
-        for d, (bv, z) in enumerate(zip(self.levels, self.zeros)):
-            bits = bv.bit_string()
-            zeros_before = [0] * (n + 1)
-            seen = 0
-            for idx, ch in enumerate(bits):
-                zeros_before[idx] = seen
-                if ch == "0":
-                    seen += 1
-            zeros_before[n] = seen
-            shift = self.width - 1 - d
-            for i in range(n):
-                p = pos[i]
-                if bits[p] == "1":
-                    syms[i] |= 1 << shift
-                    pos[i] = z + (p - zeros_before[p])
-                else:
-                    pos[i] = zeros_before[p]
+        # undo the stable partitions from the last level up: level d's
+        # bits say, position by position, which branch of level d + 1
+        # the next symbol comes from
+        syms = [0] * self.n
+        for d in range(self.width - 1, -1, -1):
+            bit = 1 << (self.width - 1 - d)
+            z = self.zeros[d]
+            zeros = iter(syms[:z])
+            ones = iter([s | bit for s in syms[z:]])
+            bits = self.levels[d].bit_string()
+            syms = [next(ones) if ch == "1" else next(zeros) for ch in bits]
         return syms
 
     def space(self) -> tuple[int, int]:
@@ -215,9 +204,7 @@ class AlphabetSequence:
         validates them; a caller that needs the symbols but no queries
         over them never builds the sequence."""
         r = Reader(data)
-        version = r.magic(_SEQ_MAGIC)
-        if version != _VERSION:
-            raise GraphInputError(f"unsupported sequence version {version}")
+        r.magic(_SEQ_MAGIC, _VERSION)
         n = r.u64()
         sigma = r.u32()
         symbols = unpack_uints(r.block(), n, width_for(sigma - 1))
@@ -283,21 +270,3 @@ class PointGrid:
 
     def space_bits(self) -> int:
         return sum(self.space_report().values())
-
-    def to_bytes(self) -> bytes:
-        w = Writer().magic(_GRID_MAGIC, _VERSION)
-        w.u64(self._m_size)
-        width = width_for(max(self._m_size - 1, 1))
-        w.block(pack_uints(self._m.to_list(), width))
-        return w.getvalue()
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "PointGrid":
-        r = Reader(data)
-        version = r.magic(_GRID_MAGIC)
-        if version != _VERSION:
-            raise GraphInputError(f"unsupported grid version {version}")
-        m = r.u64()
-        ys = unpack_uints(r.block(), m, width_for(max(m - 1, 1)))
-        r.done()
-        return cls([y + 1 for y in ys])

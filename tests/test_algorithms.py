@@ -15,9 +15,21 @@ from sigraph.algorithms import (
     mvc,
     peo,
 )
-from sigraph.graph import SuccinctIntervalGraph
-from sigraph.intervals import IntervalRealization, random_realization
+from sigraph.bitvector import BitVector
+from sigraph.graph import IntervalQueries, SuccinctIntervalGraph
+from sigraph.intervals import (
+    IntervalRealization,
+    random_proper_realization,
+    random_realization,
+)
 from sigraph.oracle import OracleGraph, mis_size_dp
+from sigraph.rmq import RangeMaxIndex, RangeMinIndex
+from sigraph.variants import (
+    MODE_IMPROPER,
+    MODE_PROPER,
+    KProperGraph,
+    ProperIntervalGraph,
+)
 
 
 @pytest.fixture(scope="module")
@@ -128,3 +140,83 @@ class TestProperties:
         rng = random.Random(271)
         for _ in range(60):
             _check_algorithms(random_realization(rng.randint(1, 14), rng))
+
+
+# -- every structure, against brute-force definitions ----------------------
+
+STRUCTURES = {
+    "interval": SuccinctIntervalGraph.from_realization,
+    "proper": ProperIntervalGraph.from_realization,
+    "kproper": lambda real: KProperGraph.from_realization(real, MODE_PROPER),
+    "kimproper": lambda real: KProperGraph.from_realization(real, MODE_IMPROPER),
+}
+
+
+def _realization(kind, n, rng):
+    return (random_proper_realization if kind == "proper" else random_realization)(n, rng)
+
+
+def _brute_coloring(o) -> tuple[int, ...]:
+    colors = [0] * (o.n + 1)
+    for v in range(1, o.n + 1):
+        taken = {colors[u] for u in o.neighborhood(v) if u < v}
+        colors[v] = min(c for c in range(1, v + 1) if c not in taken)
+    return tuple(colors[1:])
+
+
+def _brute_mis(real, o) -> list[int]:
+    out = []
+    for v in sorted(range(1, real.n + 1), key=real.right):
+        if not any(o.adjacent(u, v) for u in out):
+            out.append(v)
+    return out
+
+
+@pytest.mark.parametrize("kind", sorted(STRUCTURES))
+def test_exact_outputs_on_every_structure(kind):
+    rng = random.Random(f"exact/{kind}")
+    for _ in range(40):
+        real = _realization(kind, rng.randint(1, 60), rng)
+        g = STRUCTURES[kind](real)
+        o = OracleGraph.from_intervals(real)
+        n = real.n
+        assert greedy_coloring(g).colors == _brute_coloring(o)
+        ind = mis(g)
+        assert ind == _brute_mis(real, o)
+        assert mvc(g) == [v for v in range(1, n + 1) if v not in ind]
+        d = [sum(1 for l, r in real.intervals if l <= p < r) for p in range(1, 2 * n + 1)]
+        assert build_d_sequence(g) == d
+        w = max_clique(g)
+        assert w.cut == d.index(max(d)) + 1
+        assert w.members == tuple(
+            v for v in range(1, n + 1) if real.left(v) <= w.cut < real.right(v)
+        )
+
+
+@pytest.mark.parametrize("kind", sorted(STRUCTURES))
+def test_algorithms_make_no_per_vertex_queries(kind, monkeypatch):
+    """At n = 2000 the algorithms call no neighborhood and almost no
+    rank, select or range query; a per-vertex decode would make
+    thousands."""
+    g = STRUCTURES[kind](_realization(kind, 2000, random.Random(11)))
+    calls = {}
+
+    def counting(owner, name):
+        orig = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            key = f"{owner.__name__}.{name}"
+            calls[key] = calls.get(key, 0) + 1
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(IntervalQueries, "neighborhood")
+    counting(BitVector, "rank")
+    counting(BitVector, "select")
+    counting(RangeMaxIndex, "query")
+    counting(RangeMinIndex, "query")
+    for algorithm in (mis, mvc, max_clique, build_d_sequence, greedy_coloring):
+        algorithm(g)
+    assert "IntervalQueries.neighborhood" not in calls
+    assert sum(calls.values()) < 10

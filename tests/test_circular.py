@@ -190,6 +190,16 @@ def test_disconnected_components():
     assert len(g.spath(1, 3)) == 2
 
 
+def test_spath_hop_cap_is_an_internal_error(monkeypatch):
+    """None means disconnected, so walks that never finish must not
+    return it: a successor that never advances hits the cap and raises."""
+    g = CircularArcGraph.from_realization(ArcRealization(((1, 2), (3, 4), (5, 6))))
+    label = {g._decode(v): v for v in range(1, g.n + 1)}
+    monkeypatch.setattr(CircularArcGraph, "_succ_decoded", lambda self, cur: label[cur])
+    with pytest.raises(AssertionError, match="hop cap"):
+        g.spath(1, 3)
+
+
 def test_all_disjoint_normals():
     g = CircularArcGraph.from_realization(ArcRealization(((1, 2), (3, 4), (5, 6))))
     for u in range(1, 4):

@@ -171,7 +171,7 @@ class TestSpace:
         n = 10**4
         g = SuccinctIntervalGraph.from_realization(random_realization(n, rng))
         rep = g.space_report()
-        assert set(rep) == {"S", "S_directory", "r", "rmax_directory", "rmin_directory"}
+        assert set(rep) == {"S", "S_directory", "r", "rmax_directory"}
         assert 2 * n <= rep["S"] < 2 * n + 64  # word-padded raw bits
         assert rep["r"] == n * 15
         assert g.space_bits() == sum(rep.values())

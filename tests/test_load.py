@@ -164,6 +164,20 @@ def test_unknown_degree_table_byte_rejected(value):
             CircularArcGraph.from_bytes(_patched(blob, 17, "<B", value))
 
 
+@pytest.mark.parametrize("kind", sorted(STRUCTURES) + ["sequence"])
+def test_version_mismatch_is_a_serialization_error(kind):
+    """Byte 4 of every blob is its format version; one the loader does
+    not know raises SerializationError, as it does for a bit vector."""
+    if kind == "sequence":
+        blob, load = AlphabetSequence([0, 2, 1, 2], 3).to_bytes(), AlphabetSequence.from_bytes
+    else:
+        g = STRUCTURES[kind](random.Random(5), 20)
+        blob, load = g.to_bytes(), type(g).from_bytes
+    for version in (0, 2, 255):
+        with pytest.raises(SerializationError, match="version"):
+            load(blob[:4] + bytes([version]) + blob[5:])
+
+
 def test_extra_left_symbols_are_an_input_error():
     """A T holding more left symbols than n used to escape as IndexError."""
     g = _kproper(random.Random(4), 20)

@@ -79,14 +79,3 @@ def test_default_block_size_scales():
     assert default_block_size(200) == 64
     assert default_block_size(100_000) == 512
     assert default_block_size(1_000_000) == 512
-
-
-def test_serialization_round_trip():
-    idx = RangeMaxIndex(R9, block_size=4)
-    blob = idx.to_bytes()
-    again = RangeMaxIndex.from_bytes(blob, R9)
-    assert isinstance(again, RangeMaxIndex)
-    assert again.query(1, 9) == idx.query(1, 9)
-    assert again.to_bytes() == blob
-    mdx = RangeMinIndex(R9)
-    assert isinstance(RangeMinIndex.from_bytes(mdx.to_bytes(), R9), RangeMinIndex)
