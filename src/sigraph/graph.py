@@ -3,8 +3,11 @@
 Vertices are 1..n in increasing left-endpoint order. The structure keeps
 the 2n-bit endpoint-kind sequence S (0 marks a left endpoint), the right
 endpoints r_1..r_n, and a range-max index over r. All of degree,
-adjacent and succ are constant-time; neighborhood reports in time
-proportional to the degree; spath walks the greedy succ chain.
+adjacent and succ are constant-time. Neighborhood reports the later
+neighbors as one label range and searches only the earlier labels, in
+time proportional to the degree. Spath walks the one-ended greedy succ
+chain; each hop makes one rank and one range-max over the labels it
+newly reaches, so a path costs O(path length) primitive calls.
 """
 
 from __future__ import annotations
@@ -87,23 +90,29 @@ class IntervalQueries:
 
     def neighborhood(self, v: int) -> list[int]:
         self._check_vertex(v)
-        lv = self._l(v)
+        # an earlier label is a neighbor when it ends past l_v; every later
+        # label up to the last one starting before r_v starts inside v
         out: list[int] = []
-        report_above(self._argmax_r, self._r, 1, self._rank_left(self._r(v)), lv, out)
-        out.remove(v)
+        report_above(self._argmax_r, self._r, 1, v - 1, self._l(v), out)
         out.sort()
+        out.extend(range(v + 1, self._rank_left(self._r(v)) + 1))
         return out
 
-    def succ(self, u: int):
+    def succ(self, u: int) -> int:
         """Neighbor with the farthest right endpoint among intervals
         starting before r_u; u itself when nothing reaches farther."""
         self._check_vertex(u)
-        k = self._rank_left(self._r(u))
-        i = self._argmax_r(1, k)
-        return i if self._r(i) > self._l(u) else None
+        return self._argmax_r(1, self._rank_left(self._r(u)))
 
     def spath(self, u: int, v: int):
-        """A shortest u-v path, or None when they are disconnected."""
+        """A shortest u-v path, or None when they are disconnected.
+
+        Walks the greedy succ chain up from the smaller label. The current
+        vertex already holds the maximum r over the labels searched so
+        far, so each hop searches only the labels it newly reaches. The
+        chain stays below v, so it is adjacent to v exactly when
+        r_cur > l_v.
+        """
         self._check_vertex(u)
         self._check_vertex(v)
         if u == v:
@@ -111,14 +120,20 @@ class IntervalQueries:
         swapped = u > v
         if swapped:
             u, v = v, u
+        lv = self._l(v)
+        rc = self._r(u)
         path = [u]
-        cur = u
-        while not self.adjacent(cur, v):
-            nxt = self.succ(cur)
-            if nxt is None or nxt == cur:
+        k = 0
+        while rc < lv:
+            kn = self._rank_left(rc)
+            if kn == k:
                 return None
-            path.append(nxt)
-            cur = nxt
+            i = self._argmax_r(k + 1, kn)
+            ri = self._r(i)
+            if ri <= rc:
+                return None
+            path.append(i)
+            rc, k = ri, kn
         path.append(v)
         if swapped:
             path.reverse()

@@ -1,10 +1,13 @@
 """Positional range-maximum and range-minimum indexes.
 
 The target sequence is sampled in blocks of c values; a sparse table over
-the per-block leaders answers the full-block middle of a query, and the
-two partial blocks are scanned directly. The index stores positions only,
-never values, so its accounted size is O((n/c) log n) bits on top of the
-sequence it indexes. Ties resolve to the leftmost position.
+the per-block leaders answers the full-block middle of a query. A partial
+block is answered by its leader (the block's leftmost extreme) when the
+leader lies inside the query range, and scanned directly otherwise, so a
+prefix or suffix query scans at most one block. The index stores
+positions only, never values, so its accounted size is O((n/c) log n)
+bits on top of the sequence it indexes. Ties resolve to the leftmost
+position.
 
 Queries are 1-based inclusive ranges; answers are 1-based positions.
 """
@@ -78,13 +81,15 @@ class _BlockExtremeIndex:
         a, b = i - 1, j - 1
         c = self._c
         ba, bb = a // c, b // c
+        # a block's leftmost extreme is also that of any part holding it
+        first, last = self._leaders[ba], self._leaders[bb]
         if ba == bb:
-            return self._scan(a, b + 1) + 1
-        best = self._scan(a, (ba + 1) * c)
+            return (first if a <= first <= b else self._scan(a, b + 1)) + 1
+        best = first if a <= first else self._scan(a, (ba + 1) * c)
         if bb - ba > 1:
             mid = self._table_query(ba + 1, bb - 1)
             best = self._pick(best, mid)
-        right = self._scan(bb * c, b + 1)
+        right = last if last <= b else self._scan(bb * c, b + 1)
         return self._pick(best, right) + 1
 
     def _table_query(self, lo: int, hi: int) -> int:

@@ -5,10 +5,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIG1_INTERVALS, FIG1_S, fig1_realization
+from sigraph.bitvector import BitVector
 from sigraph.errors import GraphInputError, QueryRangeError
 from sigraph.graph import SuccinctIntervalGraph
-from sigraph.intervals import IntervalRealization, random_realization
+from sigraph.intervals import (
+    IntervalRealization,
+    normalize,
+    random_proper_realization,
+    random_realization,
+)
 from sigraph.oracle import OracleGraph
+from sigraph.variants import (
+    MODE_IMPROPER,
+    MODE_PROPER,
+    KProperGraph,
+    ProperIntervalGraph,
+)
 
 
 @pytest.fixture(scope="module")
@@ -178,3 +190,151 @@ class TestSpace:
         import math
 
         assert g.space_bits() <= 1.3 * n * math.log2(2 * n)
+
+
+# -- spath and neighborhood on every linear structure ---------------------
+
+STRUCTURES = {
+    "interval": lambda real, c=None: SuccinctIntervalGraph.from_realization(real, c),
+    "proper": lambda real, c=None: ProperIntervalGraph.from_realization(real),
+    "kproper": lambda real, c=None: KProperGraph.from_realization(real, MODE_PROPER, c),
+    "kimproper": lambda real, c=None: KProperGraph.from_realization(real, MODE_IMPROPER, c),
+}
+
+
+def _scattered(n, rng, proper):
+    """Integer intervals over a span of 0.3n to 3n: sparse draws leave
+    gaps, hence disconnected pairs. Equal lengths never nest."""
+    span = max(1, int(n * rng.choice((0.3, 1, 3))))
+    length = rng.randint(1, 4)
+    raw = []
+    for _ in range(n):
+        a = rng.randrange(span)
+        raw.append((a, a + (length if proper else rng.randint(0, 6))))
+    return normalize(raw)
+
+
+def _greedy_spath(g, u, v):
+    """Reference walk: from the smaller label, step to succ until the
+    current vertex is adjacent to the larger one."""
+    if u == v:
+        return [u]
+    a, b = min(u, v), max(u, v)
+    path = [a]
+    while not g.adjacent(path[-1], b):
+        nxt = g.succ(path[-1])
+        if nxt == path[-1]:
+            return None
+        path.append(nxt)
+    path.append(b)
+    return path if u < v else path[::-1]
+
+
+@pytest.mark.parametrize("kind", sorted(STRUCTURES))
+def test_spath_equals_greedy_reference(kind):
+    rng = random.Random(f"spath/{kind}")
+    disconnected = 0
+    for t in range(80):
+        n = rng.randint(1, 40)
+        if t % 2:
+            real = _scattered(n, rng, proper=kind == "proper")
+        elif kind == "proper":
+            real = random_proper_realization(n, rng)
+        else:
+            real = random_realization(n, rng)
+        g = STRUCTURES[kind](real, rng.randint(1, 8))
+        for u in range(1, n + 1):
+            for v in range(1, n + 1):
+                path = g.spath(u, v)
+                assert path == _greedy_spath(g, u, v), (real.intervals, u, v)
+                disconnected += path is None
+    assert disconnected > 0
+
+
+def _nested(n, rng):
+    # lengths in [1, 1.15] over a span of n/16: bounded nesting, connected
+    raw = []
+    for _ in range(n):
+        a = rng.uniform(0.0, n / 16)
+        raw.append((a, a + rng.uniform(1.0, 1.15)))
+    return normalize(raw)
+
+
+def _zeroed(calls):
+    calls.update(select0=0, select1=0, rank=0, ranges=[])
+    return calls
+
+
+def _counted(monkeypatch, g):
+    """Patch the primitives g's queries reach; return the live tallies:
+    select calls by bit, rank calls, and the ranges passed to _argmax_r."""
+    calls = _zeroed({})
+    select, rank, argmax = BitVector.select, BitVector.rank, type(g)._argmax_r
+
+    def counting_select(self, bit, k):
+        calls[f"select{bit}"] += 1
+        return select(self, bit, k)
+
+    def counting_rank(self, bit, p):
+        calls["rank"] += 1
+        return rank(self, bit, p)
+
+    def counting_argmax(self, i, j):
+        calls["ranges"].append((i, j))
+        return argmax(self, i, j)
+
+    monkeypatch.setattr(BitVector, "select", counting_select)
+    monkeypatch.setattr(BitVector, "rank", counting_rank)
+    monkeypatch.setattr(type(g), "_argmax_r", counting_argmax)
+    return calls
+
+
+def _count_guard_graph(kind):
+    rng = random.Random(f"count/{kind}")
+    n = 2000
+    real = random_proper_realization(n, rng) if kind == "proper" else _nested(n, rng)
+    return STRUCTURES[kind](real), rng
+
+
+@pytest.mark.parametrize("kind", sorted(STRUCTURES))
+def test_spath_makes_constant_calls_per_hop(kind, monkeypatch):
+    """One select0 per path, at most one rank and one range-max per hop,
+    and the range-max ranges never overlap: a walk that searched the
+    whole prefix every hop would sum to far more than n."""
+    g, rng = _count_guard_graph(kind)
+    n = g.n
+    calls = _counted(monkeypatch, g)
+    paths = 0
+    for _ in range(300):
+        u, v = rng.randint(1, n), rng.randint(1, n)
+        if u == v:
+            continue
+        _zeroed(calls)
+        path = g.spath(u, v)
+        if path is None:
+            continue
+        paths += 1
+        hops = len(path) - 1
+        assert calls["select0"] == 1, (u, v)
+        assert calls["rank"] <= hops + 1, (u, v)
+        assert calls["select1"] <= hops + 1, (u, v)
+        if kind != "proper":
+            assert calls["select1"] == 0
+        assert sum(j - i + 1 for i, j in calls["ranges"]) <= n, (u, v)
+    assert paths >= 100
+
+
+@pytest.mark.parametrize("kind", sorted(STRUCTURES))
+def test_neighborhood_searches_only_earlier_labels(kind, monkeypatch):
+    """Later neighbors form one label range; the range-max recursion runs
+    over the earlier labels only, so it makes at most 2e + 1 calls for e
+    earlier neighbors, and none for vertex 1."""
+    g, rng = _count_guard_graph(kind)
+    calls = _counted(monkeypatch, g)
+    for v in [1] + [rng.randint(2, g.n) for _ in range(300)]:
+        _zeroed(calls)
+        hood = g.neighborhood(v)
+        earlier = sum(1 for u in hood if u < v)
+        assert len(calls["ranges"]) <= 2 * earlier + 1, v
+        if v == 1:
+            assert calls["ranges"] == []

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigraph import QueryRangeError
-from sigraph.rmq import RangeMaxIndex, RangeMinIndex, default_block_size
+from sigraph.rmq import RangeMaxIndex, RangeMinIndex, _BlockExtremeIndex, default_block_size
 
 R9 = [6, 5, 9, 8, 12, 18, 15, 17, 16]
 
@@ -79,3 +79,33 @@ def test_default_block_size_scales():
     assert default_block_size(200) == 64
     assert default_block_size(100_000) == 512
     assert default_block_size(1_000_000) == 512
+
+
+def test_leaders_answer_whole_blocks(monkeypatch):
+    """A partial block whose leader lies inside the range is answered by
+    the leader: a full-range query over whole blocks scans nothing, and a
+    prefix or suffix query scans at most one block."""
+    rng = random.Random(17)
+    indexes = [
+        cls([rng.randint(0, 5) for _ in range(4 * c)], block_size=c)
+        for cls in (RangeMaxIndex, RangeMinIndex)
+        for c in (1, 2, 3, 8, 32)
+    ]
+    scans = []
+    scan = _BlockExtremeIndex._scan
+    monkeypatch.setattr(
+        _BlockExtremeIndex, "_scan",
+        lambda self, a, b: scans.append((a, b)) or scan(self, a, b),
+    )
+    for idx in indexes:
+        n = len(idx._values)
+        del scans[:]
+        idx.query(1, n)
+        assert scans == []
+        for j in range(1, n + 1):
+            del scans[:]
+            idx.query(1, j)
+            assert len(scans) <= 1
+            del scans[:]
+            idx.query(j, n)
+            assert len(scans) <= 1
