@@ -38,13 +38,13 @@ class Coloring:
 
 def _intervals(g):
     """(l_v, r_v) for v = 1..n, in label order."""
-    return zip(g._s.positions(0), g._rights())
+    return zip(g.endpoint_bits.positions(0), g._rights())
 
 
 def build_d_sequence(g) -> list[int]:
     """Open-interval count after each endpoint position; peaks give the
     clique number and d_{2n} returns to 0."""
-    return list(accumulate(1 if ch == "0" else -1 for ch in g._s.bit_string()))
+    return list(accumulate(1 if ch == "0" else -1 for ch in g.endpoint_bits.bit_string()))
 
 
 def dfs_order(g) -> list[int]:

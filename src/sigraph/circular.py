@@ -345,11 +345,14 @@ class CircularArcGraph:
         normal_hits: list[int] = []
         reversed_hits: list[int] = []
         if not rev:
+            # an earlier normal arc is a neighbor when it ends past l; every
+            # later one up to the last starting before r starts inside v
+            mine = self._lk.rank(0, v)
             report_above(
-                self._rmax_n.query, lambda x: self._rp[x - 1], 1, self._rank_nl(r), l,
+                self._rmax_n.query, lambda x: self._rp[x - 1], 1, mine - 1, l,
                 normal_hits,
             )
-            normal_hits.remove(self._lk.rank(0, v))
+            normal_hits.extend(range(mine + 1, self._rank_nl(r) + 1))
             cross = self._rank_rl(r)
             reversed_hits.extend(range(1, cross + 1))
             report_above(

@@ -22,6 +22,14 @@ _MAGIC = b"SIGR"
 _VERSION = 1
 
 
+def _parity_bits(real: IntervalRealization) -> BitVector:
+    """S of a realization: 0 at every left endpoint, 1 at every right."""
+    bits = [1] * (2 * real.n)
+    for l, _ in real.intervals:
+        bits[l - 1] = 0
+    return BitVector(bits)
+
+
 def report_above(pick_max, value_of, lo: int, hi: int, threshold: int, out: list):
     """Append every index in [lo, hi] whose value exceeds threshold.
 
@@ -44,19 +52,49 @@ def report_above(pick_max, value_of, lo: int, hi: int, threshold: int, out: list
 class IntervalQueries:
     """Query layer shared by every linear-interval representation.
 
-    Concrete classes provide _l, _r, _rank_left (left endpoints at or
-    before a position), _argmax_r over vertex ranges, plus _rights,
-    every r_v in label order for bulk decoding and the algorithms.
+    Every query reads the endpoint sequence S and r. The hooks here read
+    r from _rlist, in label order, and its range-max index _rmax; a class
+    that derives r from S overrides _r, _rights and _argmax_r. Concrete
+    classes provide space_report().
     """
 
     __slots__ = ()
 
     _n: int
     _s: BitVector
+    _rlist: list[int]
+    _rmax: RangeMaxIndex
 
     @property
     def n(self) -> int:
         return self._n
+
+    @property
+    def endpoint_bits(self) -> BitVector:
+        return self._s
+
+    def space_bits(self) -> int:
+        return sum(self.space_report().values())
+
+    # -- hooks -----------------------------------------------------------
+
+    def _l(self, v: int) -> int:
+        return self._s.select(0, v)
+
+    def _r(self, v: int) -> int:
+        return self._rlist[v - 1]
+
+    def _rights(self) -> list[int]:
+        return self._rlist
+
+    def _rank_left(self, p: int) -> int:
+        return self._s.rank(0, p)
+
+    def _rank_right(self, p: int) -> int:
+        return self._s.rank(1, p)
+
+    def _argmax_r(self, i: int, j: int) -> int:
+        return self._rmax.query(i, j)
 
     def _check_vertex(self, v: int) -> None:
         if not 1 <= v <= self._n:
@@ -158,36 +196,9 @@ class SuccinctIntervalGraph(IntervalQueries):
     def from_realization(
         cls, real: IntervalRealization, block_size: int | None = None
     ) -> "SuccinctIntervalGraph":
-        bits = [1] * (2 * real.n)
-        for l, _ in real.intervals:
-            bits[l - 1] = 0
-        return cls(BitVector(bits), [r for _, r in real.intervals], block_size)
-
-    # -- hooks used by the shared query layer ---------------------------
-
-    def _l(self, v: int) -> int:
-        return self._s.select(0, v)
-
-    def _r(self, v: int) -> int:
-        return self._rlist[v - 1]
-
-    def _rights(self) -> list[int]:
-        return self._rlist
-
-    def _rank_left(self, p: int) -> int:
-        return self._s.rank(0, p)
-
-    def _rank_right(self, p: int) -> int:
-        return self._s.rank(1, p)
-
-    def _argmax_r(self, i: int, j: int) -> int:
-        return self._rmax.query(i, j)
+        return cls(_parity_bits(real), [r for _, r in real.intervals], block_size)
 
     # -- reporting and serialization ------------------------------------
-
-    @property
-    def endpoint_bits(self) -> BitVector:
-        return self._s
 
     def space_report(self) -> dict[str, int]:
         s_rep = self._s.space_report()
@@ -197,9 +208,6 @@ class SuccinctIntervalGraph(IntervalQueries):
             "r": self._n * width_for(2 * self._n),
             "rmax_directory": self._rmax.space_bits(),
         }
-
-    def space_bits(self) -> int:
-        return sum(self.space_report().values())
 
     def to_bytes(self) -> bytes:
         w = Writer().magic(_MAGIC, _VERSION)

@@ -2,12 +2,13 @@
 
 The target sequence is sampled in blocks of c values; a sparse table over
 the per-block leaders answers the full-block middle of a query. A partial
-block is answered by its leader (the block's leftmost extreme) when the
+block is answered by its leader (the block's leftmost maximum) when the
 leader lies inside the query range, and scanned directly otherwise, so a
 prefix or suffix query scans at most one block. The index stores
 positions only, never values, so its accounted size is O((n/c) log n)
 bits on top of the sequence it indexes. Ties resolve to the leftmost
-position.
+position. The minimum index is the maximum index over a negated copy of
+its sequence.
 
 Queries are 1-based inclusive ranges; answers are 1-based positions.
 """
@@ -31,7 +32,7 @@ def default_block_size(n: int) -> int:
 
 
 class _BlockExtremeIndex:
-    _prefer_max = True
+    """Leftmost maximum; the minimum index runs it on negated values."""
 
     def __init__(self, values: Sequence[int], block_size: int | None = None):
         n = len(values)
@@ -49,10 +50,9 @@ class _BlockExtremeIndex:
         self._table = self._build_table(self._leaders)
 
     def _scan(self, a: int, b: int) -> int:
-        # Leftmost extreme position in the 0-based half-open range [a, b).
+        # Leftmost maximum position in the 0-based half-open range [a, b).
         seg = self._values[a:b]
-        m = max(seg) if self._prefer_max else min(seg)
-        return a + seg.index(m)
+        return a + seg.index(max(seg))
 
     def _build_table(self, leaders: list[int]) -> list[list[int]]:
         table = [leaders]
@@ -69,19 +69,16 @@ class _BlockExtremeIndex:
 
     def _pick(self, p: int, q: int) -> int:
         # p is the leftward candidate; ties keep it.
-        vp, vq = self._values[p], self._values[q]
-        if self._prefer_max:
-            return p if vp >= vq else q
-        return p if vp <= vq else q
+        return p if self._values[p] >= self._values[q] else q
 
     def query(self, i: int, j: int) -> int:
-        """Leftmost extreme position in [i, j], 1 <= i <= j <= n."""
+        """Leftmost maximum position in [i, j], 1 <= i <= j <= n."""
         if i < 1 or j > self._n or i > j:
             raise QueryRangeError(f"range [{i}, {j}] invalid for n={self._n}")
         a, b = i - 1, j - 1
         c = self._c
         ba, bb = a // c, b // c
-        # a block's leftmost extreme is also that of any part holding it
+        # a block's leftmost maximum is also that of any part holding it
         first, last = self._leaders[ba], self._leaders[bb]
         if ba == bb:
             return (first if a <= first <= b else self._scan(a, b + 1)) + 1
@@ -116,10 +113,9 @@ class _BlockExtremeIndex:
 class RangeMaxIndex(_BlockExtremeIndex):
     """Leftmost position of the maximum over a 1-based inclusive range."""
 
-    _prefer_max = True
-
 
 class RangeMinIndex(_BlockExtremeIndex):
     """Leftmost position of the minimum over a 1-based inclusive range."""
 
-    _prefer_max = False
+    def __init__(self, values: Sequence[int], block_size: int | None = None):
+        super().__init__([-v for v in values], block_size)

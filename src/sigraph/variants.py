@@ -5,7 +5,8 @@ endpoint is the v-th 1 and the maximum of r over a label range sits at
 its last label.
 The bounded-depth structure annotates every endpoint with its interval's
 containment depth, which pairs left and right endpoints within each
-depth class and removes the explicit r array.
+depth class. Only the annotation is stored: the right list and the
+range-max index its queries run on are rebuilt from it on load.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from __future__ import annotations
 from collections import deque
 
 from .bitvector import BitVector
-from .errors import GraphInputError, NotProperError, QueryRangeError
-from .graph import IntervalQueries
+from .errors import GraphInputError, NotProperError
+from .graph import IntervalQueries, _parity_bits
 from .intervals import IntervalRealization
 from .rmq import RangeMaxIndex
 from .serial import Reader, Writer
@@ -26,13 +27,6 @@ _VERSION = 1
 
 MODE_PROPER = "proper"
 MODE_IMPROPER = "improper"
-
-
-def _parity_bits(real: IntervalRealization) -> BitVector:
-    bits = [1] * (2 * real.n)
-    for l, _ in real.intervals:
-        bits[l - 1] = 0
-    return BitVector(bits)
 
 
 def check_proper(real: IntervalRealization) -> None:
@@ -62,10 +56,7 @@ class ProperIntervalGraph(IntervalQueries):
         check_proper(real)
         return cls(_parity_bits(real))
 
-    # -- hooks -----------------------------------------------------------
-
-    def _l(self, v: int) -> int:
-        return self._s.select(0, v)
+    # -- r from S: the v-th right endpoint is the v-th 1 ---------------
 
     def _r(self, v: int) -> int:
         return self._s.select(1, v)
@@ -73,33 +64,15 @@ class ProperIntervalGraph(IntervalQueries):
     def _rights(self) -> list[int]:
         return self._s.positions(1)
 
-    def _rank_left(self, p: int) -> int:
-        return self._s.rank(0, p)
-
-    def _rank_right(self, p: int) -> int:
-        return self._s.rank(1, p)
-
-    def _check_range(self, i: int, j: int) -> None:
-        if not 1 <= i <= j <= self._n:
-            raise QueryRangeError(f"range [{i}, {j}] invalid for n={self._n}")
-
     def _argmax_r(self, i: int, j: int) -> int:
-        # rights increase with the label, so the extremes sit at the borders
-        self._check_range(i, j)
+        # rights increase with the label, so the maximum sits at the border
         return j
 
     # -- reporting and serialization ------------------------------------
 
-    @property
-    def endpoint_bits(self) -> BitVector:
-        return self._s
-
     def space_report(self) -> dict[str, int]:
         rep = self._s.space_report()
         return {"S": rep["raw"], "S_directory": rep["directory"]}
-
-    def space_bits(self) -> int:
-        return sum(self.space_report().values())
 
     def to_bytes(self) -> bytes:
         w = Writer().magic(_PROPER_MAGIC, _VERSION)
@@ -165,7 +138,7 @@ class KProperGraph(IntervalQueries):
     """Depth-annotated structure: 2n log k + O(n) bits for families where
     every interval is contained by (or contains) at most k others."""
 
-    __slots__ = ("_n", "_s", "_t", "_mode", "_k", "_rcache", "_rmax")
+    __slots__ = ("_n", "_s", "_t", "_mode", "_k", "_rlist", "_rmax")
 
     def __init__(
         self,
@@ -192,8 +165,8 @@ class KProperGraph(IntervalQueries):
         self._s = BitVector(sym & 1 for sym in symbols)
         if self._s.count(0) != n:
             raise GraphInputError(f"annotation must hold {n} left endpoints")
-        self._rcache = self._pair_rights(symbols)
-        self._rmax = RangeMaxIndex(self._rcache, block_size)
+        self._rlist = self._pair_rights(symbols)
+        self._rmax = RangeMaxIndex(self._rlist, block_size)
 
     def _pair_rights(self, symbols: list[int]) -> list[int]:
         # within one depth class the i-th left matches the i-th right;
@@ -230,33 +203,12 @@ class KProperGraph(IntervalQueries):
             symbols[r - 1] = 2 * d + 1
         return cls(symbols, 2 * max(depths) + 2, mode, block_size)
 
-    # -- hooks -----------------------------------------------------------
-
-    def _l(self, v: int) -> int:
-        return self._s.select(0, v)
-
-    def _r(self, v: int) -> int:
-        # the rights backing the range indexes double as the fast path
-        return self._rcache[v - 1]
-
-    def _rights(self) -> list[int]:
-        return self._rcache
-
     def _r_from_annotation(self, v: int) -> int:
         """Right endpoint decoded from T alone: within a depth class,
         lefts and rights pair up first-to-first."""
         lv = self._s.select(0, v)
         t = self._t.access(lv)
         return self._t.select(t + 1, self._t.rank(t, lv))
-
-    def _rank_left(self, p: int) -> int:
-        return self._s.rank(0, p)
-
-    def _rank_right(self, p: int) -> int:
-        return self._s.rank(1, p)
-
-    def _argmax_r(self, i: int, j: int) -> int:
-        return self._rmax.query(i, j)
 
     # -- depth reporting -------------------------------------------------
 
@@ -273,9 +225,13 @@ class KProperGraph(IntervalQueries):
         return self._t.access(self._s.select(0, v)) // 2
 
     def depth_classes(self) -> list[list[int]]:
+        """Labels by depth from one sweep over T's even (left) symbols."""
         classes: list[list[int]] = [[] for _ in range(self._k + 1)]
-        for v in range(1, self._n + 1):
-            classes[self.depth_of(v)].append(v)
+        v = 0
+        for sym in self._t.to_list():
+            if not sym & 1:
+                v += 1
+                classes[sym >> 1].append(v)
         return classes
 
     @property
@@ -294,9 +250,6 @@ class KProperGraph(IntervalQueries):
             "S_directory": s_rep["directory"],
             "rmax_directory": self._rmax.space_bits(),
         }
-
-    def space_bits(self) -> int:
-        return sum(self.space_report().values())
 
     def to_bytes(self) -> bytes:
         w = Writer().magic(_KPROPER_MAGIC, _VERSION)

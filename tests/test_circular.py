@@ -350,3 +350,29 @@ def test_space_report_keys_and_budget():
         ArcRealization(FIG2_ARCS), degree_table=True
     )
     assert "degree_table" in with_table.space_report()
+
+
+def test_normal_neighborhood_searches_only_earlier_normals(monkeypatch):
+    """Later normal arcs up to the last one starting before r are one
+    range; the normal range-max recursion runs over the earlier normal
+    arcs only, so it makes at most 2e + 1 calls for e earlier normal
+    neighbors, and none for the first normal arc."""
+    g = CircularArcGraph.from_realization(
+        random_arc_realization(2000, random.Random(2000), require_reversed=True)
+    )
+    oracle = OracleGraph.from_arc_positions(g.realization().arcs)
+    calls = []
+    query = g._rmax_n.query
+    monkeypatch.setattr(
+        g._rmax_n, "query", lambda i, j: calls.append((i, j)) or query(i, j)
+    )
+    normals = [v for v in range(1, g.n + 1) if not g.is_reversed(v)]
+    for v in normals:
+        del calls[:]
+        hood = g.neighborhood(v)
+        assert hood == oracle.neighborhood(v)
+        earlier = sum(1 for u in hood if u < v and not g.is_reversed(u))
+        assert len(calls) <= 2 * earlier + 1, v
+    del calls[:]
+    g.neighborhood(normals[0])
+    assert calls == []

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from conftest import FIG1_INTERVALS, FIG1_S, fig1_realization
 from sigraph.bitvector import BitVector
 from sigraph.errors import GraphInputError, QueryRangeError
-from sigraph.graph import SuccinctIntervalGraph
+from sigraph.graph import IntervalQueries, SuccinctIntervalGraph
 from sigraph.intervals import (
     IntervalRealization,
     normalize,
@@ -338,3 +338,30 @@ def test_neighborhood_searches_only_earlier_labels(kind, monkeypatch):
         assert len(calls["ranges"]) <= 2 * earlier + 1, v
         if v == 1:
             assert calls["ranges"] == []
+
+
+@pytest.mark.parametrize("kind", sorted(STRUCTURES))
+def test_endpoint_bits_are_the_realization_s(kind):
+    rng = random.Random(f"bits/{kind}")
+    draw = random_proper_realization if kind == "proper" else random_realization
+    for n in (1, 2, 7, 300):
+        real = draw(n, rng)
+        s = ["1"] * (2 * n)
+        for l, _ in real.intervals:
+            s[l - 1] = "0"
+        assert STRUCTURES[kind](real).endpoint_bits.bit_string() == "".join(s)
+
+
+def test_query_hooks_live_in_interval_queries():
+    """S and r are read in IntervalQueries alone; only the proper
+    structure, which derives r from S, overrides the r hooks."""
+    for cls in (SuccinctIntervalGraph, ProperIntervalGraph, KProperGraph):
+        assert issubclass(cls, IntervalQueries)
+        own = set(vars(cls))
+        shared = {"_l", "_rank_left", "_rank_right", "endpoint_bits", "space_bits"}
+        assert not own & shared, cls
+        r_hooks = own & {"_r", "_rights", "_argmax_r"}
+        if cls is ProperIntervalGraph:
+            assert r_hooks == {"_r", "_rights", "_argmax_r"}
+        else:
+            assert not r_hooks, cls

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fig1_realization
+from sigraph.bitvector import BitVector
 from sigraph.errors import GraphInputError, NotProperError
 from sigraph.graph import SuccinctIntervalGraph
 from sigraph.intervals import (
@@ -19,6 +20,7 @@ from sigraph.variants import (
     ProperIntervalGraph,
     containment_depths,
 )
+from sigraph.wavelet import AlphabetSequence
 
 FIG1_T = [0, 2, 0, 2, 3, 1, 0, 3, 1, 0, 2, 1, 2, 4, 3, 5, 3, 1]
 
@@ -186,3 +188,21 @@ def test_annotation_decode_matches_cached_rights():
             for v in range(1, real.n + 1):
                 assert g._r_from_annotation(v) == g._r(v) == real.intervals[v - 1][1]
                 assert h._r_from_annotation(v) == h._r(v)
+
+
+@pytest.mark.parametrize("mode", [MODE_PROPER, MODE_IMPROPER])
+def test_depth_classes_is_one_sweep(mode, monkeypatch):
+    """depth_classes reads T once: no per-vertex select or access."""
+    g = KProperGraph.from_realization(random_realization(2000, random.Random(52)), mode)
+    expected = [[] for _ in range(g.k + 1)]
+    for v in range(1, g.n + 1):
+        expected[g.depth_of(v)].append(v)
+    calls = []
+    for owner, name in ((BitVector, "select"), (AlphabetSequence, "access")):
+        orig = getattr(owner, name)
+        monkeypatch.setattr(
+            owner, name,
+            lambda self, *a, orig=orig, name=name: calls.append(name) or orig(self, *a),
+        )
+    assert g.depth_classes() == expected
+    assert calls == []
