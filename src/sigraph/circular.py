@@ -11,14 +11,15 @@ side) factors into three plain bitvectors carrying the same information:
 the parity vector S marking right endpoints, a family vector over left
 endpoints in label order, and a family vector over right endpoints in
 position order. Every S' rank or select is then one or two plain
-bitvector operations. On top sit one point grid per family pairing left
-and right endpoint ranks, and the right-endpoint lists with range-max
-indexes for reporting and paths.
+bitvector operations. On top sit the right-endpoint lists with range-max
+indexes for reporting and paths, and a degree table counted in one sweep
+at build and at load, so degree is one read.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 
 from .bitvector import BitVector
@@ -26,7 +27,7 @@ from .errors import GraphInputError, QueryRangeError
 from .graph import report_above
 from .rmq import RangeMaxIndex
 from .serial import Reader, Writer, pack_uints, unpack_uints, width_for
-from .wavelet import AlphabetSequence, PointGrid
+from .wavelet import AlphabetSequence
 
 _MAGIC = b"SCAG"
 _VERSION = 1
@@ -139,13 +140,12 @@ class CircularArcGraph:
         "_s",
         "_lk",
         "_rk",
-        "_grid_n",
-        "_grid_r",
         "_rp",
         "_rpp",
         "_rmax_n",
         "_rmax_r",
         "_degrees",
+        "_store_table",
     )
 
     def __init__(
@@ -154,10 +154,11 @@ class CircularArcGraph:
         rp: list[int],
         rpp: list[int],
         block_size: int | None = None,
-        degrees: list[int] | None = None,
+        store_table: bool = False,
     ):
-        """symbols is S' as a list; degrees, when given, is kept as the
-        degree table."""
+        """symbols is S' as a list. The degree table is set by
+        from_realization and from_bytes, which hold the realization it is
+        counted from; store_table writes it into the blob as well."""
         if len(symbols) % 2:
             raise GraphInputError("endpoint sequence must have even length")
         n = len(symbols) // 2
@@ -178,11 +179,9 @@ class CircularArcGraph:
         self._rk = BitVector(sym >> 1 for sym in symbols if sym & 1)
         self._rp = rp
         self._rpp = rpp
-        self._grid_n = PointGrid(_rank_permutation(rp))
-        self._grid_r = PointGrid(_rank_permutation(rpp))
         self._rmax_n = RangeMaxIndex(rp, block_size)
         self._rmax_r = RangeMaxIndex(rpp, block_size)
-        self._degrees = degrees
+        self._store_table = store_table
 
     @classmethod
     def from_realization(
@@ -204,8 +203,9 @@ class CircularArcGraph:
                 symbols[l - 1] = _RL
                 symbols[r - 1] = _RR
                 rpp.append(r)
-        degrees = _arc_degrees(real) if degree_table else None
-        return cls(symbols, rp, rpp, block_size, degrees)
+        g = cls(symbols, rp, rpp, block_size, degree_table)
+        g._degrees = _arc_degrees(real)
+        return g
 
     # -- S' operations over the factored vectors -------------------------
 
@@ -218,12 +218,6 @@ class CircularArcGraph:
 
     def _rank_rl(self, p: int) -> int:
         return self._lk.rank(1, self._s.rank(0, p))
-
-    def _rank_nr(self, p: int) -> int:
-        return self._rk.rank(0, self._s.rank(1, p))
-
-    def _rank_rr(self, p: int) -> int:
-        return self._rk.rank(1, self._s.rank(1, p))
 
     def _right_positions(self) -> tuple[list[int], list[int]]:
         """Positions of every NR and of every RR symbol, in increasing
@@ -297,25 +291,7 @@ class CircularArcGraph:
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
-        if self._degrees is not None:
-            return self._degrees[v - 1]
-        return self._degree_by_formula(v)
-
-    def _degree_by_formula(self, v: int) -> int:
-        l, r, rev = self._decode(v)
-        nrev = self._n - self._q
-        if not rev:
-            normals = self._rank_nl(r) - self._rank_nr(l) - 1
-            # reversed arcs miss v only when they start after r and end
-            # before l: a rectangle count over the reversed grid
-            disjoint = self._grid_r.count(
-                self._rank_rl(r) + 1, nrev, 1, self._rank_rr(l)
-            )
-            return normals + nrev - disjoint
-        disjoint = self._grid_n.count(
-            self._rank_nl(r) + 1, self._q, 1, self._rank_nr(l)
-        )
-        return (self._q - disjoint) + nrev - 1
+        return self._degrees[v - 1]
 
     @staticmethod
     def _adjacent_decoded(a: tuple[int, int, bool], b: tuple[int, int, bool]) -> bool:
@@ -467,35 +443,31 @@ class CircularArcGraph:
         lk_rep = self._lk.space_report()
         rk_rep = self._rk.space_report()
         width = width_for(2 * self._n)
-        rep = {
+        return {
             "S": s_rep["raw"],
             "S_directory": s_rep["directory"],
             "left_families": lk_rep["raw"],
             "left_families_directory": lk_rep["directory"],
             "right_families": rk_rep["raw"],
             "right_families_directory": rk_rep["directory"],
-            "grid_normal": self._grid_n.space_bits(),
-            "grid_reversed": self._grid_r.space_bits(),
             "r_normal": self._q * width,
             "r_reversed": (self._n - self._q) * width,
             "rmax_normal_directory": self._rmax_n.space_bits(),
             "rmax_reversed_directory": self._rmax_r.space_bits(),
+            "degree_table": self._n * width_for(max(self._n - 1, 1)),
         }
-        if self._degrees is not None:
-            rep["degree_table"] = self._n * width_for(max(self._n - 1, 1))
-        return rep
 
     def space_bits(self) -> int:
         return sum(self.space_report().values())
 
     def to_bytes(self) -> bytes:
         w = Writer().magic(_MAGIC, _VERSION)
-        w.u64(self._n).u32(self._rmax_n._c).u8(0 if self._degrees is None else 1)
+        w.u64(self._n).u32(self._rmax_n._c).u8(1 if self._store_table else 0)
         w.block(AlphabetSequence.encode(self._symbols(), 4))
         width = width_for(2 * self._n)
         w.block(pack_uints(self._rp, width))
         w.block(pack_uints(self._rpp, width))
-        if self._degrees is not None:
+        if self._store_table:
             w.block(pack_uints(self._degrees, width_for(max(self._n - 1, 1))))
         return w.getvalue()
 
@@ -515,7 +487,7 @@ class CircularArcGraph:
         rpp = unpack_uints(r.block(), n - q, width)
         stored = unpack_uints(r.block(), n, width_for(max(n - 1, 1))) if has_table else None
         r.done()
-        g = cls(symbols, rp, rpp, c, stored)
+        g = cls(symbols, rp, rpp, c, bool(has_table))
         real = g.realization()  # validates endpoint structure
         normal, reversed_ = g._right_positions()
         if sorted(rp) != normal:
@@ -524,13 +496,15 @@ class CircularArcGraph:
             raise GraphInputError("reversed right endpoints disagree with the sequence")
         if any((l > r) != (fam == "1") for (l, r), fam in zip(real.arcs, g._lk.bit_string())):
             raise GraphInputError("arc orientations disagree with their families")
-        if stored is not None and stored != _arc_degrees(real):
+        g._degrees = _arc_degrees(real)
+        if stored is not None and stored != g._degrees.tolist():
             raise GraphInputError("degree table disagrees with the structure")
         return g
 
 
-def _arc_degrees(real: ArcRealization) -> list[int]:
-    """Every arc's degree, from one sweep over the 2n positions.
+def _arc_degrees(real: ArcRealization) -> array:
+    """Every arc's degree, from one sweep over the 2n positions, as an
+    array of the narrowest unsigned typecode that holds n - 1.
 
     Reversed arcs pairwise intersect. A normal arc [l, r] meets the
     normal arcs that start before r less those that end before l. A
@@ -584,9 +558,5 @@ def _arc_degrees(real: ArcRealization) -> list[int]:
             else:
                 add(gaps, l)
                 opened += 1
-    return deg
-
-
-def _rank_permutation(values: list[int]) -> list[int]:
-    order = {val: i + 1 for i, val in enumerate(sorted(values))}
-    return [order[v] for v in values]
+    code = next(c for c in "ILQ" if n - 1 < 1 << 8 * array(c).itemsize)
+    return array(code, deg)

@@ -308,7 +308,8 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--anchor", type=int, default=None,
                    help="circular only: anchor arc by 1-based input index")
     b.add_argument("--degree-table", action="store_true",
-                   help="circular only: store the degree table")
+                   help="circular only: also store the degree table in the "
+                        "file (it is always computed at build and load)")
     b.add_argument("--json", action="store_true")
     b.set_defaults(func=cmd_build)
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIG2_ADJACENCY, FIG2_ARCS
+from sigraph.bitvector import BitVector
 from sigraph.circular import (
     ArcRealization,
     CircularArcGraph,
@@ -16,6 +17,8 @@ from sigraph.circular import (
 )
 from sigraph.errors import GraphInputError, QueryRangeError
 from sigraph.oracle import OracleGraph
+from sigraph.serial import pack_uints, width_for
+from sigraph.wavelet import PointGrid
 
 
 def fig2_graph(**kw) -> CircularArcGraph:
@@ -36,12 +39,11 @@ def test_endpoint_symbols():
     assert g.normal_count == 5
 
 
-def test_right_lists_and_grids():
+def test_right_lists_and_degree_table():
     g = fig2_graph()
     assert g._rp == [3, 7, 8, 14, 12]
     assert g._rpp == [2, 10]
-    assert [g._grid_n.y(x) for x in range(1, 6)] == [1, 2, 3, 5, 4]
-    assert [g._grid_r.y(x) for x in range(1, 3)] == [1, 2]
+    assert list(g._degrees) == [len(FIG2_ADJACENCY[v]) for v in range(1, 8)]
 
 
 def test_decode_round_trip():
@@ -264,14 +266,49 @@ def test_matches_oracle_reversed_heavy():
         _check_against_oracle(random_arc_realization(rng.randint(2, 30), rng))
 
 
-def test_degree_table_agrees_with_formula():
+def test_degree_table_matches_oracle():
+    """The table, computed at build and at load, stored in the blob or
+    not, gives every vertex its oracle degree."""
     rng = random.Random(9)
-    for _ in range(10):
-        real = random_arc_realization(rng.randint(1, 25), rng, require_reversed=False)
-        g = CircularArcGraph.from_realization(real, degree_table=True)
-        h = CircularArcGraph.from_realization(real)
-        for v in range(1, real.n + 1):
-            assert g.degree(v) == h.degree(v)
+    for n in range(1, 26):
+        real = random_arc_realization(n, rng, require_reversed=False)
+        oracle = OracleGraph.from_arc_positions(real.arcs)
+        want = [oracle.degree(v) for v in range(1, n + 1)]
+        for stored in (False, True):
+            g = CircularArcGraph.from_realization(real, degree_table=stored)
+            h = CircularArcGraph.from_bytes(g.to_bytes())
+            for built in (g, h):
+                assert [built.degree(v) for v in range(1, n + 1)] == want, (n, stored)
+
+
+@pytest.mark.parametrize("stored", [False, True])
+@pytest.mark.parametrize("n", [200, 2000])
+def test_degree_makes_no_primitive_calls(n, stored, monkeypatch):
+    """degree reads the table: no bit vector rank, select or access and
+    no grid count, whatever n is and whether the blob stores the table."""
+    g = CircularArcGraph.from_realization(
+        random_arc_realization(n, random.Random(n)), degree_table=stored
+    )
+    h = CircularArcGraph.from_bytes(g.to_bytes())
+    calls = {}
+
+    def counting(owner, name):
+        orig = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            key = f"{owner.__name__}.{name}"
+            calls[key] = calls.get(key, 0) + 1
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("select", "rank", "access"):
+        counting(BitVector, name)
+    counting(PointGrid, "count")
+    for built in (g, h):
+        degrees = [built.degree(v) for v in range(1, n + 1)]
+        assert calls == {}
+        assert degrees == list(g._degrees)
 
 
 # -- serialization -------------------------------------------------------
@@ -293,6 +330,43 @@ def test_round_trip_with_degree_table():
     h = CircularArcGraph.from_bytes(blob)
     assert h.to_bytes() == blob
     assert h._degrees == g._degrees
+
+
+# FIG2 blobs as version 1 of the SCAG format writes them, without and
+# with a stored degree table
+FIG2_BLOB = (
+    "5343414701070000000000000020000000001d0000000000000053415351010e0000"
+    "00000000000400000004000000000000001c584c06030000000000000073e80c0100"
+    "000000000000a2"
+)
+FIG2_TABLE_BLOB = (
+    "5343414701070000000000000020000000011d0000000000000053415351010e0000"
+    "00000000000400000004000000000000001c584c06030000000000000073e80c0100"
+    "000000000000a20300000000000000da3c15"
+)
+
+
+@pytest.mark.parametrize(
+    "stored, golden", [(False, FIG2_BLOB), (True, FIG2_TABLE_BLOB)], ids=["plain", "table"]
+)
+def test_blob_format_is_pinned(stored, golden):
+    blob = bytes.fromhex(golden)
+    assert fig2_graph(degree_table=stored).to_bytes() == blob
+    h = CircularArcGraph.from_bytes(blob)
+    assert h.to_bytes() == blob
+    assert [h.degree(v) for v in range(1, 8)] == [len(FIG2_ADJACENCY[v]) for v in range(1, 8)]
+
+
+def test_disagreeing_stored_table_is_rejected():
+    g = fig2_graph(degree_table=True)
+    blob = g.to_bytes()
+    width = width_for(g.n - 1)
+    table = pack_uints(g._degrees, width)
+    assert blob.endswith(table)
+    wrong = list(g._degrees)
+    wrong[0] += 1
+    with pytest.raises(GraphInputError, match="degree table disagrees"):
+        CircularArcGraph.from_bytes(blob[: -len(table)] + pack_uints(wrong, width))
 
 
 def test_reject_corrupt_bytes():
@@ -334,12 +408,11 @@ def test_space_report_keys_and_budget():
         "left_families_directory",
         "right_families",
         "right_families_directory",
-        "grid_normal",
-        "grid_reversed",
         "r_normal",
         "r_reversed",
         "rmax_normal_directory",
         "rmax_reversed_directory",
+        "degree_table",
     }
     width = max(1, (2 * n - 1).bit_length())
     assert rep["r_normal"] == g.normal_count * width

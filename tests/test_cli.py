@@ -307,6 +307,16 @@ def test_bench_circular(capsys):
     assert rep["total_bits"] == sum(rep["components"].values())
 
 
+def test_bench_circular_reports_degree_table(capsys):
+    """The circular structure always holds its degree table, so bench
+    reports it as a component: n entries of width_for(n - 1) bits."""
+    assert main(["bench", "--type", "circular", "--n", "150", "--queries", "10",
+                 "--seed", "3", "--json"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["components"]["degree_table"] == 150 * (149).bit_length()
+    assert "grid_normal" not in rep["components"]
+
+
 # -- parser-level behavior ----------------------------------------------
 
 
