@@ -7,6 +7,12 @@ popcount. Select binary-searches the superblock directory, narrowed by
 sampled occurrence hints, then finishes with a byte-table walk inside
 one word.
 
+select_many answers a batch of selects on one bit with two selects, for
+the smallest and the largest requested occurrence, and one pass over
+the words between them, when those words number at most one per
+request; otherwise it makes one select per request. Either way the
+batch costs O(len(js)).
+
 All public positions are 1-based; rank takes a prefix length in [0, N].
 """
 
@@ -26,7 +32,7 @@ _SAMPLE = 4096          # one select hint per this many occurrences
 # _BYTE_SEL[b] lists the positions (0..7) of the set bits of byte b, LSB first.
 _BYTE_SEL = [[k for k in range(8) if b >> k & 1] for b in range(256)]
 
-# bit_string() bytes mapped to 1 where the bit equals 0 / equals 1
+# _text() bytes mapped to 1 where the bit equals 0 / equals 1
 _IS_ZERO = bytes.maketrans(b"01", b"\x01\x00")
 _IS_ONE = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -201,22 +207,55 @@ class BitVector:
             k -= c
         raise AssertionError("select walked past the target word")
 
+    def select_many(self, b: int, js) -> list[int]:
+        """[select(b, j) for j in js], in the order of js.
+
+        Two selects find the smallest and the largest requested
+        occurrence. When the words between them number at most
+        len(js), one pass over those words answers every j; otherwise
+        each j gets its own select. Out-of-range js raise as select does.
+        """
+        if not js:
+            return []
+        lo_j = min(js)
+        hi_j = max(js)
+        if not 1 <= lo_j <= hi_j <= self.count(b):
+            return [self.select(b, j) for j in js]
+        p_lo = self.select(b, lo_j)
+        p_hi = p_lo if hi_j == lo_j else self.select(b, hi_j)
+        w_lo = (p_lo - 1) >> 6
+        w_hi = ((p_hi - 1) >> 6) + 1
+        if w_hi - w_lo > len(js):
+            known = {lo_j: p_lo, hi_j: p_hi}
+            return [known.get(j) or self.select(b, j) for j in js]
+        base = w_lo * 64 + 1
+        flags = (
+            self._text(w_lo, w_hi)[p_lo - base:p_hi - base + 1]
+            .encode("ascii").translate(_IS_ONE if b else _IS_ZERO)
+        )
+        found = list(compress(range(p_lo, p_hi + 1), flags))
+        return [found[j - lo_j] for j in js]
+
     def positions(self, b: int) -> list[int]:
         """1-based positions of every occurrence of bit b, in increasing
         order: select(b, 1..count(b)) in one pass over the words."""
-        flags = self.bit_string().encode("ascii").translate(_IS_ONE if b else _IS_ZERO)
+        flags = self._text(0, self._nwords).encode("ascii").translate(
+            _IS_ONE if b else _IS_ZERO
+        )
         return list(compress(range(1, self._n + 1), flags))
+
+    def _text(self, w_lo: int, w_hi: int) -> str:
+        """Words w_lo..w_hi - 1 as '0'/'1' text, bit w_lo * 64 + 1 first;
+        64 characters a word, the last word's padding read as zeros."""
+        k = w_hi - w_lo
+        packed = struct.pack(f"<{k}Q", *self._words[w_lo:w_hi])
+        return format(int.from_bytes(packed, "little"), f"0{64 * k}b")[::-1]
 
     # -- reporting and serialization ------------------------------------
 
     def bit_string(self) -> str:
         """The bits as a '0'/'1' string, position 1 first."""
-        out = []
-        for w_idx in range(self._nwords):
-            word = self._words[w_idx]
-            width = min(64, self._n - w_idx * 64)
-            out.append(format(word, f"0{width}b")[::-1][:width])
-        return "".join(out)
+        return self._text(0, self._nwords)[:self._n]
 
     def space_report(self) -> dict[str, int]:
         nsb = len(self._sb_ones)

@@ -14,6 +14,13 @@ position order. Every S' rank or select is then one or two plain
 bitvector operations. On top sit the right-endpoint lists with range-max
 indexes for reporting and paths, and a degree table counted in one sweep
 at build and at load, so degree is one read.
+
+A neighborhood gathers the family ranks of its hits (contiguous runs
+plus range-max reports) and turns each family into labels with one
+select_many on the left family vector. That is at most 5 selects per
+neighborhood, one in the decode and two per family, plus one pass over
+the words each family's hits span, as long as the hits number at least
+one per word; a sparser family takes one select per hit instead.
 """
 
 from __future__ import annotations
@@ -315,6 +322,11 @@ class CircularArcGraph:
         return self._adjacent_decoded(self._decode(u), self._decode(v))
 
     def neighborhood(self, v: int) -> list[int]:
+        """Neighbors of v in increasing label order. The hits of each
+        family are collected as ranks and mapped to labels with one
+        select_many: at most 5 selects in all, plus one word pass per
+        family, unless a family's hits are sparser than one per word,
+        in which case that family takes one select per hit."""
         self._check_vertex(v)
         l, r, rev = self._decode(v)
         nrev = self._n - self._q
@@ -343,9 +355,10 @@ class CircularArcGraph:
                 normal_hits,
             )
             mine = self._lk.rank(1, v)
-            reversed_hits.extend(x for x in range(1, nrev + 1) if x != mine)
-        out = [self._label_of_normal(x) for x in normal_hits]
-        out.extend(self._label_of_reversed(x) for x in reversed_hits)
+            reversed_hits.extend(range(1, mine))
+            reversed_hits.extend(range(mine + 1, nrev + 1))
+        out = self._lk.select_many(0, normal_hits)
+        out.extend(self._lk.select_many(1, reversed_hits))
         out.sort()
         return out
 

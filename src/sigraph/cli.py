@@ -202,6 +202,8 @@ def cmd_verify(args) -> int:
         failures = [f"{label}: {msg}" for msg in _verify_one(args.type, real)]
         trials = 1
     else:
+        if args.trials < 1:
+            raise GraphInputError(f"--trials must be at least 1, got {args.trials}")
         rng = random.Random(_seed(args))
         trials = args.trials
         for t in range(trials):
@@ -234,6 +236,8 @@ def _time_queries(label: str, fn, samples, report: dict) -> None:
 
 
 def cmd_bench(args) -> int:
+    if args.queries < 0:
+        raise GraphInputError(f"--queries must be at least 0, got {args.queries}")
     rng = random.Random(_seed(args))
     n = args.n
     real = _random_for(args.type, n, rng)

@@ -163,3 +163,65 @@ def test_serialization_rejects_garbage():
     blob[-1] |= 0x80
     with pytest.raises(SerializationError):
         BitVector.from_bytes(bytes(blob))
+
+
+# -- select_many ---------------------------------------------------------
+
+
+def _assert_select_many(bv, b, js):
+    assert bv.select_many(b, js) == [bv.select(b, j) for j in js], (b, js)
+
+
+@given(st.lists(st.integers(0, 1), max_size=600), st.data())
+@settings(max_examples=150, deadline=None)
+def test_select_many_is_every_select(bits, data):
+    bv = BitVector(bits)
+    for b in (0, 1):
+        count = bv.count(b)
+        if not count:
+            continue
+        js = data.draw(st.lists(st.integers(1, count), max_size=40))
+        _assert_select_many(bv, b, js)
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 4095, 4097])
+def test_select_many_at_word_and_superblock_edges(n):
+    rng = random.Random(n)
+    for density in (0.02, 0.5, 0.98):
+        bv = BitVector(int(rng.random() < density) for _ in range(n))
+        for b in (0, 1):
+            count = bv.count(b)
+            if not count:
+                continue
+            _assert_select_many(bv, b, range(1, count + 1))
+            _assert_select_many(bv, b, range(count, 0, -1))
+            _assert_select_many(bv, b, range(1, count + 1, 3))
+            _assert_select_many(bv, b, [count, 1])
+            _assert_select_many(bv, b, [rng.randint(1, count) for _ in range(5)])
+            _assert_select_many(bv, b, [rng.randint(1, count) for _ in range(n // 8)])
+
+
+def test_select_many_unsorted_with_duplicates():
+    bv = bv_from_string(S9)
+    for b in (0, 1):
+        _assert_select_many(bv, b, [5, 2, 9, 2, 5, 1, 9, 9])
+        _assert_select_many(bv, b, [4, 4, 4])
+        _assert_select_many(bv, b, [7])
+
+
+def test_select_many_empty():
+    bv = bv_from_string(S9)
+    assert bv.select_many(0, []) == []
+    assert bv.select_many(1, range(0)) == []
+    assert BitVector([]).select_many(1, []) == []
+
+
+@pytest.mark.parametrize("js", [[0], [1, 10], [3, 0, 12], range(1, 11), [10, 10]])
+def test_select_many_out_of_range_raises_as_select(js):
+    bv = bv_from_string(S9)
+    for b in (0, 1):
+        with pytest.raises(QueryRangeError) as want:
+            [bv.select(b, j) for j in js]
+        with pytest.raises(QueryRangeError) as got:
+            bv.select_many(b, js)
+        assert str(got.value) == str(want.value)

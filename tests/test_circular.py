@@ -449,3 +449,89 @@ def test_normal_neighborhood_searches_only_earlier_normals(monkeypatch):
     del calls[:]
     g.neighborhood(normals[0])
     assert calls == []
+
+
+def _count_selects(monkeypatch):
+    """Count BitVector.select calls; also count, per select_many call
+    whose hits span more words than there are hits, the selects its
+    per-hit path may make beyond the two for the smallest and largest."""
+    counts = {"select": 0, "per_hit": 0}
+    select = BitVector.select
+    select_many = BitVector.select_many
+
+    def counting_select(self, b, j):
+        counts["select"] += 1
+        return select(self, b, j)
+
+    def counting_many(self, b, js):
+        if len(set(js)) > 2:
+            lo = select(self, b, min(js))
+            hi = select(self, b, max(js))
+            if (hi - 1) // 64 - (lo - 1) // 64 + 1 > len(js):
+                counts["per_hit"] += len(js) - 2
+        return select_many(self, b, js)
+
+    monkeypatch.setattr(BitVector, "select", counting_select)
+    monkeypatch.setattr(BitVector, "select_many", counting_many)
+    return counts
+
+
+@pytest.mark.parametrize("n", [200, 2000])
+def test_neighborhood_makes_at_most_five_selects(n, monkeypatch):
+    """One select decodes v and one select_many maps each family's ranks
+    to labels: two selects and one word pass while the family's hits
+    number at least one per word they span, one select per hit past
+    that. So a neighborhood costs at most 5 selects plus the per-hit
+    selects of sparse families, which random arcs rarely have."""
+    g = CircularArcGraph.from_realization(random_arc_realization(n, random.Random(n)))
+    oracle = OracleGraph.from_arc_positions(g.realization().arcs)
+    counts = _count_selects(monkeypatch)
+    total_selects = total_hits = 0
+    for v in range(1, n + 1):
+        counts["select"] = counts["per_hit"] = 0
+        hood = g.neighborhood(v)
+        assert hood == oracle.neighborhood(v), v
+        assert counts["select"] <= 5 + counts["per_hit"], (v, counts)
+        total_selects += counts["select"]
+        total_hits += len(hood)
+    assert total_selects <= total_hits / 20
+
+
+def test_sparse_hits_are_not_scanned(monkeypatch):
+    """One long anchor arc and a second long arc over short arcs that
+    overlap in disjoint pairs: a late short arc's hits are ranks 1, 2
+    and its partner's, far apart, so select_many selects each of them.
+    No select_many call formats more than 64 bits per requested j."""
+    m = 300
+    n = 2 + 2 * m
+    arcs = [(1, 2 * n), (2, 2 * n - 1)]
+    for k in range(m):
+        base = 3 + 4 * k
+        arcs += [(base, base + 2), (base + 1, base + 3)]
+    g = CircularArcGraph.from_realization(ArcRealization(tuple(arcs)))
+    oracle = OracleGraph.from_arc_positions(arcs)
+    counts = _count_selects(monkeypatch)
+    text = BitVector._text
+    counting_many = BitVector.select_many
+    scanned = []
+
+    def counting_text(self, w_lo, w_hi):
+        scanned[-1] += 64 * (w_hi - w_lo)
+        return text(self, w_lo, w_hi)
+
+    def scanning_many(self, b, js):
+        scanned.append(0)
+        out = counting_many(self, b, js)
+        assert scanned[-1] <= 64 * len(js), (b, js, scanned[-1])
+        return out
+
+    monkeypatch.setattr(BitVector, "_text", counting_text)
+    monkeypatch.setattr(BitVector, "select_many", scanning_many)
+    for v in range(1, n + 1):
+        assert g.neighborhood(v) == oracle.neighborhood(v), v
+    # the last short arc: its decode plus one select per hit
+    counts["select"] = 0
+    del scanned[:]
+    assert g.neighborhood(n) == [1, 2, n - 1]
+    assert counts["select"] == 4
+    assert scanned == [0, 0]

@@ -255,6 +255,13 @@ def test_verify_needs_exactly_one_source(capsys):
     capsys.readouterr()
 
 
+def test_verify_rejects_zero_trials(capsys):
+    """A run that would check no instance is an input error, not a PASS."""
+    assert main(["verify", "--random", "5", "--trials", "0"]) == 2
+    assert main(["verify", "--random", "5", "--trials", "-1"]) == 2
+    assert "PASS" not in capsys.readouterr().out
+
+
 def test_verify_mismatch_exits_4(tmp_path, capsys, monkeypatch):
     src = tmp_path / "f.txt"
     write_interval_text(src, FIG1_INTERVALS)
@@ -315,6 +322,13 @@ def test_bench_circular_reports_degree_table(capsys):
     rep = json.loads(capsys.readouterr().out)
     assert rep["components"]["degree_table"] == 150 * (149).bit_length()
     assert "grid_normal" not in rep["components"]
+
+
+def test_bench_rejects_negative_queries(capsys):
+    assert main(["bench", "--n", "50", "--queries", "-2"]) == 2
+    assert capsys.readouterr().out == ""
+    assert main(["bench", "--n", "50", "--queries", "0", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["queries"] == {}
 
 
 # -- parser-level behavior ----------------------------------------------
