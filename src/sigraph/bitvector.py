@@ -3,9 +3,14 @@
 Bits are packed into 64-bit words, little-endian within each word. A
 two-level directory (cumulative counts per 4096-bit superblock, plus
 12-bit offsets per word inside its superblock) answers rank with one
-popcount. Select binary-searches the superblock directory, narrowed by
-sampled occurrence hints, then finishes with a byte-table walk inside
-one word.
+popcount. select(1, j) binary-searches the superblock directory,
+narrowed by sampled occurrence hints, then the word offsets of one
+superblock. select(0, j) reads the zeros before any word from the same
+directory, so it searches the words between two sampled superblocks by
+interpolation, guarded: a step that fails to halve the range makes the
+next one bisect, which bounds a search at O(log words) steps. It adds
+no stored bits. Both finish inside one word with a 32/16/8-bit popcount
+split and one byte-table read.
 
 select_many answers a batch of selects on one bit with two selects, for
 the smallest and the largest requested occurrence, and one pass over
@@ -36,8 +41,32 @@ _BYTE_SEL = [[k for k in range(8) if b >> k & 1] for b in range(256)]
 _IS_ZERO = bytes.maketrans(b"01", b"\x01\x00")
 _IS_ONE = bytes.maketrans(b"01", b"\x00\x01")
 
+_WORD_MASK = (1 << 64) - 1
+
 _MAGIC = b"SBVC"
 _VERSION = 1
+
+
+def _select_in_word(word: int, k: int) -> int:
+    """0-based offset of the k-th set bit of a 64-bit word, k >= 1: one
+    32/16/8-bit split by popcount, then one byte-table read."""
+    off = 0
+    c = (word & 0xFFFFFFFF).bit_count()
+    if k > c:
+        k -= c
+        word >>= 32
+        off = 32
+    c = (word & 0xFFFF).bit_count()
+    if k > c:
+        k -= c
+        word >>= 16
+        off += 16
+    c = (word & 0xFF).bit_count()
+    if k > c:
+        k -= c
+        word >>= 8
+        off += 8
+    return off + _BYTE_SEL[word & 0xFF][k - 1]
 
 
 class BitVector:
@@ -157,55 +186,46 @@ class BitVector:
         w_lo = s * _SB_WORDS
         w_hi = min(w_lo + _SB_WORDS, self._nwords)
         w = bisect_right(self._word_ones, k - 1, w_lo, w_hi) - 1
-        k -= self._word_ones[w]
-        word = self._words[w]
-        base = w * 64
-        for byte_i in range(8):
-            byte = word >> (byte_i * 8) & 0xFF
-            c = byte.bit_count()
-            if k <= c:
-                return base + byte_i * 8 + _BYTE_SEL[byte][k - 1] + 1
-            k -= c
-        raise AssertionError("select walked past the target word")
+        return w * 64 + _select_in_word(self._words[w], k - self._word_ones[w]) + 1
 
     def _select0(self, j: int) -> int:
+        # Words lo..hi hold the j-th zero: z_lo zeros lie before word lo
+        # and z_hi >= j before word hi + 1. A step that fails to halve
+        # the range makes the next one bisect instead of interpolate.
         samples = self._sel0_sb
         sb_ones = self._sb_ones
-        t = (j - 1) // _SAMPLE
-        lo = samples[t]
-        hi = samples[t + 1] if t + 1 < len(samples) else len(sb_ones) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) >> 1
-            if mid * _SB_BITS - sb_ones[mid] < j:
-                lo = mid
-            else:
-                hi = mid - 1
-        s = lo
-        k = j - (s * _SB_BITS - sb_ones[s])
-        w_lo = s * _SB_WORDS
-        w_hi = min(w_lo + _SB_WORDS, self._nwords)
         word_ones = self._word_ones
-        lo_w, hi_w = w_lo, w_hi - 1
-        while lo_w < hi_w:
-            mid = (lo_w + hi_w + 1) >> 1
-            if (mid - w_lo) * 64 - word_ones[mid] < k:
-                lo_w = mid
+        words = self._words
+        t = (j - 1) // _SAMPLE
+        s = samples[t]
+        lo = s * _SB_WORDS
+        z_lo = s * _SB_BITS - sb_ones[s]
+        s = samples[t + 1] + 1 if t + 1 < len(samples) else len(sb_ones)
+        if s < len(sb_ones):
+            hi = s * _SB_WORDS - 1
+            z_hi = s * _SB_BITS - sb_ones[s]
+        else:
+            hi = self._nwords - 1
+            z_hi = self._n - self._ones
+        halve = False
+        while True:
+            size = hi - lo
+            if halve:
+                g = (lo + hi) >> 1
             else:
-                hi_w = mid - 1
-        w = lo_w
-        k -= (w - w_lo) * 64 - word_ones[w]
-        valid = self._n - w * 64
-        if valid > 64:
-            valid = 64
-        inv = ~self._words[w] & (1 << valid) - 1
-        base = w * 64
-        for byte_i in range(8):
-            byte = inv >> (byte_i * 8) & 0xFF
-            c = byte.bit_count()
-            if k <= c:
-                return base + byte_i * 8 + _BYTE_SEL[byte][k - 1] + 1
-            k -= c
-        raise AssertionError("select walked past the target word")
+                g = lo + (j - z_lo - 1) * (size + 1) // (z_hi - z_lo)
+            z = (g << 6) - sb_ones[g >> 6] - word_ones[g]
+            if z >= j:
+                hi = g - 1
+                z_hi = z
+            else:
+                word = words[g]
+                z_next = z + 64 - word.bit_count()
+                if z_next >= j:
+                    return (g << 6) + _select_in_word(~word & _WORD_MASK, j - z) + 1
+                lo = g + 1
+                z_lo = z_next
+            halve = 2 * (hi - lo) > size
 
     def select_many(self, b: int, js) -> list[int]:
         """[select(b, j) for j in js], in the order of js.

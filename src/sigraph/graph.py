@@ -3,7 +3,8 @@
 Vertices are 1..n in increasing left-endpoint order. The structure keeps
 the 2n-bit endpoint-kind sequence S (0 marks a left endpoint), the right
 endpoints r_1..r_n, and a range-max index over r. All of degree,
-adjacent and succ are constant-time. Neighborhood reports the later
+adjacent and succ are constant-time: degree makes one select and one
+rank on S, adjacent one select. Neighborhood reports the later
 neighbors as one label range and searches only the earlier labels, in
 time proportional to the degree. Spath walks the one-ended greedy succ
 chain; each hop makes one rank and one range-max over the labels it
@@ -90,9 +91,6 @@ class IntervalQueries:
     def _rank_left(self, p: int) -> int:
         return self._s.rank(0, p)
 
-    def _rank_right(self, p: int) -> int:
-        return self._s.rank(1, p)
-
     def _argmax_r(self, i: int, j: int) -> int:
         return self._rmax.query(i, j)
 
@@ -117,14 +115,19 @@ class IntervalQueries:
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
-        return self._rank_left(self._r(v)) - self._rank_right(self._l(v)) - 1
+        # intervals starting before r_v, less those ending before l_v
+        # (l_v less the v lefts up to it), less v itself
+        return self._rank_left(self._r(v)) - (self._l(v) - v) - 1
 
     def adjacent(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)
         if u == v:
             return False
-        return self._r(u) > self._l(v) and self._r(v) > self._l(u)
+        if u > v:
+            u, v = v, u
+        # l_u < l_v, so the two meet exactly when u ends past l_v
+        return self._r(u) > self._l(v)
 
     def neighborhood(self, v: int) -> list[int]:
         self._check_vertex(v)

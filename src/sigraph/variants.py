@@ -203,13 +203,6 @@ class KProperGraph(IntervalQueries):
             symbols[r - 1] = 2 * d + 1
         return cls(symbols, 2 * max(depths) + 2, mode, block_size)
 
-    def _r_from_annotation(self, v: int) -> int:
-        """Right endpoint decoded from T alone: within a depth class,
-        lefts and rights pair up first-to-first."""
-        lv = self._s.select(0, v)
-        t = self._t.access(lv)
-        return self._t.select(t + 1, self._t.rank(t, lv))
-
     # -- depth reporting -------------------------------------------------
 
     @property

@@ -1,5 +1,6 @@
 """Shared fixtures: the two worked examples and small helpers."""
 
+from sigraph.bitvector import BitVector
 from sigraph.intervals import IntervalRealization
 
 # 9-interval family whose queries and algorithm outputs are known by hand.
@@ -41,3 +42,26 @@ FIG2_ADJACENCY = {
 
 def fig1_realization() -> IntervalRealization:
     return IntervalRealization(FIG1_INTERVALS)
+
+
+def count_calls(monkeypatch, targets) -> dict:
+    """Wrap each (owner, name) method of targets to tally its calls and
+    return the live tallies, keyed "Owner.name"; a BitVector select is
+    keyed by its bit, "BitVector.select0" or "BitVector.select1"."""
+    calls: dict = {}
+
+    def patch(owner, name):
+        orig = getattr(owner, name)
+        key = f"{owner.__name__}.{name}"
+        by_bit = owner is BitVector and name == "select"
+
+        def wrapper(*args, **kwargs):
+            k = f"{key}{args[1]}" if by_bit else key
+            calls[k] = calls.get(k, 0) + 1
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner, name in targets:
+        patch(owner, name)
+    return calls

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -225,3 +226,72 @@ def test_select_many_out_of_range_raises_as_select(js):
         with pytest.raises(QueryRangeError) as got:
             bv.select_many(b, js)
         assert str(got.value) == str(want.value)
+
+
+# -- select at scale -----------------------------------------------------
+#
+# The vectors above stay inside one 4096-bit superblock and one select
+# sample; these cross many of both.
+
+
+def _clusters(rng, n):
+    """Runs of ones and zeros with geometric lengths, their means drawn
+    per run from a few words to a few superblocks."""
+    bits, b = [], 0
+    while len(bits) < n:
+        mean = rng.choice((4, 60, 900, 9000))
+        bits += [b] * (1 + int(rng.expovariate(1 / mean)))
+        b ^= 1
+    return bits[:n]
+
+
+SCALE_SHAPES = {
+    "random": lambda rng: [rng.getrandbits(1) for _ in range(300_000)],
+    "clusters": lambda rng: _clusters(rng, 300_000),
+    "ones-then-zeros": lambda rng: [1] * 10**6 + [0] * 5000,
+    "zeros-ones-zero": lambda rng: [0] * 5000 + [1] * 10**6 + [0],
+}
+ADVERSARIAL = ("ones-then-zeros", "zeros-ones-zero")
+
+
+def _assert_every_select(bv):
+    for b in (0, 1):
+        for j, p in enumerate(bv.positions(b), start=1):
+            if bv.select(b, j) != p:
+                pytest.fail(f"select({b}, {j}) = {bv.select(b, j)}, expected {p}")
+
+
+@pytest.mark.parametrize("shape", sorted(SCALE_SHAPES))
+def test_every_select_at_scale(shape):
+    _assert_every_select(BitVector(SCALE_SHAPES[shape](random.Random(shape))))
+
+
+@pytest.mark.parametrize("rem", [0, 1, 63])
+def test_every_select_at_length_residues(rem):
+    rng = random.Random(rem)
+    n = 5 * 4096 + 3 * 64 + rem
+    for density in (0.02, 0.5, 0.98):
+        _assert_every_select(BitVector(int(rng.random() < density) for _ in range(n)))
+
+
+@pytest.mark.parametrize("shape", ADVERSARIAL)
+def test_select_reads_logarithmic_directory_entries(shape):
+    """A select reads O(log words) rank-directory entries on vectors
+    where interpolation guesses badly: each search step reads two, and
+    at most every second step fails to halve the words left."""
+    bv = BitVector(SCALE_SHAPES[shape](random.Random(shape)))
+    reads = [0]
+
+    class Counting(list):
+        def __getitem__(self, i):
+            reads[0] += 1
+            return list.__getitem__(self, i)
+
+    bound = 6 * math.log2(len(bv._word_ones)) + 6
+    bv._sb_ones = Counting(bv._sb_ones)
+    bv._word_ones = Counting(bv._word_ones)
+    for b in (0, 1):
+        for j in range(1, bv.count(b) + 1, 1 if b == 0 else 97):
+            reads[0] = 0
+            bv.select(b, j)
+            assert reads[0] <= bound, (b, j, reads[0])

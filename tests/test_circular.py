@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIG2_ADJACENCY, FIG2_ARCS
+from conftest import FIG2_ADJACENCY, FIG2_ARCS, count_calls
 from sigraph.bitvector import BitVector
 from sigraph.circular import (
     ArcRealization,
@@ -290,21 +290,10 @@ def test_degree_makes_no_primitive_calls(n, stored, monkeypatch):
         random_arc_realization(n, random.Random(n)), degree_table=stored
     )
     h = CircularArcGraph.from_bytes(g.to_bytes())
-    calls = {}
-
-    def counting(owner, name):
-        orig = getattr(owner, name)
-
-        def wrapper(*args, **kwargs):
-            key = f"{owner.__name__}.{name}"
-            calls[key] = calls.get(key, 0) + 1
-            return orig(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, wrapper)
-
-    for name in ("select", "rank", "access"):
-        counting(BitVector, name)
-    counting(PointGrid, "count")
+    calls = count_calls(
+        monkeypatch,
+        [(BitVector, name) for name in ("select", "rank", "access")] + [(PointGrid, "count")],
+    )
     for built in (g, h):
         degrees = [built.degree(v) for v in range(1, n + 1)]
         assert calls == {}

@@ -11,7 +11,7 @@ import struct
 
 import pytest
 
-from conftest import FIG2_ARCS, fig1_realization
+from conftest import FIG2_ARCS, count_calls, fig1_realization
 from sigraph.bitvector import BitVector
 from sigraph.circular import ArcRealization, CircularArcGraph, random_arc_realization
 from sigraph.errors import GraphInputError, SerializationError
@@ -22,6 +22,7 @@ from sigraph.intervals import (
     random_realization,
 )
 from sigraph.oracle import OracleGraph
+from sigraph.rmq import RangeMaxIndex
 from sigraph.serial import Writer, pack_uints, width_for
 from sigraph.variants import (
     MODE_IMPROPER,
@@ -71,6 +72,12 @@ STRUCTURES = {
 
 # -- operation counts ----------------------------------------------------
 
+PRIMITIVES = tuple(
+    (owner, name)
+    for owner in (BitVector, AlphabetSequence)
+    for name in ("select", "rank", "access")
+)
+
 
 @pytest.mark.parametrize("kind", sorted(STRUCTURES))
 def test_load_makes_no_per_vertex_queries(kind, monkeypatch):
@@ -78,25 +85,62 @@ def test_load_makes_no_per_vertex_queries(kind, monkeypatch):
     bit vector or a sequence; a per-vertex decode would make thousands."""
     g = STRUCTURES[kind](random.Random(7), 2000)
     blob = g.to_bytes()
-    calls = {}
-
-    def counting(owner, name):
-        orig = getattr(owner, name)
-
-        def wrapper(*args, **kwargs):
-            key = f"{owner.__name__}.{name}"
-            calls[key] = calls.get(key, 0) + 1
-            return orig(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, wrapper)
-
-    for owner in (BitVector, AlphabetSequence):
-        for name in ("select", "rank", "access"):
-            counting(owner, name)
+    calls = count_calls(monkeypatch, PRIMITIVES)
     h = type(g).from_bytes(blob)
     assert calls == {}
     monkeypatch.undo()
     assert h.to_bytes() == blob
+
+
+_LINEAR_COUNTS = {
+    "degree": {"BitVector.select0": 1, "BitVector.rank": 1},
+    "adjacent": {"BitVector.select0": 1},
+}
+# the proper structure reads r_v as the v-th 1 of S
+_PROPER_COUNTS = {
+    "degree": {"BitVector.select0": 1, "BitVector.select1": 1, "BitVector.rank": 1},
+    "adjacent": {"BitVector.select0": 1, "BitVector.select1": 1},
+}
+# circular degree reads its table; adjacent decodes both arcs, each with
+# one select on S and one access and one rank on the family vector
+_CIRCULAR_COUNTS = {
+    "degree": {},
+    "adjacent": {"BitVector.select0": 2, "BitVector.access": 2, "BitVector.rank": 2},
+}
+QUERY_COUNTS = {
+    "interval": _LINEAR_COUNTS,
+    "proper": _PROPER_COUNTS,
+    "kproper": _LINEAR_COUNTS,
+    "kimproper": _LINEAR_COUNTS,
+    "circular": _CIRCULAR_COUNTS,
+    "circular-table": _CIRCULAR_COUNTS,
+}
+
+
+@pytest.mark.parametrize("n", [200, 2000])
+@pytest.mark.parametrize("kind", sorted(STRUCTURES))
+def test_degree_and_adjacent_make_fixed_counts(kind, n, monkeypatch):
+    """degree and adjacent are O(1): every vertex and every pair makes
+    the same primitive calls, at n = 200 as at n = 2000, on a built and
+    on a reloaded structure; none of them reaches a range-max index."""
+    rng = random.Random(f"fixed/{kind}/{n}")
+    g = STRUCTURES[kind](rng, n)
+    h = type(g).from_bytes(g.to_bytes())
+    pairs = [(u, v) for u in range(1, n + 1) for v in rng.sample(range(1, n + 1), 3)]
+    want = QUERY_COUNTS[kind]
+    calls = count_calls(monkeypatch, PRIMITIVES + ((RangeMaxIndex, "query"),))
+    for built in (g, h):
+        for v in range(1, n + 1):
+            calls.clear()
+            built.degree(v)
+            assert calls == want["degree"], (v, calls)
+        for u, v in pairs:
+            if u == v:
+                continue
+            for a, b in ((u, v), (v, u)):
+                calls.clear()
+                built.adjacent(a, b)
+                assert calls == want["adjacent"], (a, b, calls)
 
 
 # -- bulk decoding -------------------------------------------------------

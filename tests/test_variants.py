@@ -186,8 +186,8 @@ def test_annotation_decode_matches_cached_rights():
             g = KProperGraph.from_realization(real, mode)
             h = KProperGraph.from_bytes(g.to_bytes())
             for v in range(1, real.n + 1):
-                assert g._r_from_annotation(v) == g._r(v) == real.intervals[v - 1][1]
-                assert h._r_from_annotation(v) == h._r(v)
+                assert g._r(v) == real.intervals[v - 1][1]
+                assert h._r(v) == g._r(v)
 
 
 @pytest.mark.parametrize("mode", [MODE_PROPER, MODE_IMPROPER])
