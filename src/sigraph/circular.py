@@ -20,7 +20,13 @@ plus range-max reports) and turns each family into labels with one
 select_many on the left family vector. That is at most 5 selects per
 neighborhood, one in the decode and two per family, plus one pass over
 the words each family's hits span, as long as the hits number at least
-one per word; a sparser family takes one select per hit instead.
+one per word; a sparser family takes one select per hit instead. Each
+range-max report knows its hit count beforehand: a normal arc's earlier
+normal hits are its earlier normal arcs less the normal rights before
+its start (two ranks), and the other family's report holds the degree
+less the hits already known. So a report costs one scan of at most
+2 * count ranks plus at most 2m - 1 range-max calls for the m hits that
+scan missed.
 """
 
 from __future__ import annotations
@@ -330,29 +336,29 @@ class CircularArcGraph:
         self._check_vertex(v)
         l, r, rev = self._decode(v)
         nrev = self._n - self._q
+        deg = self._degrees[v - 1]
         normal_hits: list[int] = []
         reversed_hits: list[int] = []
         if not rev:
-            # an earlier normal arc is a neighbor when it ends past l; every
-            # later one up to the last starting before r starts inside v
+            # an earlier normal arc is a neighbor when it ends past l, so
+            # the normal rights before l are the earlier ones that miss v;
+            # every later one up to the last starting before r starts inside v
             mine = self._lk.rank(0, v)
-            report_above(
-                self._rmax_n.query, lambda x: self._rp[x - 1], 1, mine - 1, l,
-                normal_hits,
-            )
+            earlier = mine - 1 - self._rk.rank(0, self._s.rank(1, l))
+            report_above(self._rmax_n.query, self._rp, 1, mine - 1, l, earlier, normal_hits)
             normal_hits.extend(range(mine + 1, self._rank_nl(r) + 1))
             cross = self._rank_rl(r)
             reversed_hits.extend(range(1, cross + 1))
             report_above(
-                self._rmax_r.query, lambda x: self._rpp[x - 1], cross + 1, nrev, l,
-                reversed_hits,
+                self._rmax_r.query, self._rpp, cross + 1, nrev, l,
+                deg - len(normal_hits) - cross, reversed_hits,
             )
         else:
             cross = self._rank_nl(r)
             normal_hits.extend(range(1, cross + 1))
             report_above(
-                self._rmax_n.query, lambda x: self._rp[x - 1], cross + 1, self._q, l,
-                normal_hits,
+                self._rmax_n.query, self._rp, cross + 1, self._q, l,
+                deg - cross - (nrev - 1), normal_hits,
             )
             mine = self._lk.rank(1, v)
             reversed_hits.extend(range(1, mine))

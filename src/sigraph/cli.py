@@ -225,14 +225,23 @@ def cmd_verify(args) -> int:
     return 4
 
 
-def _time_queries(label: str, fn, samples, report: dict) -> None:
+def _time_queries(label: str, fn, samples, report: dict, per=None) -> None:
+    """Time fn over samples into report[label]; per = (unit, size) also
+    reports us_per_<unit>, the time over the summed size of the answers,
+    or None when they sum to 0."""
     if not samples:
         return
+    answers = []
     t0 = perf_counter()
     for s in samples:
-        fn(*s)
+        answers.append(fn(*s))
     dt = perf_counter() - t0
-    report[label] = {"count": len(samples), "avg_us": round(dt / len(samples) * 1e6, 2)}
+    stats = {"count": len(samples), "avg_us": round(dt / len(samples) * 1e6, 2)}
+    if per is not None:
+        unit, size = per
+        total = sum(size(a) for a in answers)
+        stats[f"us_per_{unit}"] = round(dt / total * 1e6, 3) if total else None
+    report[label] = stats
 
 
 def cmd_bench(args) -> int:
@@ -262,8 +271,9 @@ def cmd_bench(args) -> int:
     _time_queries("degree", g.degree, [(v,) for v in verts], queries)
     _time_queries("adjacent", g.adjacent, pairs, queries)
     _time_queries("neighborhood", g.neighborhood,
-                  [(v,) for v in verts[: min(q, 20)]], queries)
-    _time_queries("spath", g.spath, pairs[: min(q, 20)], queries)
+                  [(v,) for v in verts[: min(q, 20)]], queries, ("nbr", len))
+    _time_queries("spath", g.spath, pairs[: min(q, 20)], queries,
+                  ("hop", lambda path: len(path) - 1 if path else 0))
     rep = StatsReport(
         kind=args.type,
         n=n,
@@ -290,7 +300,11 @@ def cmd_bench(args) -> int:
         f"adjacency lists {baselines['adjacency_list_bits']} bits"
     )
     for name, stats in queries.items():
-        lines.append(f"{name}: {stats['avg_us']} us over {stats['count']} queries")
+        line = f"{name}: {stats['avg_us']} us over {stats['count']} queries"
+        for unit in ("nbr", "hop"):
+            if f"us_per_{unit}" in stats:
+                line += f", {stats[f'us_per_{unit}']} us per {unit}"
+        lines.append(line)
     print("\n".join(lines))
     return 0
 

@@ -5,13 +5,19 @@ the 2n-bit endpoint-kind sequence S (0 marks a left endpoint), the right
 endpoints r_1..r_n, and a range-max index over r. All of degree,
 adjacent and succ are constant-time: degree makes one select and one
 rank on S, adjacent one select. Neighborhood reports the later
-neighbors as one label range and searches only the earlier labels, in
-time proportional to the degree. Spath walks the one-ended greedy succ
+neighbors as one label range. Its K = 2v - 1 - l_v earlier neighbors are
+counted by the select that finds l_v, so their search is one scan of at
+most 2K labels ending at v - 1, plus at most 2m - 1 range-max calls for
+the m of them that scan missed: O(degree) time. A proper family's
+earlier neighbors are the K labels just before v, so it makes no
+range-max call. Spath walks the one-ended greedy succ
 chain; each hop makes one rank and one range-max over the labels it
 newly reaches, so a path costs O(path length) primitive calls.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 from .bitvector import BitVector
 from .errors import GraphInputError, QueryRangeError
@@ -31,23 +37,41 @@ def _parity_bits(real: IntervalRealization) -> BitVector:
     return BitVector(bits)
 
 
-def report_above(pick_max, value_of, lo: int, hi: int, threshold: int, out: list):
-    """Append every index in [lo, hi] whose value exceeds threshold.
+def report_above(pick_max, values, lo: int, hi: int, threshold: int, count: int, out: list):
+    """Append, in increasing order, the count positions x in [lo, hi]
+    whose value values[x - 1] exceeds threshold; the caller knows count.
 
-    Recursion on the range-max index: if the maximum clears the bar,
-    report it and split; otherwise the whole range is exhausted. Work is
-    proportional to the number of reported indexes.
+    One slice scans the window of at most 2 * count positions ending at
+    hi, which is the whole range when the range is that short. The
+    m = count - (window hits) positions the window missed lie before it,
+    and a recursion on the range-max index pick_max finds them: if the
+    maximum clears the bar, report it and split; otherwise that range is
+    exhausted. The recursion stops at the m-th hit, so the cost is one
+    scan of at most 2 * count values plus at most max(0, 2m - 1)
+    range-max calls; a count of 0 reads nothing.
     """
-    stack = [(lo, hi)]
-    while stack:
-        i, j = stack.pop()
-        if i > j:
-            continue
-        m = pick_max(i, j)
-        if value_of(m) > threshold:
-            out.append(m)
-            stack.append((i, m - 1))
-            stack.append((m + 1, j))
+    if count <= 0:
+        return
+    a = max(lo, hi - 2 * count + 1)
+    window = [x for x, val in enumerate(values[a - 1:hi], a) if val > threshold]
+    missing = count - len(window)
+    if missing > 0 and lo < a:
+        found = []
+        stack = [(lo, a - 1)]
+        while stack:
+            i, j = stack.pop()
+            m = pick_max(i, j)
+            if values[m - 1] > threshold:
+                found.append(m)
+                if len(found) == missing:
+                    break
+                if i < m:
+                    stack.append((i, m - 1))
+                if m < j:
+                    stack.append((m + 1, j))
+        found.sort()
+        out.extend(found)
+    out.extend(window)
 
 
 class IntervalQueries:
@@ -55,15 +79,16 @@ class IntervalQueries:
 
     Every query reads the endpoint sequence S and r. The hooks here read
     r from _rlist, in label order, and its range-max index _rmax; a class
-    that derives r from S overrides _r, _rights and _argmax_r. Concrete
-    classes provide space_report().
+    that derives r from S overrides _r, _rights and _argmax_r, and keeps
+    in _rlist a sequence view that reads r from S. Concrete classes
+    provide space_report().
     """
 
     __slots__ = ()
 
     _n: int
     _s: BitVector
-    _rlist: list[int]
+    _rlist: Sequence[int]
     _rmax: RangeMaxIndex
 
     @property
@@ -131,11 +156,12 @@ class IntervalQueries:
 
     def neighborhood(self, v: int) -> list[int]:
         self._check_vertex(v)
-        # an earlier label is a neighbor when it ends past l_v; every later
-        # label up to the last one starting before r_v starts inside v
+        # an earlier label is a neighbor when it ends past l_v: of the v - 1
+        # earlier labels, the l_v - v rights before l_v end too soon. Every
+        # later label up to the last one starting before r_v starts inside v
+        l = self._l(v)
         out: list[int] = []
-        report_above(self._argmax_r, self._r, 1, v - 1, self._l(v), out)
-        out.sort()
+        report_above(self._argmax_r, self._rlist, 1, v - 1, l, 2 * v - 1 - l, out)
         out.extend(range(v + 1, self._rank_left(self._r(v)) + 1))
         return out
 

@@ -39,10 +39,25 @@ def check_proper(real: IntervalRealization) -> None:
         best_v, best_r = v, r
 
 
+class _RightsFromS:
+    """r in label order as a read-only sequence over S, whose v-th 1 is
+    r_v: an index is one select, a slice one select_many."""
+
+    __slots__ = ("_s",)
+
+    def __init__(self, s: BitVector):
+        self._s = s
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return self._s.select_many(1, range(key.start + 1, key.stop + 1))
+        return self._s.select(1, key + 1)
+
+
 class ProperIntervalGraph(IntervalQueries):
     """2n + o(n)-bit structure for non-nesting realizations."""
 
-    __slots__ = ("_n", "_s")
+    __slots__ = ("_n", "_s", "_rlist")
 
     def __init__(self, s: BitVector):
         n = len(s) // 2
@@ -50,6 +65,7 @@ class ProperIntervalGraph(IntervalQueries):
             raise GraphInputError("endpoint sequence must balance lefts and rights")
         self._n = n
         self._s = s
+        self._rlist = _RightsFromS(s)
 
     @classmethod
     def from_realization(cls, real: IntervalRealization) -> "ProperIntervalGraph":
@@ -65,7 +81,9 @@ class ProperIntervalGraph(IntervalQueries):
         return self._s.positions(1)
 
     def _argmax_r(self, i: int, j: int) -> int:
-        # rights increase with the label, so the maximum sits at the border
+        # rights increase with the label, so the maximum sits at the border,
+        # and a neighborhood's earlier hits are the labels just before it:
+        # its one window read finds them all, with no _argmax_r call
         return j
 
     # -- reporting and serialization ------------------------------------

@@ -440,6 +440,91 @@ def test_normal_neighborhood_searches_only_earlier_normals(monkeypatch):
     assert calls == []
 
 
+def _family_reports(real: ArcRealization, oracle: OracleGraph):
+    """Per arc, from the realization and the oracle alone: its oracle
+    neighborhood, the hit count of each family's range-max report with
+    that report's range (family ranks), and the hits the window of at
+    most 2 * count ranks ending at the range's top misses. Ranks number
+    each family's arcs in label order."""
+    arcs = real.arcs
+    rank, starts = {}, ([], [])     # starts[False]: normal, [True]: reversed
+    for u, (l, r) in enumerate(arcs, start=1):
+        starts[l > r].append(l)
+        rank[u] = (l > r, len(starts[l > r]))
+    sizes = {False: len(starts[False]), True: len(starts[True])}
+    out = {}
+    for v, (l, r) in enumerate(arcs, start=1):
+        hood = oracle.neighborhood(v)
+        rev, mine = rank[v]
+        # the other family's report covers its ranks starting after r;
+        # a normal arc also reports over its earlier normal ranks
+        other = not rev
+        cross = sum(1 for x in starts[other] if x < r)
+        ranges = {other: (cross + 1, sizes[other])}
+        if not rev:
+            ranges[False] = (1, mine - 1)
+        reports = {}
+        for fam, (lo, hi) in ranges.items():
+            hits = [x for f, x in map(rank.get, hood) if f == fam and lo <= x <= hi]
+            top = max(lo, hi - 2 * len(hits) + 1)
+            missed = sum(1 for x in hits if x < top)
+            reports[fam] = (lo, hi, len(hits), missed)
+        out[v] = (hood, reports)
+    return out
+
+
+@pytest.mark.parametrize("n", [200, 2000])
+def test_neighborhood_knows_its_hit_counts(n, monkeypatch):
+    """The counts each family report needs are known without a search:
+    a normal arc's earlier normal hits are (mine - 1) less the normal
+    rights before l, two ranks, and the other family's report holds
+    degree less the hits already known. With them each report reads one
+    window and makes at most max(0, 2m - 1) range-max calls for the m
+    hits the window misses; checked on the built and the reloaded graph,
+    with and without the stored degree table."""
+    real = random_arc_realization(n, random.Random(n))
+    expected = _family_reports(real, OracleGraph.from_arc_positions(real.arcs))
+    graphs = []
+    for stored in (False, True):
+        g = CircularArcGraph.from_realization(real, degree_table=stored)
+        graphs += [g, CircularArcGraph.from_bytes(g.to_bytes())]
+    for g in graphs:
+        nrev = n - g.normal_count
+        calls = {False: [], True: []}
+        for fam, index in ((False, g._rmax_n), (True, g._rmax_r)):
+            monkeypatch.setattr(
+                index, "query",
+                lambda i, j, query=index.query, log=calls[fam]: log.append((i, j)) or query(i, j),
+            )
+        fallbacks = 0
+        for v in range(1, n + 1):
+            hood, reports = expected[v]
+            l, r = g.arc_of(v)
+            rev = g.is_reversed(v)
+            deg = g.degree(v)
+            if not rev:
+                mine = g._lk.rank(0, v)
+                lo, hi, count, _ = reports[False]
+                assert (lo, hi) == (1, mine - 1), v
+                assert mine - 1 - g._rk.rank(0, g._s.rank(1, l)) == count, v
+                cross = g._rank_rl(r)
+                normal_total = count + g._rank_nl(r) - mine
+                assert deg - normal_total - cross == reports[True][2], v
+            else:
+                cross = g._rank_nl(r)
+                assert deg - cross - (nrev - 1) == reports[False][2], v
+            for log in calls.values():
+                del log[:]
+            assert g.neighborhood(v) == hood, v
+            for fam, log in calls.items():
+                lo, hi, count, missed = reports.get(fam, (0, 0, 0, 0))
+                assert len(log) <= max(0, 2 * missed - 1), (v, fam, missed)
+                assert all(lo <= i <= j <= hi for i, j in log), (v, fam)
+                fallbacks += missed > 0
+        assert fallbacks > 0
+        monkeypatch.undo()
+
+
 def _count_selects(monkeypatch):
     """Count BitVector.select calls; also count, per select_many call
     whose hits span more words than there are hits, the selects its

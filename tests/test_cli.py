@@ -296,6 +296,14 @@ def test_bench_json_fields(capsys):
     assert rep["baselines"]["edges"] > 0
     assert set(rep["queries"]) == {"degree", "adjacent", "neighborhood", "spath"}
     assert rep["build_seconds"] >= 0
+    # the neighborhood and spath timings also read per reported neighbor
+    # and per path hop, the units the benchmark reports them in
+    queries = rep["queries"]
+    assert set(queries["degree"]) == set(queries["adjacent"]) == {"count", "avg_us"}
+    assert set(queries["neighborhood"]) == {"count", "avg_us", "us_per_nbr"}
+    assert set(queries["spath"]) == {"count", "avg_us", "us_per_hop"}
+    assert 0 < queries["neighborhood"]["us_per_nbr"] <= queries["neighborhood"]["avg_us"]
+    assert 0 < queries["spath"]["us_per_hop"]
 
 
 def test_bench_text_report(capsys):
@@ -304,6 +312,9 @@ def test_bench_text_report(capsys):
     assert "proper structure, n=200" in out
     assert "total bits" in out
     assert "baselines" in out
+    lines = out.splitlines()
+    assert any(x.startswith("neighborhood:") and "us per nbr" in x for x in lines)
+    assert any(x.startswith("spath:") and "us per hop" in x for x in lines)
 
 
 def test_bench_circular(capsys):

@@ -324,20 +324,109 @@ def test_spath_makes_constant_calls_per_hop(kind, monkeypatch):
     assert paths >= 100
 
 
+class _CountingReads:
+    """Sequence wrapper tallying the values read: a slice counts its
+    length, an index one."""
+
+    def __init__(self, values):
+        self.values = values
+        self.sliced = self.indexed = 0
+
+    def __getitem__(self, key):
+        got = self.values[key]
+        if isinstance(key, slice):
+            self.sliced += len(got)
+        else:
+            self.indexed += 1
+        return got
+
+
+def _check_neighborhood_counts(g, v, calls, reads):
+    """Run g.neighborhood(v) under the tallies and check its cost: the
+    K = 2v - 1 - l_v earlier neighbors are searched by one read of at
+    most 2K labels ending at v - 1, then at most max(0, 2m - 1) range-max
+    calls, one value read each, for the m earlier neighbors that window
+    missed, besides the read of r_v. Returns the neighborhood and m."""
+    l = g.interval_of(v)[0]
+    _zeroed(calls)
+    reads.sliced = reads.indexed = 0
+    hood = g.neighborhood(v)
+    earlier = [u for u in hood if u < v]
+    k = len(earlier)
+    assert k == 2 * v - 1 - l, v
+    missed = sum(1 for u in earlier if u < v - 2 * k)
+    assert reads.sliced <= 2 * k, v
+    assert len(calls["ranges"]) <= max(0, 2 * missed - 1), (v, missed)
+    assert reads.indexed <= len(calls["ranges"]) + 1, v
+    return hood, missed
+
+
 @pytest.mark.parametrize("kind", sorted(STRUCTURES))
 def test_neighborhood_searches_only_earlier_labels(kind, monkeypatch):
-    """Later neighbors form one label range; the range-max recursion runs
-    over the earlier labels only, so it makes at most 2e + 1 calls for e
-    earlier neighbors, and none for vertex 1."""
+    """Later neighbors form one label range; the earlier ones are read in
+    one window of at most 2K labels, and the range-max recursion runs only
+    for the m the window missed: at most 2m - 1 calls, none when the
+    window holds them all, and none for a vertex with no earlier
+    neighbor. A proper family's earlier neighbors are the K labels just
+    before v, so it makes no range-max call at all."""
     g, rng = _count_guard_graph(kind)
     calls = _counted(monkeypatch, g)
+    reads = _CountingReads(g._rlist)
+    monkeypatch.setattr(g, "_rlist", reads)
+    lonely = 0
     for v in [1] + [rng.randint(2, g.n) for _ in range(300)]:
-        _zeroed(calls)
-        hood = g.neighborhood(v)
-        earlier = sum(1 for u in hood if u < v)
-        assert len(calls["ranges"]) <= 2 * earlier + 1, v
-        if v == 1:
-            assert calls["ranges"] == []
+        hood, _ = _check_neighborhood_counts(g, v, calls, reads)
+        if not any(u < v for u in hood):
+            lonely += 1
+            assert calls["ranges"] == [] and reads.sliced == 0, v
+        if kind == "proper":
+            assert calls["ranges"] == [], v
+    assert lonely >= 1
+
+
+def _long_over_short(n):
+    """One interval spanning n - 1 short disjoint ones."""
+    return IntervalRealization(
+        ((1, 2 * n),) + tuple((2 * i, 2 * i + 1) for i in range(1, n))
+    )
+
+
+def _deep_nest(depth, tail):
+    """depth nested intervals, each opening right after a short one has
+    come and gone, around tail short disjoint intervals: a late short
+    interval's earlier neighbors are every other label of the first
+    2 * depth, far before it."""
+    n = 2 * depth + tail
+    intervals = []
+    p = 1
+    for d in range(depth):
+        intervals.append((p, 2 * n + 1 - d))
+        intervals.append((p + 1, p + 2))
+        p += 3
+    for _ in range(tail):
+        intervals.append((p, p + 1))
+        p += 2
+    return normalize(intervals)
+
+
+@pytest.mark.parametrize("kind", sorted(set(STRUCTURES) - {"proper"}))
+def test_neighborhood_fallback_matches_oracle(kind, monkeypatch):
+    """Families whose earlier neighbors lie far before the window: every
+    answer equals the oracle's, the recursion runs, and it stays within
+    its 2m - 1 calls."""
+    for real in (_long_over_short(300), _deep_nest(12, 200)):
+        g = STRUCTURES[kind](real)
+        o = OracleGraph.from_intervals(real)
+        calls = _counted(monkeypatch, g)
+        reads = _CountingReads(g._rlist)
+        monkeypatch.setattr(g, "_rlist", reads)
+        fallbacks = 0
+        for v in range(1, g.n + 1):
+            hood, missed = _check_neighborhood_counts(g, v, calls, reads)
+            assert hood == o.neighborhood(v), v
+            fallbacks += missed > 0
+        assert fallbacks >= g.n // 2
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("kind", sorted(STRUCTURES))

@@ -177,7 +177,7 @@ class TestCrossEquivalence:
         _all_query_equal(base, kp)
 
 
-def test_annotation_decode_matches_cached_rights():
+def test_right_list_survives_reload():
     rng = random.Random(88)
     fig = fig1_realization()
     cases = [fig] + [random_realization(rng.randint(1, 40), rng) for _ in range(10)]
