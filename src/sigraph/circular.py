@@ -39,7 +39,7 @@ from .bitvector import BitVector
 from .errors import GraphInputError, QueryRangeError
 from .graph import report_above
 from .rmq import RangeMaxIndex
-from .serial import Reader, Writer, pack_uints, unpack_uints, width_for
+from .serial import Reader, Writer, pack_uints, uint_array, unpack_uints, width_for
 from .wavelet import AlphabetSequence
 
 _MAGIC = b"SCAG"
@@ -408,9 +408,6 @@ class CircularArcGraph:
         x, is_rev = best_x
         return self._label_of_reversed(x) if is_rev else self._label_of_normal(x)
 
-    def _succ(self, cur: int):
-        return self._succ_decoded(self._decode(cur))
-
     def spath(self, u: int, v: int):
         """A shortest u-v path by two alternating clockwise walks, one
         from each end; the first to reach the other side wins."""
@@ -577,5 +574,4 @@ def _arc_degrees(real: ArcRealization) -> array:
             else:
                 add(gaps, l)
                 opened += 1
-    code = next(c for c in "ILQ" if n - 1 < 1 << 8 * array(c).itemsize)
-    return array(code, deg)
+    return uint_array(deg, n - 1)

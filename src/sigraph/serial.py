@@ -10,6 +10,7 @@ byte-identical.
 from __future__ import annotations
 
 import struct
+from array import array
 
 from .errors import SerializationError
 
@@ -17,6 +18,12 @@ from .errors import SerializationError
 def width_for(max_value: int) -> int:
     """Bits needed to store values in [0, max_value]."""
     return max(1, max_value.bit_length())
+
+
+def uint_array(values, max_value: int) -> array:
+    """values as an array of the narrowest unsigned typecode holding max_value."""
+    code = next(c for c in "BHILQ" if max_value < 1 << 8 * array(c).itemsize)
+    return array(code, values)
 
 
 def pack_uints(values, width: int) -> bytes:

@@ -5,12 +5,15 @@ endpoint is the v-th 1 and the maximum of r over a label range sits at
 its last label.
 The bounded-depth structure annotates every endpoint with its interval's
 containment depth, which pairs left and right endpoints within each
-depth class. Only the annotation is stored: the right list and the
-range-max index its queries run on are rebuilt from it on load.
+depth class. The blob stores only that annotation T. In memory the
+structure keeps S, the right list with the range-max index its queries
+run on, and one depth per vertex; T is rebuilt from them in one sweep
+only when it is saved or asked for.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 
 from .bitvector import BitVector
@@ -18,7 +21,7 @@ from .errors import GraphInputError, NotProperError
 from .graph import IntervalQueries, _parity_bits
 from .intervals import IntervalRealization
 from .rmq import RangeMaxIndex
-from .serial import Reader, Writer
+from .serial import Reader, Writer, uint_array, width_for
 from .wavelet import AlphabetSequence
 
 _PROPER_MAGIC = b"SPGR"
@@ -156,7 +159,7 @@ class KProperGraph(IntervalQueries):
     """Depth-annotated structure: 2n log k + O(n) bits for families where
     every interval is contained by (or contains) at most k others."""
 
-    __slots__ = ("_n", "_s", "_t", "_mode", "_k", "_rlist", "_rmax")
+    __slots__ = ("_n", "_s", "_depths", "_mode", "_k", "_rlist", "_rmax")
 
     def __init__(
         self,
@@ -174,8 +177,9 @@ class KProperGraph(IntervalQueries):
             raise GraphInputError("depth alphabet must pair even/odd symbols")
         if sigma > 2 * n:
             raise GraphInputError(f"depth alphabet of {sigma} exceeds {n} depth classes")
+        if min(symbols) < 0 or max(symbols) >= sigma:
+            raise GraphInputError(f"a symbol lies outside alphabet [0, {sigma})")
         self._n = n
-        self._t = AlphabetSequence(symbols, sigma)
         self._mode = mode
         self._k = sigma // 2 - 1
         if max(symbols) >> 1 != self._k:
@@ -183,14 +187,15 @@ class KProperGraph(IntervalQueries):
         self._s = BitVector(sym & 1 for sym in symbols)
         if self._s.count(0) != n:
             raise GraphInputError(f"annotation must hold {n} left endpoints")
-        self._rlist = self._pair_rights(symbols)
+        self._rlist, self._depths = self._pair(symbols)
         self._rmax = RangeMaxIndex(self._rlist, block_size)
 
-    def _pair_rights(self, symbols: list[int]) -> list[int]:
+    def _pair(self, symbols: list[int]) -> tuple[list[int], array]:
         # within one depth class the i-th left matches the i-th right;
         # the constructor has checked that there are n lefts
         pending = [deque() for _ in range(self._k + 1)]
         rights = [0] * self._n
+        depths = [0] * self._n
         v = 0
         for p, sym in enumerate(symbols, start=1):
             if sym & 1:
@@ -202,10 +207,11 @@ class KProperGraph(IntervalQueries):
                 rights[waiting.popleft()] = p
             else:
                 pending[sym >> 1].append(v)
+                depths[v] = sym >> 1
                 v += 1
         if any(pending):
             raise GraphInputError("unmatched left endpoints in annotation")
-        return rights
+        return rights, uint_array(depths, self._k)
 
     @classmethod
     def from_realization(
@@ -215,10 +221,7 @@ class KProperGraph(IntervalQueries):
         block_size: int | None = None,
     ) -> "KProperGraph":
         depths = containment_depths(real, mode)
-        symbols = [0] * (2 * real.n)
-        for (l, r), d in zip(real.intervals, depths):
-            symbols[l - 1] = 2 * d
-            symbols[r - 1] = 2 * d + 1
+        symbols = _depth_symbols(real.intervals, depths)
         return cls(symbols, 2 * max(depths) + 2, mode, block_size)
 
     # -- depth reporting -------------------------------------------------
@@ -233,30 +236,29 @@ class KProperGraph(IntervalQueries):
 
     def depth_of(self, v: int) -> int:
         self._check_vertex(v)
-        return self._t.access(self._s.select(0, v)) // 2
+        return self._depths[v - 1]
 
     def depth_classes(self) -> list[list[int]]:
-        """Labels by depth from one sweep over T's even (left) symbols."""
+        """Labels by depth from one pass over the depths."""
         classes: list[list[int]] = [[] for _ in range(self._k + 1)]
-        v = 0
-        for sym in self._t.to_list():
-            if not sym & 1:
-                v += 1
-                classes[sym >> 1].append(v)
+        for v, d in enumerate(self._depths, start=1):
+            classes[d].append(v)
         return classes
+
+    def _symbols(self) -> list[int]:
+        return _depth_symbols(zip(self._s.positions(0), self._rlist), self._depths)
 
     @property
     def annotation(self) -> AlphabetSequence:
-        return self._t
+        """T, the depth-annotated endpoint sequence, rebuilt on demand."""
+        return AlphabetSequence(self._symbols(), 2 * self._k + 2)
 
     # -- reporting and serialization ------------------------------------
 
     def space_report(self) -> dict[str, int]:
-        t_rep = self._t.space_report()
         s_rep = self._s.space_report()
         return {
-            "T_bitmaps": t_rep["bitmaps"],
-            "T_directories": t_rep["directories"],
+            "depths": self._n * width_for(self._k),
             "S": s_rep["raw"],
             "S_directory": s_rep["directory"],
             "rmax_directory": self._rmax.space_bits(),
@@ -266,7 +268,7 @@ class KProperGraph(IntervalQueries):
         w = Writer().magic(_KPROPER_MAGIC, _VERSION)
         w.u64(self._n).u8(0 if self._mode == MODE_PROPER else 1)
         w.u32(self._rmax._c)
-        w.block(self._t.to_bytes())
+        w.block(AlphabetSequence.encode(self._symbols(), 2 * self._k + 2))
         return w.getvalue()
 
     @classmethod
@@ -282,7 +284,15 @@ class KProperGraph(IntervalQueries):
             raise GraphInputError("annotation length disagrees with header")
         g = cls(symbols, sigma, mode, c)
         real = g.realization()  # validates endpoint pairing
-        # a left endpoint's symbol is twice its interval's depth
-        if containment_depths(real, mode) != [symbols[l - 1] >> 1 for l, _ in real.intervals]:
+        if containment_depths(real, mode) != g._depths.tolist():
             raise GraphInputError("annotation depths disagree with the realization")
         return g
+
+
+def _depth_symbols(intervals, depths) -> list[int]:
+    """T from (l, r) in label order and depth d: 2d at l, 2d + 1 at r."""
+    symbols = [0] * (2 * len(depths))
+    for (l, r), d in zip(intervals, depths):
+        symbols[l - 1] = 2 * d
+        symbols[r - 1] = 2 * d + 1
+    return symbols

@@ -182,17 +182,10 @@ class AlphabetSequence:
     def to_list(self) -> list[int]:
         return self._m.to_list()
 
-    def space_report(self) -> dict[str, int]:
-        raw, directory = self._m.space()
-        return {"bitmaps": raw, "directories": directory}
-
-    def space_bits(self) -> int:
-        return sum(self.space_report().values())
-
     @staticmethod
     def encode(symbols: list[int], sigma: int) -> bytes:
-        """The blob to_bytes writes for these symbols, without building
-        the sequence."""
+        """The serialized form of these symbols, without building the
+        sequence."""
         w = Writer().magic(_SEQ_MAGIC, _VERSION)
         w.u64(len(symbols)).u32(sigma)
         w.block(pack_uints(symbols, width_for(sigma - 1)))
@@ -211,13 +204,6 @@ class AlphabetSequence:
         r.done()
         _check_alphabet(symbols, sigma)
         return symbols, sigma
-
-    def to_bytes(self) -> bytes:
-        return self.encode(self.to_list(), self._sigma)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "AlphabetSequence":
-        return cls(*cls.decode(data))
 
 
 def _check_alphabet(symbols: list[int], sigma: int) -> None:

@@ -2,6 +2,7 @@
 exit-code contract."""
 
 import json
+import random
 
 import pytest
 
@@ -10,7 +11,9 @@ from sigraph import algorithms
 from sigraph.circular import ArcRealization, CircularArcGraph
 from sigraph.cli import load_structure, main
 from sigraph.graph import SuccinctIntervalGraph
-from sigraph.intervals import IntervalRealization
+from sigraph.intervals import IntervalRealization, random_realization
+from sigraph.serial import width_for
+from sigraph.variants import containment_depths
 
 
 def write_interval_text(path, pairs):
@@ -333,6 +336,20 @@ def test_bench_circular_reports_degree_table(capsys):
     rep = json.loads(capsys.readouterr().out)
     assert rep["components"]["degree_table"] == 150 * (149).bit_length()
     assert "grid_normal" not in rep["components"]
+
+
+@pytest.mark.parametrize("kind,mode", [("kproper", "proper"), ("kimproper", "improper")])
+def test_bench_kproper_reports_depths(kind, mode, capsys):
+    """The depth-annotated structure holds one depth per vertex, not T,
+    so bench reports n entries of width_for(k) bits and no T component."""
+    n = 300
+    assert main(["bench", "--type", kind, "--n", str(n), "--queries", "10",
+                 "--seed", "4", "--json"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    k = max(containment_depths(random_realization(n, random.Random(4)), mode))
+    assert rep["components"]["depths"] == n * width_for(k)
+    assert not any(name.startswith("T_") for name in rep["components"])
+    assert rep["total_bits"] == sum(rep["components"].values())
 
 
 def test_bench_rejects_negative_queries(capsys):

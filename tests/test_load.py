@@ -173,6 +173,22 @@ def test_depths_match_brute_force_on_deep_nesting():
         assert containment_depths(real, MODE_IMPROPER) == want_i
 
 
+@pytest.mark.parametrize("mode", [MODE_PROPER, MODE_IMPROPER])
+def test_deep_nesting_roundtrips(mode):
+    """A family nested 300 deep has k = 299, past what one byte holds."""
+    n = 300
+    real = IntervalRealization(tuple((i, 2 * n + 1 - i) for i in range(1, n + 1)))
+    g = KProperGraph.from_realization(real, mode)
+    assert g.k == n - 1
+    blob = g.to_bytes()
+    h = KProperGraph.from_bytes(blob)
+    assert h.to_bytes() == blob
+    want = containment_depths(real, mode)
+    for x in (g, h):
+        assert [x.depth_of(v) for v in range(1, n + 1)] == want
+        assert x.realization() == real
+
+
 # -- canonical headers ---------------------------------------------------
 
 
@@ -213,7 +229,7 @@ def test_version_mismatch_is_a_serialization_error(kind):
     """Byte 4 of every blob is its format version; one the loader does
     not know raises SerializationError, as it does for a bit vector."""
     if kind == "sequence":
-        blob, load = AlphabetSequence([0, 2, 1, 2], 3).to_bytes(), AlphabetSequence.from_bytes
+        blob, load = AlphabetSequence.encode([0, 2, 1, 2], 3), AlphabetSequence.decode
     else:
         g = STRUCTURES[kind](random.Random(5), 20)
         blob, load = g.to_bytes(), type(g).from_bytes

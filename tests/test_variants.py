@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fig1_realization
+from conftest import count_calls, fig1_realization
 from sigraph.bitvector import BitVector
 from sigraph.errors import GraphInputError, NotProperError
 from sigraph.graph import SuccinctIntervalGraph
@@ -23,6 +23,10 @@ from sigraph.variants import (
 from sigraph.wavelet import AlphabetSequence
 
 FIG1_T = [0, 2, 0, 2, 3, 1, 0, 3, 1, 0, 2, 1, 2, 4, 3, 5, 3, 1]
+FIG1_TS = {
+    MODE_PROPER: FIG1_T,
+    MODE_IMPROPER: [2, 0, 2, 0, 1, 3, 0, 1, 3, 6, 0, 1, 2, 0, 1, 1, 3, 7],
+}
 
 
 class TestProper:
@@ -192,7 +196,8 @@ def test_right_list_survives_reload():
 
 @pytest.mark.parametrize("mode", [MODE_PROPER, MODE_IMPROPER])
 def test_depth_classes_is_one_sweep(mode, monkeypatch):
-    """depth_classes reads T once: no per-vertex select or access."""
+    """depth_classes is one pass over the held depths: no per-vertex
+    select or access."""
     g = KProperGraph.from_realization(random_realization(2000, random.Random(52)), mode)
     expected = [[] for _ in range(g.k + 1)]
     for v in range(1, g.n + 1):
@@ -206,3 +211,65 @@ def test_depth_classes_is_one_sweep(mode, monkeypatch):
         )
     assert g.depth_classes() == expected
     assert calls == []
+
+
+# magic, version, n, mode byte, block size, then T as a sequence blob
+FIG1_BLOBS = {
+    MODE_PROPER: (
+        "534b4752010900000000000000002000000020000000000000005341535101120000"
+        "000000000006000000070000000000000010b4608122ae0b"
+    ),
+    MODE_IMPROPER: (
+        "534b4752010900000000000000012000000020000000000000005341535101120000"
+        "00000000000800000007000000000000008290213322243b"
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", [MODE_PROPER, MODE_IMPROPER])
+def test_blob_format_is_pinned(mode):
+    blob = bytes.fromhex(FIG1_BLOBS[mode])
+    assert KProperGraph.from_realization(fig1_realization(), mode).to_bytes() == blob
+    h = KProperGraph.from_bytes(blob)
+    assert h.to_bytes() == blob
+    assert h.realization() == fig1_realization()
+    assert h.annotation.to_list() == FIG1_TS[mode]
+
+
+_PRIMITIVES = tuple(
+    (owner, name)
+    for owner in (BitVector, AlphabetSequence)
+    for name in ("select", "rank", "access")
+)
+
+
+@pytest.mark.parametrize("mode", [MODE_PROPER, MODE_IMPROPER])
+def test_holds_no_sequence(mode, monkeypatch):
+    """Building, saving, loading, depth_of and depth_classes construct no
+    AlphabetSequence, and depth_of is one read with no primitive call."""
+    real = random_realization(2000, random.Random(f"nosequence/{mode}"))
+    want = containment_depths(real, mode)
+    classes = [[] for _ in range(max(want) + 1)]
+    for v, d in enumerate(want, start=1):
+        classes[d].append(v)
+    built = count_calls(monkeypatch, ((AlphabetSequence, "__init__"),))
+    g = KProperGraph.from_realization(real, mode)
+    h = KProperGraph.from_bytes(g.to_bytes())
+    for x in (g, h):
+        assert [x.depth_of(v) for v in range(1, x.n + 1)] == want
+        assert x.depth_classes() == classes
+    assert h.to_bytes() == g.to_bytes()
+    assert built == {}
+    monkeypatch.undo()
+    calls = count_calls(monkeypatch, _PRIMITIVES)
+    for x in (g, h):
+        for v in range(1, x.n + 1):
+            x.depth_of(v)
+    assert calls == {}
+
+
+def test_constructor_rejects_symbols_outside_the_alphabet():
+    with pytest.raises(GraphInputError, match="outside alphabet"):
+        KProperGraph(FIG1_T[:-1] + [7], 6, MODE_PROPER)
+    with pytest.raises(GraphInputError, match="outside alphabet"):
+        KProperGraph([-2] + FIG1_T[1:], 6, MODE_PROPER)

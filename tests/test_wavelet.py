@@ -120,21 +120,23 @@ class TestAlphabetSequence:
     def test_roundtrip(self):
         for seq, sigma in [(SEQ, 6), ([], 3), ([0], 1), (list(range(17)), 17)]:
             ws = AlphabetSequence(seq, sigma)
-            blob = ws.to_bytes()
-            back = AlphabetSequence.from_bytes(blob)
-            assert back.to_bytes() == blob
+            blob = AlphabetSequence.encode(ws.to_list(), ws.sigma)
+            assert blob == AlphabetSequence.encode(seq, sigma)
+            symbols, back_sigma = AlphabetSequence.decode(blob)
+            assert AlphabetSequence.encode(symbols, back_sigma) == blob
+            back = AlphabetSequence(symbols, back_sigma)
             assert len(back) == len(ws)
-            assert back.sigma == sigma
+            assert back_sigma == sigma
             assert [back.access(i) for i in range(1, len(seq) + 1)] == list(seq)
 
     def test_rejects_corrupt_payload(self):
-        blob = AlphabetSequence(SEQ, 6).to_bytes()
+        blob = AlphabetSequence.encode(SEQ, 6)
         with pytest.raises(GraphInputError):
-            AlphabetSequence.from_bytes(b"XXXX" + blob[4:])
+            AlphabetSequence.decode(b"XXXX" + blob[4:])
         with pytest.raises(GraphInputError):
-            AlphabetSequence.from_bytes(blob[:-1])
+            AlphabetSequence.decode(blob[:-1])
         with pytest.raises(GraphInputError):
-            AlphabetSequence.from_bytes(blob + b"\x00")
+            AlphabetSequence.decode(blob + b"\x00")
 
 
 def brute_rect(ys, x1, x2, y1, y2):
