@@ -3,14 +3,13 @@
 Bits are packed into 64-bit words, little-endian within each word. A
 two-level directory (cumulative counts per 4096-bit superblock, plus
 12-bit offsets per word inside its superblock) answers rank with one
-popcount. select(1, j) binary-searches the superblock directory,
-narrowed by sampled occurrence hints, then the word offsets of one
-superblock. select(0, j) reads the zeros before any word from the same
-directory, so it searches the words between two sampled superblocks by
-interpolation, guarded: a step that fails to halve the range makes the
-next one bisect, which bounds a search at O(log words) steps. It adds
-no stored bits. Both finish inside one word with a 32/16/8-bit popcount
-split and one byte-table read.
+popcount. select(b, j) reads the occurrences of b before any word from
+the same directory (the zeros as its complement), so it searches the
+words between two sampled superblocks by interpolation, guarded: a step
+that fails to halve the range makes the next one bisect, which bounds a
+search at O(log words) steps. It adds no stored bits beyond the samples,
+and it finishes inside one word with a 32/16/8-bit popcount split and
+one byte-table read.
 
 select_many answers a batch of selects on one bit with two selects, for
 the smallest and the largest requested occurrence, and one pass over
@@ -24,7 +23,6 @@ All public positions are 1-based; rank takes a prefix length in [0, N].
 from __future__ import annotations
 
 import struct
-from bisect import bisect_right
 from itertools import compress
 
 from .errors import QueryRangeError, SerializationError
@@ -166,65 +164,50 @@ class BitVector:
 
     def select(self, b: int, j: int) -> int:
         """1-based position of the j-th occurrence of bit b, 1 <= j <= count(b)."""
-        if b:
-            if not 1 <= j <= self._ones:
-                raise QueryRangeError(f"select(1, {j}): vector holds {self._ones} ones")
-            return self._select1(j)
-        zeros = self._n - self._ones
-        if not 1 <= j <= zeros:
-            raise QueryRangeError(f"select(0, {j}): vector holds {zeros} zeros")
-        return self._select0(j)
-
-    def _select1(self, j: int) -> int:
-        samples = self._sel1_sb
-        t = (j - 1) // _SAMPLE
-        lo = samples[t]
-        hi = samples[t + 1] if t + 1 < len(samples) else len(self._sb_ones) - 1
-        sb_ones = self._sb_ones
-        s = bisect_right(sb_ones, j - 1, lo, hi + 1) - 1
-        k = j - sb_ones[s]
-        w_lo = s * _SB_WORDS
-        w_hi = min(w_lo + _SB_WORDS, self._nwords)
-        w = bisect_right(self._word_ones, k - 1, w_lo, w_hi) - 1
-        return w * 64 + _select_in_word(self._words[w], k - self._word_ones[w]) + 1
-
-    def _select0(self, j: int) -> int:
-        # Words lo..hi hold the j-th zero: z_lo zeros lie before word lo
-        # and z_hi >= j before word hi + 1. A step that fails to halve
-        # the range makes the next one bisect instead of interpolate.
-        samples = self._sel0_sb
+        count = self._ones if b else self._n - self._ones
+        if not 1 <= j <= count:
+            raise QueryRangeError(
+                f"select({b:d}, {j}): vector holds {count} {'ones' if b else 'zeros'}"
+            )
+        # Words lo..hi hold the j-th occurrence: c_lo occurrences lie
+        # before word lo and c_hi >= j before word hi + 1. A step that
+        # fails to halve the range makes the next one bisect instead of
+        # interpolate.
+        samples = self._sel1_sb if b else self._sel0_sb
         sb_ones = self._sb_ones
         word_ones = self._word_ones
         words = self._words
         t = (j - 1) // _SAMPLE
         s = samples[t]
         lo = s * _SB_WORDS
-        z_lo = s * _SB_BITS - sb_ones[s]
+        c_lo = sb_ones[s] if b else s * _SB_BITS - sb_ones[s]
         s = samples[t + 1] + 1 if t + 1 < len(samples) else len(sb_ones)
         if s < len(sb_ones):
             hi = s * _SB_WORDS - 1
-            z_hi = s * _SB_BITS - sb_ones[s]
+            c_hi = sb_ones[s] if b else s * _SB_BITS - sb_ones[s]
         else:
             hi = self._nwords - 1
-            z_hi = self._n - self._ones
+            c_hi = count
         halve = False
         while True:
             size = hi - lo
             if halve:
                 g = (lo + hi) >> 1
             else:
-                g = lo + (j - z_lo - 1) * (size + 1) // (z_hi - z_lo)
-            z = (g << 6) - sb_ones[g >> 6] - word_ones[g]
-            if z >= j:
+                g = lo + (j - c_lo - 1) * (size + 1) // (c_hi - c_lo)
+            c = sb_ones[g >> 6] + word_ones[g]
+            if not b:
+                c = (g << 6) - c
+            if c >= j:
                 hi = g - 1
-                z_hi = z
+                c_hi = c
             else:
-                word = words[g]
-                z_next = z + 64 - word.bit_count()
-                if z_next >= j:
-                    return (g << 6) + _select_in_word(~word & _WORD_MASK, j - z) + 1
+                word = words[g] if b else ~words[g] & _WORD_MASK
+                c_next = c + word.bit_count()
+                if c_next >= j:
+                    return (g << 6) + _select_in_word(word, j - c) + 1
                 lo = g + 1
-                z_lo = z_next
+                c_lo = c_next
             halve = 2 * (hi - lo) > size
 
     def select_many(self, b: int, js) -> list[int]:

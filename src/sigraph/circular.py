@@ -12,8 +12,14 @@ the parity vector S marking right endpoints, a family vector over left
 endpoints in label order, and a family vector over right endpoints in
 position order. Every S' rank or select is then one or two plain
 bitvector operations. On top sit the right-endpoint lists with range-max
-indexes for reporting and paths, and a degree table counted in one sweep
-at build and at load, so degree is one read.
+indexes for reporting and paths, and a degree table counted in one sweep,
+so degree is one read.
+
+The one constructor builds all of it from an ArcRealization. A blob
+holds S' and the right-endpoint lists only, never the degree table; a
+load pairs each start in S' with the next end of its family's list,
+lets ArcRealization check the pairing, and compares the S' those arcs
+give with the decoded one, then builds through the constructor.
 
 A neighborhood gathers the family ranks of its hits (contiguous runs
 plus range-max reports) and turns each family into labels with one
@@ -36,7 +42,7 @@ from array import array
 from dataclasses import dataclass
 
 from .bitvector import BitVector
-from .errors import GraphInputError, QueryRangeError
+from .errors import GraphInputError, QueryRangeError, SerializationError
 from .graph import report_above
 from .rmq import RangeMaxIndex
 from .serial import Reader, Writer, pack_uints, uint_array, unpack_uints, width_for
@@ -145,7 +151,8 @@ def random_arc_realization(
 
 
 class CircularArcGraph:
-    """Succinct circular-arc structure with constant-depth decode paths."""
+    """Succinct circular-arc structure with constant-depth decode paths,
+    built from its realization."""
 
     __slots__ = (
         "_n",
@@ -158,67 +165,29 @@ class CircularArcGraph:
         "_rmax_n",
         "_rmax_r",
         "_degrees",
-        "_store_table",
     )
 
-    def __init__(
-        self,
-        symbols: list[int],
-        rp: list[int],
-        rpp: list[int],
-        block_size: int | None = None,
-        store_table: bool = False,
-    ):
-        """symbols is S' as a list. The degree table is set by
-        from_realization and from_bytes, which hold the realization it is
-        counted from; store_table writes it into the blob as well."""
-        if len(symbols) % 2:
-            raise GraphInputError("endpoint sequence must have even length")
-        n = len(symbols) // 2
-        q = symbols.count(_NL)
-        # the four counts summing to 2n also keeps every symbol in 0..3
-        if (
-            symbols.count(_NR) != q
-            or symbols.count(_RL) != n - q
-            or symbols.count(_RR) != n - q
-        ):
-            raise GraphInputError("endpoint kinds must pair up")
-        if len(rp) != q or len(rpp) != n - q:
-            raise GraphInputError("right-endpoint lists disagree with the sequence")
-        self._n = n
-        self._q = q
+    def __init__(self, real: ArcRealization, block_size: int | None = None):
+        arcs = real.arcs
+        symbols = _arc_symbols(arcs)
+        rp = [r for l, r in arcs if l < r]
+        rpp = [r for l, r in arcs if l > r]
+        self._n = real.n
+        self._q = len(rp)
         self._s = BitVector(sym & 1 for sym in symbols)
-        self._lk = BitVector(sym >> 1 for sym in symbols if not sym & 1)
+        self._lk = BitVector(l > r for l, r in arcs)
         self._rk = BitVector(sym >> 1 for sym in symbols if sym & 1)
         self._rp = rp
         self._rpp = rpp
         self._rmax_n = RangeMaxIndex(rp, block_size)
         self._rmax_r = RangeMaxIndex(rpp, block_size)
-        self._store_table = store_table
+        self._degrees = _arc_degrees(real)
 
     @classmethod
     def from_realization(
-        cls,
-        real: ArcRealization,
-        block_size: int | None = None,
-        degree_table: bool = False,
+        cls, real: ArcRealization, block_size: int | None = None
     ) -> "CircularArcGraph":
-        n = real.n
-        symbols = [0] * (2 * n)
-        rp = []
-        rpp = []
-        for l, r in real.arcs:
-            if l < r:
-                symbols[l - 1] = _NL
-                symbols[r - 1] = _NR
-                rp.append(r)
-            else:
-                symbols[l - 1] = _RL
-                symbols[r - 1] = _RR
-                rpp.append(r)
-        g = cls(symbols, rp, rpp, block_size, degree_table)
-        g._degrees = _arc_degrees(real)
-        return g
+        return cls(real, block_size)
 
     # -- S' operations over the factored vectors -------------------------
 
@@ -231,15 +200,6 @@ class CircularArcGraph:
 
     def _rank_rl(self, p: int) -> int:
         return self._lk.rank(1, self._s.rank(0, p))
-
-    def _right_positions(self) -> tuple[list[int], list[int]]:
-        """Positions of every NR and of every RR symbol, in increasing
-        order, from one sweep over S and the right family vector."""
-        normal: list[int] = []
-        reversed_: list[int] = []
-        for p, fam in zip(self._s.positions(1), self._rk.bit_string()):
-            (reversed_ if fam == "1" else normal).append(p)
-        return normal, reversed_
 
     # -- decoding --------------------------------------------------------
 
@@ -477,14 +437,14 @@ class CircularArcGraph:
         return sum(self.space_report().values())
 
     def to_bytes(self) -> bytes:
+        # the flag byte is always 0; from_bytes rejects the 1 that marked
+        # a stored degree table
         w = Writer().magic(_MAGIC, _VERSION)
-        w.u64(self._n).u32(self._rmax_n._c).u8(1 if self._store_table else 0)
+        w.u64(self._n).u32(self._rmax_n._c).u8(0)
         w.block(AlphabetSequence.encode(self._symbols(), 4))
         width = width_for(2 * self._n)
         w.block(pack_uints(self._rp, width))
         w.block(pack_uints(self._rpp, width))
-        if self._store_table:
-            w.block(pack_uints(self._degrees, width_for(max(self._n - 1, 1))))
         return w.getvalue()
 
     @classmethod
@@ -493,29 +453,53 @@ class CircularArcGraph:
         r.magic(_MAGIC, _VERSION)
         n = r.u64()
         c = r.block_size()
-        has_table = r.flag("degree table")
+        flag = r.u8()
+        if flag:
+            raise SerializationError(
+                f"degree table byte must be 0, found {flag}: files with a "
+                "stored degree table are no longer read; rebuild them"
+            )
         symbols, sigma = AlphabetSequence.decode(r.block())
         if len(symbols) != 2 * n or sigma != 4:
             raise GraphInputError("endpoint sequence disagrees with header")
-        width = width_for(2 * n)
         q = symbols.count(_NL)
+        if symbols.count(_RL) != n - q:
+            raise GraphInputError("endpoint kinds must pair up")
+        width = width_for(2 * n)
         rp = unpack_uints(r.block(), q, width)
         rpp = unpack_uints(r.block(), n - q, width)
-        stored = unpack_uints(r.block(), n, width_for(max(n - 1, 1))) if has_table else None
         r.done()
-        g = cls(symbols, rp, rpp, c, bool(has_table))
-        real = g.realization()  # validates endpoint structure
-        normal, reversed_ = g._right_positions()
-        if sorted(rp) != normal:
-            raise GraphInputError("normal right endpoints disagree with the sequence")
-        if sorted(rpp) != reversed_:
-            raise GraphInputError("reversed right endpoints disagree with the sequence")
-        if any((l > r) != (fam == "1") for (l, r), fam in zip(real.arcs, g._lk.bit_string())):
+        # starts in position order take their ends from their family's
+        # list; ArcRealization checks that the ends pair with the starts
+        normal = iter(rp)
+        reversed_ = iter(rpp)
+        real = ArcRealization(tuple(
+            (p, next(reversed_) if sym == _RL else next(normal))
+            for p, sym in enumerate(symbols, start=1)
+            if not sym & 1
+        ))
+        want = _arc_symbols(real.arcs)
+        if want != symbols:
+            # sides agree by construction, so a family differs: at a start
+            # when an arc's orientation disagrees with its family, else at
+            # an end that one family's list places where S' has the other
+            if all(want[l - 1] == symbols[l - 1] for l, _ in real.arcs):
+                raise GraphInputError("normal right endpoints disagree with the sequence")
             raise GraphInputError("arc orientations disagree with their families")
-        g._degrees = _arc_degrees(real)
-        if stored is not None and stored != g._degrees.tolist():
-            raise GraphInputError("degree table disagrees with the structure")
-        return g
+        return cls(real, c)
+
+
+def _arc_symbols(arcs) -> list[int]:
+    """S' as a list: each arc marks its start and its end with its family."""
+    symbols = [0] * (2 * len(arcs))
+    for l, r in arcs:
+        if l < r:
+            symbols[l - 1] = _NL
+            symbols[r - 1] = _NR
+        else:
+            symbols[l - 1] = _RL
+            symbols[r - 1] = _RR
+    return symbols
 
 
 def _arc_degrees(real: ArcRealization) -> array:

@@ -16,7 +16,7 @@ from pathlib import Path
 from time import perf_counter
 
 from . import algorithms
-from .circular import ArcRealization, CircularArcGraph, anchor_arcs, random_arc_realization
+from .circular import CircularArcGraph, anchor_arcs, random_arc_realization
 from .errors import GraphInputError, QueryRangeError, SerializationError
 from .graph import SuccinctIntervalGraph
 from .intervals import (
@@ -103,11 +103,10 @@ def _seed(args) -> int:
 
 
 def cmd_build(args) -> int:
-    real = _read_realization(args.input, args.type, getattr(args, "anchor", None))
-    if args.type == "circular":
-        g = CircularArcGraph.from_realization(real, degree_table=args.degree_table)
-    else:
-        g = _build_structure(args.type, real)
+    if args.anchor is not None and args.type != "circular":
+        raise GraphInputError("--anchor applies to circular structures only")
+    real = _read_realization(args.input, args.type, args.anchor)
+    g = _build_structure(args.type, real)
     blob = g.to_bytes()
     Path(args.output).write_bytes(blob)
     _emit(
@@ -325,9 +324,6 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--output", required=True, help="binary structure file")
     b.add_argument("--anchor", type=int, default=None,
                    help="circular only: anchor arc by 1-based input index")
-    b.add_argument("--degree-table", action="store_true",
-                   help="circular only: also store the degree table in the "
-                        "file (it is always computed at build and load)")
     b.add_argument("--json", action="store_true")
     b.set_defaults(func=cmd_build)
 

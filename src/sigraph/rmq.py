@@ -31,8 +31,8 @@ def default_block_size(n: int) -> int:
     return 1 << (target - 1).bit_length()
 
 
-class _BlockExtremeIndex:
-    """Leftmost maximum; the minimum index runs it on negated values."""
+class RangeMaxIndex:
+    """Leftmost position of the maximum over a 1-based inclusive range."""
 
     def __init__(self, values: Sequence[int], block_size: int | None = None):
         n = len(values)
@@ -110,12 +110,9 @@ class _BlockExtremeIndex:
         return sum(self.space_report().values())
 
 
-class RangeMaxIndex(_BlockExtremeIndex):
-    """Leftmost position of the maximum over a 1-based inclusive range."""
-
-
-class RangeMinIndex(_BlockExtremeIndex):
-    """Leftmost position of the minimum over a 1-based inclusive range."""
+class RangeMinIndex(RangeMaxIndex):
+    """Leftmost position of the minimum over a 1-based inclusive range:
+    the maximum index over the negated values."""
 
     def __init__(self, values: Sequence[int], block_size: int | None = None):
         super().__init__([-v for v in values], block_size)

@@ -113,7 +113,7 @@ def _check_algorithms(g: SuccinctIntervalGraph, oracle: OracleGraph, issues) -> 
             issues.append("clique size differs from exhaustive search")
 
 
-def verify_interval(real: IntervalRealization, algorithms_too: bool = True) -> list[str]:
+def verify_interval(real: IntervalRealization) -> list[str]:
     """Oracle equivalence for the plain interval structure."""
     issues: list[str] = []
     g = SuccinctIntervalGraph.from_realization(real)
@@ -124,8 +124,7 @@ def verify_interval(real: IntervalRealization, algorithms_too: bool = True) -> l
     if back.to_bytes() != g.to_bytes():
         issues.append("serialization round trip is not byte-identical")
     _check_queries(g, oracle, issues)
-    if algorithms_too:
-        _check_algorithms(g, oracle, issues)
+    _check_algorithms(g, oracle, issues)
     return issues
 
 

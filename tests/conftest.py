@@ -39,6 +39,14 @@ FIG2_ADJACENCY = {
     7: {1, 2, 3, 4, 5},
 }
 
+# FIG2 as earlier SCAG writers stored it with its degree table (flag
+# byte 1, the table appended); loaders reject such blobs now.
+FIG2_TABLE_BLOB = (
+    "5343414701070000000000000020000000011d0000000000000053415351010e0000"
+    "00000000000400000004000000000000001c584c06030000000000000073e80c0100"
+    "000000000000a20300000000000000da3c15"
+)
+
 
 def fig1_realization() -> IntervalRealization:
     return IntervalRealization(FIG1_INTERVALS)

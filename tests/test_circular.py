@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIG2_ADJACENCY, FIG2_ARCS, count_calls
+from conftest import FIG2_ADJACENCY, FIG2_ARCS, FIG2_TABLE_BLOB, count_calls
 from sigraph.bitvector import BitVector
 from sigraph.circular import (
     ArcRealization,
@@ -15,9 +15,8 @@ from sigraph.circular import (
     anchor_arcs,
     random_arc_realization,
 )
-from sigraph.errors import GraphInputError, QueryRangeError
+from sigraph.errors import GraphInputError, QueryRangeError, SerializationError
 from sigraph.oracle import OracleGraph
-from sigraph.serial import pack_uints, width_for
 from sigraph.wavelet import PointGrid
 
 
@@ -267,28 +266,50 @@ def test_matches_oracle_reversed_heavy():
 
 
 def test_degree_table_matches_oracle():
-    """The table, computed at build and at load, stored in the blob or
-    not, gives every vertex its oracle degree."""
+    """The table, computed at build and at load, gives every vertex its
+    oracle degree."""
     rng = random.Random(9)
     for n in range(1, 26):
         real = random_arc_realization(n, rng, require_reversed=False)
         oracle = OracleGraph.from_arc_positions(real.arcs)
         want = [oracle.degree(v) for v in range(1, n + 1)]
-        for stored in (False, True):
-            g = CircularArcGraph.from_realization(real, degree_table=stored)
-            h = CircularArcGraph.from_bytes(g.to_bytes())
-            for built in (g, h):
-                assert [built.degree(v) for v in range(1, n + 1)] == want, (n, stored)
+        g = CircularArcGraph.from_realization(real)
+        h = CircularArcGraph.from_bytes(g.to_bytes())
+        for built in (g, h):
+            assert [built.degree(v) for v in range(1, n + 1)] == want, n
 
 
-@pytest.mark.parametrize("stored", [False, True])
+def test_constructor_answers_like_from_realization():
+    """The constructor is the one build path: CircularArcGraph(real)
+    holds the degree table and answers degree, neighborhood and spath
+    as from_realization(real) and the oracle do."""
+    rng = random.Random(10)
+    for n in range(1, 26):
+        real = random_arc_realization(n, rng, require_reversed=False)
+        oracle = OracleGraph.from_arc_positions(real.arcs)
+        g = CircularArcGraph(real)
+        f = CircularArcGraph.from_realization(real)
+        assert g.to_bytes() == f.to_bytes()
+        for v in range(1, n + 1):
+            assert g.degree(v) == f.degree(v) == oracle.degree(v), (n, v)
+            assert g.neighborhood(v) == f.neighborhood(v) == oracle.neighborhood(v), (n, v)
+        for u in range(1, n + 1):
+            dists = oracle.dists_from(u)
+            for v in range(1, n + 1):
+                path = g.spath(u, v)
+                assert path == f.spath(u, v), (n, u, v)
+                if dists[v] is None:
+                    assert path is None, (n, u, v)
+                else:
+                    assert len(path) - 1 == dists[v], (n, u, v)
+                    _check_path(oracle, path)
+
+
 @pytest.mark.parametrize("n", [200, 2000])
-def test_degree_makes_no_primitive_calls(n, stored, monkeypatch):
+def test_degree_makes_no_primitive_calls(n, monkeypatch):
     """degree reads the table: no bit vector rank, select or access and
-    no grid count, whatever n is and whether the blob stores the table."""
-    g = CircularArcGraph.from_realization(
-        random_arc_realization(n, random.Random(n)), degree_table=stored
-    )
+    no grid count, whatever n is, on a built and on a loaded graph."""
+    g = CircularArcGraph.from_realization(random_arc_realization(n, random.Random(n)))
     h = CircularArcGraph.from_bytes(g.to_bytes())
     calls = count_calls(
         monkeypatch,
@@ -313,49 +334,27 @@ def test_round_trip_bytes():
         assert h.neighborhood(v) == g.neighborhood(v)
 
 
-def test_round_trip_with_degree_table():
-    g = fig2_graph(degree_table=True)
-    blob = g.to_bytes()
-    h = CircularArcGraph.from_bytes(blob)
-    assert h.to_bytes() == blob
-    assert h._degrees == g._degrees
-
-
-# FIG2 blobs as version 1 of the SCAG format writes them, without and
-# with a stored degree table
+# FIG2 as version 1 of the SCAG format writes it
 FIG2_BLOB = (
     "5343414701070000000000000020000000001d0000000000000053415351010e0000"
     "00000000000400000004000000000000001c584c06030000000000000073e80c0100"
     "000000000000a2"
 )
-FIG2_TABLE_BLOB = (
-    "5343414701070000000000000020000000011d0000000000000053415351010e0000"
-    "00000000000400000004000000000000001c584c06030000000000000073e80c0100"
-    "000000000000a20300000000000000da3c15"
-)
 
 
-@pytest.mark.parametrize(
-    "stored, golden", [(False, FIG2_BLOB), (True, FIG2_TABLE_BLOB)], ids=["plain", "table"]
-)
-def test_blob_format_is_pinned(stored, golden):
-    blob = bytes.fromhex(golden)
-    assert fig2_graph(degree_table=stored).to_bytes() == blob
+def test_blob_format_is_pinned():
+    blob = bytes.fromhex(FIG2_BLOB)
+    assert fig2_graph().to_bytes() == blob
     h = CircularArcGraph.from_bytes(blob)
     assert h.to_bytes() == blob
     assert [h.degree(v) for v in range(1, 8)] == [len(FIG2_ADJACENCY[v]) for v in range(1, 8)]
 
 
-def test_disagreeing_stored_table_is_rejected():
-    g = fig2_graph(degree_table=True)
-    blob = g.to_bytes()
-    width = width_for(g.n - 1)
-    table = pack_uints(g._degrees, width)
-    assert blob.endswith(table)
-    wrong = list(g._degrees)
-    wrong[0] += 1
-    with pytest.raises(GraphInputError, match="degree table disagrees"):
-        CircularArcGraph.from_bytes(blob[: -len(table)] + pack_uints(wrong, width))
+def test_stored_table_blob_is_rejected():
+    """A blob that stores the degree table has flag byte 1; the loader
+    names the table instead of reading it."""
+    with pytest.raises(SerializationError, match="degree table"):
+        CircularArcGraph.from_bytes(bytes.fromhex(FIG2_TABLE_BLOB))
 
 
 def test_reject_corrupt_bytes():
@@ -408,10 +407,7 @@ def test_space_report_keys_and_budget():
     assert rep["r_reversed"] == (n - g.normal_count) * width
     budget = 3.5 * n * n.bit_length()
     assert g.space_bits() <= budget
-    with_table = CircularArcGraph.from_realization(
-        ArcRealization(FIG2_ARCS), degree_table=True
-    )
-    assert "degree_table" in with_table.space_report()
+    assert "degree_table" in CircularArcGraph(ArcRealization(FIG2_ARCS)).space_report()
 
 
 def test_normal_neighborhood_searches_only_earlier_normals(monkeypatch):
@@ -480,15 +476,11 @@ def test_neighborhood_knows_its_hit_counts(n, monkeypatch):
     rights before l, two ranks, and the other family's report holds
     degree less the hits already known. With them each report reads one
     window and makes at most max(0, 2m - 1) range-max calls for the m
-    hits the window misses; checked on the built and the reloaded graph,
-    with and without the stored degree table."""
+    hits the window misses; checked on the built and the reloaded graph."""
     real = random_arc_realization(n, random.Random(n))
     expected = _family_reports(real, OracleGraph.from_arc_positions(real.arcs))
-    graphs = []
-    for stored in (False, True):
-        g = CircularArcGraph.from_realization(real, degree_table=stored)
-        graphs += [g, CircularArcGraph.from_bytes(g.to_bytes())]
-    for g in graphs:
+    built = CircularArcGraph.from_realization(real)
+    for g in (built, CircularArcGraph.from_bytes(built.to_bytes())):
         nrev = n - g.normal_count
         calls = {False: [], True: []}
         for fam, index in ((False, g._rmax_n), (True, g._rmax_r)):

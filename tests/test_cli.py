@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import FIG1_INTERVALS, FIG2_ARCS
+from conftest import FIG1_INTERVALS, FIG2_ARCS, FIG2_TABLE_BLOB
 from sigraph import algorithms
 from sigraph.circular import ArcRealization, CircularArcGraph
 from sigraph.cli import load_structure, main
@@ -105,6 +105,33 @@ def test_build_circular_anchor_override(tmp_path):
     )
     g = load_structure(out)
     assert g.arc_of(1)[0] == 1
+
+
+@pytest.mark.parametrize("kind", ["interval", "proper", "kproper", "kimproper"])
+def test_build_anchor_rejected_for_linear_types(kind, tmp_path, capsys):
+    src = tmp_path / "linear.txt"
+    write_interval_text(src, [(1, 3), (2, 5), (4, 6)])
+    out = tmp_path / "linear.sig"
+    code = main(["build", "--type", kind, "--input", str(src),
+                 "--output", str(out), "--anchor", "1"])
+    assert code == 2
+    assert "--anchor" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_stored_degree_table_file_is_rejected(tmp_path, capsys):
+    """--degree-table is gone, and a file an older build wrote with it
+    fails to load with exit 2; it must be rebuilt."""
+    src = tmp_path / "fig2.txt"
+    write_circular_text(src, FIG2_ARCS)
+    out = tmp_path / "fig2.sig"
+    assert main(["build", "--type", "circular", "--input", str(src),
+                 "--output", str(out), "--degree-table"]) == 2
+    assert not out.exists()
+    capsys.readouterr()
+    out.write_bytes(bytes.fromhex(FIG2_TABLE_BLOB))
+    assert main(["query", str(out), "degree", "1"]) == 2
+    assert "degree table" in capsys.readouterr().err
 
 
 def test_build_missing_file_is_input_error(tmp_path):

@@ -13,7 +13,12 @@ import pytest
 
 from conftest import FIG2_ARCS, count_calls, fig1_realization
 from sigraph.bitvector import BitVector
-from sigraph.circular import ArcRealization, CircularArcGraph, random_arc_realization
+from sigraph.circular import (
+    ArcRealization,
+    CircularArcGraph,
+    _arc_symbols,
+    random_arc_realization,
+)
 from sigraph.errors import GraphInputError, SerializationError
 from sigraph.graph import SuccinctIntervalGraph
 from sigraph.intervals import (
@@ -54,19 +59,12 @@ def _circular(rng, n):
     return CircularArcGraph.from_realization(random_arc_realization(n, rng))
 
 
-def _circular_table(rng, n):
-    return CircularArcGraph.from_realization(
-        random_arc_realization(n, rng), degree_table=True
-    )
-
-
 STRUCTURES = {
     "interval": _interval,
     "proper": _proper,
     "kproper": _kproper,
     "kimproper": _kimproper,
     "circular": _circular,
-    "circular-table": _circular_table,
 }
 
 
@@ -113,7 +111,6 @@ QUERY_COUNTS = {
     "kproper": _LINEAR_COUNTS,
     "kimproper": _LINEAR_COUNTS,
     "circular": _CIRCULAR_COUNTS,
-    "circular-table": _CIRCULAR_COUNTS,
 }
 
 
@@ -216,12 +213,12 @@ def test_unknown_mode_byte_rejected(value):
         KProperGraph.from_bytes(_patched(blob, 13, "<B", value))
 
 
-@pytest.mark.parametrize("value", [2, 7, 255])
+@pytest.mark.parametrize("value", [1, 2, 7, 255])
 def test_unknown_degree_table_byte_rejected(value):
-    for build in (_circular, _circular_table):
-        blob = build(random.Random(3), 30).to_bytes()
-        with pytest.raises(SerializationError, match="degree table"):
-            CircularArcGraph.from_bytes(_patched(blob, 17, "<B", value))
+    """The byte once flagged a stored degree table; only 0 is read now."""
+    blob = _circular(random.Random(3), 30).to_bytes()
+    with pytest.raises(SerializationError, match="degree table"):
+        CircularArcGraph.from_bytes(_patched(blob, 17, "<B", value))
 
 
 @pytest.mark.parametrize("kind", sorted(STRUCTURES) + ["sequence"])
@@ -298,6 +295,29 @@ def test_circular_right_lists_must_match_the_sequence():
     rp[0], rp[1] = rp[1], rp[0]
     with pytest.raises(GraphInputError, match="orientations"):
         CircularArcGraph.from_bytes(_circular_blob(g, rp, g._rpp))
+
+
+def test_one_comparison_catches_both_right_list_swaps():
+    """The arcs a load pairs from either swapped blob above pass
+    ArcRealization, so what rejects the blob is the one comparison of
+    the S' those arcs give with the decoded S'."""
+    g = CircularArcGraph.from_realization(ArcRealization(FIG2_ARCS))
+    symbols = g.endpoint_symbols.to_list()
+    across = (list(g._rp), list(g._rpp))
+    across[0][0], across[1][0] = across[1][0], across[0][0]
+    within = (list(g._rp), list(g._rpp))
+    within[0][0], within[0][1] = within[0][1], within[0][0]
+    for rp, rpp in (across, within):
+        normal, reversed_ = iter(rp), iter(rpp)
+        arcs = tuple(
+            (p, next(reversed_) if sym == 2 else next(normal))
+            for p, sym in enumerate(symbols, start=1)
+            if not sym & 1
+        )
+        real = ArcRealization(arcs)
+        assert _arc_symbols(real.arcs) != symbols
+        with pytest.raises(GraphInputError, match="disagree"):
+            CircularArcGraph.from_bytes(_circular_blob(g, rp, rpp))
 
 
 # -- single-bit mutations ------------------------------------------------

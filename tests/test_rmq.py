@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigraph import QueryRangeError
-from sigraph.rmq import RangeMaxIndex, RangeMinIndex, _BlockExtremeIndex, default_block_size
+from sigraph.rmq import RangeMaxIndex, RangeMinIndex, default_block_size
 
 R9 = [6, 5, 9, 8, 12, 18, 15, 17, 16]
 
@@ -92,9 +92,9 @@ def test_leaders_answer_whole_blocks(monkeypatch):
         for c in (1, 2, 3, 8, 32)
     ]
     scans = []
-    scan = _BlockExtremeIndex._scan
+    scan = RangeMaxIndex._scan
     monkeypatch.setattr(
-        _BlockExtremeIndex, "_scan",
+        RangeMaxIndex, "_scan",
         lambda self, a, b: scans.append((a, b)) or scan(self, a, b),
     )
     for idx in indexes:
