@@ -129,8 +129,9 @@ class IntervalQueries:
 
     def realization(self) -> IntervalRealization:
         """All intervals in one sweep over S; the realization's own
-        invariants then check the pairing, so loaders call this on
-        untrusted input."""
+        invariants then check the pairing, so the interval and proper
+        loaders call this on untrusted input (the depth-annotated one
+        pairs its endpoints itself)."""
         lefts = self._s.positions(0)
         if len(lefts) != self._n:
             raise GraphInputError(

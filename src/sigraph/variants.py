@@ -8,12 +8,16 @@ containment depth, which pairs left and right endpoints within each
 depth class. The blob stores only that annotation T. In memory the
 structure keeps S, the right list with the range-max index its queries
 run on, and one depth per vertex; T is rebuilt from them in one sweep
-only when it is saved or asked for.
+only when it is saved or asked for. A load pairs T's endpoints class by
+class and recounts every depth from the right list, which costs
+O(n log n + Σ depth) in a sorted list and never more than the O(n log n)
+of a Fenwick tree.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect
 from collections import deque
 
 from .bitvector import BitVector
@@ -117,28 +121,54 @@ class ProperIntervalGraph(IntervalQueries):
 
 def containment_depths(real: IntervalRealization, mode: str) -> list[int]:
     """Per-vertex depth: intervals containing v (proper mode) or
-    contained in v (improper mode). One Fenwick sweep either way."""
-    intervals = real.intervals
+    contained in v (improper mode)."""
+    return _depths_from_rights([r for _, r in real.intervals], mode)
+
+
+def _depths_from_rights(rights: list[int], mode: str) -> list[int]:
+    """containment_depths from the rights in label order, which is left
+    order: one _earlier_greater sweep either way."""
     if mode == MODE_PROPER:
-        # in label order, the earlier intervals ending after r_v contain v
-        return _earlier_greater([r for _, r in intervals])
+        # the earlier labels ending after r_v contain v
+        return _earlier_greater(rights)
     if mode == MODE_IMPROPER:
-        # in right-endpoint order, the earlier intervals starting after
-        # l_v lie inside v
-        owner = [0] * (2 * real.n + 1)
-        for v, (_, r) in enumerate(intervals, start=1):
-            owner[r] = v
-        order = [v - 1 for v in owner if v]
-        depths = [0] * real.n
-        for v, c in zip(order, _earlier_greater([intervals[v][0] for v in order])):
-            depths[v] = c
-        return depths
+        # the later labels ending before r_v lie inside v: in reversed
+        # label order they are the earlier ones, and 2n + 1 - r flips
+        # "before" into "after"
+        top = 2 * len(rights) + 1
+        return _earlier_greater([top - r for r in reversed(rights)])[::-1]
     raise GraphInputError(f"unknown depth mode {mode!r}")
+
+
+# keys the sorted-list sweep may shift, per key, before the tree takes over
+_MOVES_PER_KEY = 32
 
 
 def _earlier_greater(keys: list[int]) -> list[int]:
     """For each of the distinct positive keys, how many earlier keys
-    exceed it, from one sweep over a Fenwick tree of the keys seen."""
+    exceed it. The keys seen so far are kept sorted in a list: a key's
+    count is how many of them lie past its bisect point, and inserting
+    it shifts exactly those. That is O(n log n) comparisons and Σ counts
+    moves, all in C; once the moves pass _MOVES_PER_KEY a key, the
+    sweep restarts on a Fenwick tree, O(n log n) whatever the keys."""
+    budget = _MOVES_PER_KEY * len(keys)
+    seen: list[int] = []
+    insert = seen.insert
+    counts = []
+    push = counts.append
+    for x in keys:
+        i = bisect(seen, x)
+        moved = len(seen) - i
+        budget -= moved
+        if budget < 0:
+            return _fenwick_earlier_greater(keys)
+        insert(i, x)
+        push(moved)
+    return counts
+
+
+def _fenwick_earlier_greater(keys: list[int]) -> list[int]:
+    """_earlier_greater from one sweep over a Fenwick tree of the keys seen."""
     m = max(keys)
     tree = [0] * (m + 1)
     counts = []
@@ -282,9 +312,10 @@ class KProperGraph(IntervalQueries):
         r.done()
         if len(symbols) != 2 * n:
             raise GraphInputError("annotation length disagrees with header")
+        # _pair has matched every right to an earlier left, and labels
+        # follow left order, so the endpoints form a realization already
         g = cls(symbols, sigma, mode, c)
-        real = g.realization()  # validates endpoint pairing
-        if containment_depths(real, mode) != g._depths.tolist():
+        if _depths_from_rights(g._rlist, mode) != g._depths.tolist():
             raise GraphInputError("annotation depths disagree with the realization")
         return g
 

@@ -12,6 +12,7 @@ import struct
 import pytest
 
 from conftest import FIG2_ARCS, count_calls, fig1_realization
+from sigraph import variants
 from sigraph.bitvector import BitVector
 from sigraph.circular import (
     ArcRealization,
@@ -157,17 +158,42 @@ def test_bulk_realization_matches_per_vertex_decode(kind):
         assert (real.arcs if isinstance(g, CircularArcGraph) else real.intervals) == per_vertex
 
 
-def test_depths_match_brute_force_on_deep_nesting():
-    """The Fenwick sweep gives the brute-force depths on a fully nested
-    input and on a random one (test_variants covers shallow inputs)."""
+def _shallow_blocks(blocks: int, size: int, rng) -> IntervalRealization:
+    """Random pairings of size intervals each, laid end to end: nesting
+    stays inside a block, so depths stay below size."""
+    return IntervalRealization(tuple(
+        (l + 2 * size * b, r + 2 * size * b)
+        for b in range(blocks)
+        for l, r in random_realization(size, rng).intervals
+    ))
+
+
+def test_depths_match_brute_force_on_deep_nesting(monkeypatch):
+    """Both depth sweeps give the brute-force depths at n = 300. The
+    sorted-list sweep moves Σ depth keys and hands over to the Fenwick
+    tree past 32 a key (9,600): the fully nested family (44,850) and a
+    uniform random pairing, which nests about a third of all pairs
+    (Σ depth ≈ n²/6), take the tree. Shallow random blocks and the
+    staircase, where every interval meets every other (ω = n) and none
+    nests (k = 0), stay on the list."""
     n = 300
-    nested = IntervalRealization(tuple((i, 2 * n + 1 - i) for i in range(1, n + 1)))
-    for real in (nested, random_realization(n, random.Random(3))):
+    rng = random.Random(3)
+    cases = (
+        (IntervalRealization(tuple((i, 2 * n + 1 - i) for i in range(1, n + 1))), True),
+        (random_realization(n, rng), True),
+        (_shallow_blocks(30, 10, rng), False),
+        (IntervalRealization(tuple((i, n + i) for i in range(1, n + 1))), False),
+    )
+    for real, deep in cases:
         iv = real.intervals
         want_p = [sum(1 for a, b in iv if a < l and b > r) for l, r in iv]
         want_i = [sum(1 for a, b in iv if a > l and b < r) for l, r in iv]
-        assert containment_depths(real, MODE_PROPER) == want_p
-        assert containment_depths(real, MODE_IMPROPER) == want_i
+        for mode, want in ((MODE_PROPER, want_p), (MODE_IMPROPER, want_i)):
+            calls = count_calls(monkeypatch, ((variants, "_fenwick_earlier_greater"),))
+            assert containment_depths(real, mode) == want
+            assert calls == ({"sigraph.variants._fenwick_earlier_greater": 1} if deep else {})
+            assert deep == (sum(want) > variants._MOVES_PER_KEY * n)
+            monkeypatch.undo()
 
 
 @pytest.mark.parametrize("mode", [MODE_PROPER, MODE_IMPROPER])
@@ -269,8 +295,9 @@ def _circular_blob(g, rp, rpp) -> bytes:
     return w.getvalue()
 
 
-def test_kproper_depth_labels_must_match_the_realization():
-    g = KProperGraph.from_realization(fig1_realization(), MODE_PROPER)
+@pytest.mark.parametrize("mode", [MODE_PROPER, MODE_IMPROPER])
+def test_kproper_depth_labels_must_match_the_realization(mode):
+    g = KProperGraph.from_realization(fig1_realization(), mode)
     symbols = g.annotation.to_list()
     sigma = g.annotation.sigma
     assert _kproper_blob(g, symbols, sigma) == g.to_bytes()
@@ -280,6 +307,21 @@ def test_kproper_depth_labels_must_match_the_realization():
         KProperGraph.from_bytes(_kproper_blob(g, swapped, sigma))
     with pytest.raises(GraphInputError, match="deepest class"):
         KProperGraph.from_bytes(_kproper_blob(g, symbols, sigma + 2))
+
+
+@pytest.mark.parametrize("mode", [MODE_PROPER, MODE_IMPROPER])
+def test_kproper_load_builds_no_realization(mode, monkeypatch):
+    """_pair has checked the endpoints, so a validated load recounts the
+    depths from the right list without an IntervalRealization."""
+    g = KProperGraph.from_realization(random_realization(300, random.Random(9)), mode)
+    blob = g.to_bytes()
+    calls = count_calls(monkeypatch, ((IntervalRealization, "__post_init__"),))
+    h = KProperGraph.from_bytes(blob)
+    assert calls == {}
+    h.realization()
+    assert calls == {"IntervalRealization.__post_init__": 1}
+    monkeypatch.undo()
+    assert h.to_bytes() == blob
 
 
 def test_circular_right_lists_must_match_the_sequence():

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import count_calls, fig1_realization
@@ -18,6 +18,8 @@ from sigraph.variants import (
     MODE_PROPER,
     KProperGraph,
     ProperIntervalGraph,
+    _earlier_greater,
+    _fenwick_earlier_greater,
     containment_depths,
 )
 from sigraph.wavelet import AlphabetSequence
@@ -179,6 +181,22 @@ class TestCrossEquivalence:
         kp = KProperGraph.from_realization(real, "proper")
         assert kp.k == 0
         _all_query_equal(base, kp)
+
+
+_PERMUTATIONS = st.integers(1, 120).flatmap(lambda m: st.permutations(range(1, m + 1)))
+
+
+@given(_PERMUTATIONS, st.integers(0, 120))
+@example(list(range(1, 121)), 120)
+@settings(max_examples=60, deadline=None)
+def test_earlier_greater_matches_brute_force(keys, j):
+    """Both sweeps give the O(m^2) count. A descending prefix of j keys
+    moves j(j - 1)/2 of them, past the sorted list's budget of 32 a key
+    when j = m > 65, so the tree path runs too."""
+    keys = sorted(keys[:j], reverse=True) + keys[j:]
+    want = [sum(1 for y in keys[:i] if y > x) for i, x in enumerate(keys)]
+    assert _earlier_greater(keys) == want
+    assert _fenwick_earlier_greater(keys) == want
 
 
 def test_right_list_survives_reload():
