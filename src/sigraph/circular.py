@@ -15,6 +15,15 @@ bitvector operations. On top sit the right-endpoint lists with range-max
 indexes for reporting and paths, and a degree table counted in one sweep,
 so degree is one read.
 
+Adjacency and spath never select on S. Labels follow start order, so a
+right endpoint r lies past l_v exactly when S.rank(0, r) >= v. An
+adjacency test reads at most two families (one access each) and two
+right endpoints (one family rank each), and compares each by one rank:
+at most 2 accesses and 4 ranks. The spath walks carry heads (label, r,
+reversed); a hop's meet test makes at most 2 ranks, and its greedy
+successor at most 3 more ranks, 3 range-max calls and one select on the
+left family vector for the label the path prints.
+
 The one constructor builds all of it from an ArcRealization. A blob
 holds S' and the right-endpoint lists only, never the degree table; a
 load pairs each start in S' with the next end of its family's list,
@@ -168,8 +177,12 @@ class CircularArcGraph:
     )
 
     def __init__(self, real: ArcRealization, block_size: int | None = None):
+        self._build(real, _arc_symbols(real.arcs), block_size)
+
+    def _build(self, real: ArcRealization, symbols: list[int], block_size: int | None) -> None:
+        """Every field from the realization and its S', which a load has
+        already computed to compare with the decoded one."""
         arcs = real.arcs
-        symbols = _arc_symbols(arcs)
         rp = [r for l, r in arcs if l < r]
         rpp = [r for l, r in arcs if l > r]
         self._n = real.n
@@ -230,11 +243,15 @@ class CircularArcGraph:
         if not 1 <= v <= self._n:
             raise QueryRangeError(f"vertex {v} outside [1, {self._n}]")
 
-    def _decode(self, v: int) -> tuple[int, int, bool]:
-        l = self._s.select(0, v)
+    def _head(self, v: int) -> tuple[int, int, bool]:
+        """(v, r_v, reversed): one access and one rank, no select."""
         if self._lk.access(v):
-            return l, self._rpp[self._lk.rank(1, v) - 1], True
-        return l, self._rp[self._lk.rank(0, v) - 1], False
+            return v, self._rpp[self._lk.rank(1, v) - 1], True
+        return v, self._rp[self._lk.rank(0, v) - 1], False
+
+    def _decode(self, v: int) -> tuple[int, int, bool]:
+        _, r, rev = self._head(v)
+        return self._s.select(0, v), r, rev
 
     def arc_of(self, v: int) -> tuple[int, int]:
         self._check_vertex(v)
@@ -254,38 +271,40 @@ class CircularArcGraph:
             for l, fam in zip(self._s.positions(0), self._lk.bit_string())
         ))
 
-    def _label_of_normal(self, x: int) -> int:
-        return self._lk.select(0, x)
-
-    def _label_of_reversed(self, x: int) -> int:
-        return self._lk.select(1, x)
-
     # -- queries ---------------------------------------------------------
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
         return self._degrees[v - 1]
 
-    @staticmethod
-    def _adjacent_decoded(a: tuple[int, int, bool], b: tuple[int, int, bool]) -> bool:
-        """Intersection test for two distinct decoded arcs."""
-        lu, ru, revu = a
-        lv, rv, revv = b
-        if revu and revv:
-            return True
-        if not revu and not revv:
-            return ru > lv and rv > lu
-        if revu:
-            lu, ru, lv, rv = lv, rv, lu, ru
-        # now (lu, ru) is the normal arc, (lv, rv) the reversed one
-        return lu < rv or ru > lv
+    # For u < v, a reversed u covers [l_u, 2n] and so holds l_v; a normal
+    # u meets v when v starts before r_u, that is when S.rank(0, r_u) >= v;
+    # otherwise only a reversed v, wrapping back over position 1, reaches l_u.
 
     def adjacent(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)
         if u == v:
             return False
-        return self._adjacent_decoded(self._decode(u), self._decode(v))
+        if u > v:
+            u, v = v, u
+        lk = self._lk
+        if lk.access(u):
+            return True
+        rank = self._s.rank
+        if rank(0, self._rp[lk.rank(0, u) - 1]) >= v:
+            return True
+        return bool(lk.access(v)) and rank(0, self._rpp[lk.rank(1, v) - 1]) >= u
+
+    def _meets(self, a: tuple[int, int, bool], b: tuple[int, int, bool]) -> bool:
+        """The adjacent test for two distinct heads, whose r and family
+        are already read."""
+        if a[0] > b[0]:
+            a, b = b, a
+        u, ru, revu = a
+        v, rv, revv = b
+        rank = self._s.rank
+        return revu or rank(0, ru) >= v or (revv and rank(0, rv) >= u)
 
     def neighborhood(self, v: int) -> list[int]:
         """Neighbors of v in increasing label order. The hits of each
@@ -330,34 +349,37 @@ class CircularArcGraph:
 
     # -- shortest paths --------------------------------------------------
 
-    def _succ_decoded(self, cur: tuple[int, int, bool]):
-        """Clockwise greedy hop from a decoded arc: the neighbor reaching
-        farthest past the arc's end; None when nothing advances the
-        frontier."""
-        l, r, rev = cur
-        nrev = self._n - self._q
-        wrap = self._rank_rl(r)
+    def _succ(self, head: tuple[int, int, bool]):
+        """Clockwise greedy hop from a head (label, r, reversed): the head
+        of the neighbor reaching farthest past r; None when nothing
+        advances the frontier."""
+        v, r, rev = head
+        lk = self._lk
+        k = self._s.rank(0, r)      # arcs starting before r
+        wrap = lk.rank(1, k)
         if wrap:
             # a reversed neighbor starting before r carries the walk
             # past the anchor point: farther than anything on this lap
             # (from a reversed arc, r < l keeps the arc itself out)
-            return self._label_of_reversed(self._rmax_r.query(1, wrap))
+            x = self._rmax_r.query(1, wrap)
+            return lk.select(1, x), self._rpp[x - 1], True
+        # no reversed arc starts before r, so all k of them are normal
         best_x = None
         best_val = r
-        k = self._rank_nl(r)
         if k:
             x = self._rmax_n.query(1, k)
             if self._rp[x - 1] > best_val:
                 best_x, best_val = (x, False), self._rp[x - 1]
+        nrev = self._n - self._q
         if not rev:
+            # a reversed arc ending past best_val >= r > l reaches back
+            # over this arc's start, so it is a neighbor
             if nrev:
                 x = self._rmax_r.query(1, nrev)
-                val = self._rpp[x - 1]
-                # only the arm ending after l touches this arc pre-wrap
-                if val > l and val > best_val:
-                    best_x, best_val = (x, True), val
+                if self._rpp[x - 1] > best_val:
+                    best_x, best_val = (x, True), self._rpp[x - 1]
         else:
-            mine = self._rank_rl(l)
+            mine = lk.rank(1, v)
             for lo, hi in ((1, mine - 1), (mine + 1, nrev)):
                 if lo <= hi:
                     x = self._rmax_r.query(lo, hi)
@@ -366,45 +388,44 @@ class CircularArcGraph:
         if best_x is None:
             return None
         x, is_rev = best_x
-        return self._label_of_reversed(x) if is_rev else self._label_of_normal(x)
+        return lk.select(int(is_rev), x), best_val, is_rev
 
     def spath(self, u: int, v: int):
         """A shortest u-v path by two alternating clockwise walks, one
-        from each end; the first to reach the other side wins."""
+        from each end; the first to reach the other side wins. The walks
+        carry heads (label, r, reversed), so no hop selects on S."""
         self._check_vertex(u)
         self._check_vertex(v)
         if u == v:
             return [u]
-        dec_u = self._decode(u)
-        dec_v = self._decode(v)
+        start_u = self._head(u)
+        start_v = self._head(v)
         path_a = [u]
         path_b = [v]
-        head_a, head_b = dec_u, dec_v
+        head_a, head_b = start_u, start_v
         dead_a = dead_b = False
         for _ in range(4 * self._n + 8):
             if not dead_a:
                 # the adjacency check runs before any hop, so a live
                 # head is never the untouched far endpoint
-                if self._adjacent_decoded(head_a, dec_v):
+                if self._meets(head_a, start_v):
                     path_a.append(v)
                     return path_a
-                nxt = self._succ_decoded(head_a)
-                if nxt is None:
+                head_a = self._succ(head_a)
+                if head_a is None:
                     dead_a = True
                 else:
-                    path_a.append(nxt)
-                    head_a = self._decode(nxt)
+                    path_a.append(head_a[0])
             if not dead_b:
-                if self._adjacent_decoded(head_b, dec_u):
+                if self._meets(head_b, start_u):
                     path_b.append(u)
                     path_b.reverse()
                     return path_b
-                nxt = self._succ_decoded(head_b)
-                if nxt is None:
+                head_b = self._succ(head_b)
+                if head_b is None:
                     dead_b = True
                 else:
-                    path_b.append(nxt)
-                    head_b = self._decode(nxt)
+                    path_b.append(head_b[0])
             if dead_a and dead_b:
                 return None
         # every hop moves a live walk's frontier clockwise, so the walks
@@ -486,7 +507,9 @@ class CircularArcGraph:
             if all(want[l - 1] == symbols[l - 1] for l, _ in real.arcs):
                 raise GraphInputError("normal right endpoints disagree with the sequence")
             raise GraphInputError("arc orientations disagree with their families")
-        return cls(real, c)
+        g = cls.__new__(cls)
+        g._build(real, symbols, c)
+        return g
 
 
 def _arc_symbols(arcs) -> list[int]:

@@ -4,14 +4,15 @@ Vertices are 1..n in increasing left-endpoint order. The structure keeps
 the 2n-bit endpoint-kind sequence S (0 marks a left endpoint), the right
 endpoints r_1..r_n, and a range-max index over r. All of degree,
 adjacent and succ are constant-time: degree makes one select and one
-rank on S, adjacent one select. Neighborhood reports the later
-neighbors as one label range. Its K = 2v - 1 - l_v earlier neighbors are
-counted by the select that finds l_v, so their search is one scan of at
-most 2K labels ending at v - 1, plus at most 2m - 1 range-max calls for
-the m of them that scan missed: O(degree) time. A proper family's
-earlier neighbors are the K labels just before v, so it makes no
-range-max call. Spath walks the one-ended greedy succ
-chain; each hop makes one rank and one range-max over the labels it
+rank on S, adjacent one rank. Labels follow left-endpoint order, so
+l_v < r_u exactly when S.rank(0, r_u) >= v, and adjacency never looks
+up a left endpoint. Neighborhood reports the later neighbors as one
+label range. Its K = 2v - 1 - l_v earlier neighbors are counted by the
+select that finds l_v, so their search is one scan of at most 2K labels
+ending at v - 1, plus at most 2m - 1 range-max calls for the m of them
+that scan missed: O(degree) time. A proper family's earlier neighbors
+are the K labels just before v, so it makes no range-max call. Spath
+walks the one-ended greedy succ chain; each hop makes one rank and one range-max over the labels it
 newly reaches, so a path costs O(path length) primitive calls.
 """
 
@@ -152,8 +153,9 @@ class IntervalQueries:
             return False
         if u > v:
             u, v = v, u
-        # l_u < l_v, so the two meet exactly when u ends past l_v
-        return self._r(u) > self._l(v)
+        # l_u < l_v, so the two meet exactly when u ends past l_v, that
+        # is, when v is among the intervals starting before r_u
+        return self._rank_left(self._r(u)) >= v
 
     def neighborhood(self, v: int) -> list[int]:
         self._check_vertex(v)

@@ -52,6 +52,20 @@ def fig1_realization() -> IntervalRealization:
     return IntervalRealization(FIG1_INTERVALS)
 
 
+def circular_adjacent_case(arcs, u: int, v: int) -> str:
+    """Which test decides a circular adjacent query on distinct u, v,
+    read off the arcs (l, r); the labels are ordered so that u < v."""
+    u, v = min(u, v), max(u, v)
+    (lu, ru), (lv, rv) = arcs[u - 1], arcs[v - 1]
+    if lu > ru:
+        return "u reversed"
+    if lv < ru:
+        return "v starts before r_u"
+    if lv < rv:
+        return "both normal, no meet"
+    return "v reversed"
+
+
 def count_calls(monkeypatch, targets) -> dict:
     """Wrap each (owner, name) method of targets to tally its calls and
     return the live tallies, keyed "Owner.name"; a BitVector select is

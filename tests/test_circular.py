@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIG2_ADJACENCY, FIG2_ARCS, FIG2_TABLE_BLOB, count_calls
+from conftest import (
+    FIG2_ADJACENCY,
+    FIG2_ARCS,
+    FIG2_TABLE_BLOB,
+    circular_adjacent_case,
+    count_calls,
+)
 from sigraph.bitvector import BitVector
 from sigraph.circular import (
     ArcRealization,
@@ -195,8 +201,7 @@ def test_spath_hop_cap_is_an_internal_error(monkeypatch):
     """None means disconnected, so walks that never finish must not
     return it: a successor that never advances hits the cap and raises."""
     g = CircularArcGraph.from_realization(ArcRealization(((1, 2), (3, 4), (5, 6))))
-    label = {g._decode(v): v for v in range(1, g.n + 1)}
-    monkeypatch.setattr(CircularArcGraph, "_succ_decoded", lambda self, cur: label[cur])
+    monkeypatch.setattr(CircularArcGraph, "_succ", lambda self, head: head)
     with pytest.raises(AssertionError, match="hop cap"):
         g.spath(1, 3)
 
@@ -263,6 +268,91 @@ def test_matches_oracle_reversed_heavy():
     rng = random.Random(20260821)
     for _ in range(40):
         _check_against_oracle(random_arc_realization(rng.randint(2, 30), rng))
+
+
+def _pairings(points):
+    """Every perfect matching of the points, as lists of pairs."""
+    if not points:
+        yield []
+        return
+    first = points[0]
+    for i in range(1, len(points)):
+        for rest in _pairings(points[1:i] + points[i + 1:]):
+            yield [(first, points[i])] + rest
+
+
+def test_matches_oracle_on_every_small_configuration():
+    """Every arc configuration with n <= 4: each pairing of the 2n
+    positions, each arc in both orientations, anchored. Every ordered
+    pair's adjacent, spath, degree and neighborhood answer matches the
+    oracle, and the pairs reach every case of the adjacent test."""
+    cases = set()
+    for n in range(1, 5):
+        reals = {
+            anchor_arcs([(a, b) if flip >> i & 1 else (b, a) for i, (a, b) in enumerate(pairs)])
+            for pairs in _pairings(list(range(1, 2 * n + 1)))
+            for flip in range(1 << n)
+        }
+        for real in reals:
+            _check_against_oracle(real)
+            cases.update(
+                circular_adjacent_case(real.arcs, u, v)
+                for u in range(1, n + 1)
+                for v in range(1, n + 1)
+                if u != v
+            )
+    assert cases == {
+        "u reversed", "v starts before r_u", "both normal, no meet", "v reversed",
+    }
+
+
+class _SelectFreeBits:
+    """Stands in for S: forwards rank and access, fails on any select."""
+
+    def __init__(self, bits: BitVector):
+        self._bits = bits
+
+    def rank(self, b: int, i: int) -> int:
+        return self._bits.rank(b, i)
+
+    def access(self, i: int) -> int:
+        return self._bits.access(i)
+
+    def select(self, b: int, j: int):
+        raise AssertionError(f"select({b}, {j}) on S")
+
+    def select_many(self, b: int, js):
+        raise AssertionError(f"select_many({b}, ...) on S")
+
+
+def _short_arcs(n: int, rng) -> ArcRealization:
+    """Arcs of at most 20/n of the circle: paths of dozens of hops, and
+    a few reversed arcs around the anchor point."""
+    raw = []
+    for _ in range(n):
+        a = rng.random()
+        raw.append((a, (a + rng.random() * 20 / n) % 1.0))
+    return anchor_arcs(raw)
+
+
+@pytest.mark.parametrize("make", [random_arc_realization, _short_arcs])
+def test_adjacent_and_spath_never_select_on_s(make):
+    """Labels follow start order, so adjacency and the spath walks test
+    starts by rank: with S unable to select they answer as before."""
+    n = 2000
+    rng = random.Random(f"select-free/{make.__name__}")
+    real = make(n, rng)
+    plain = CircularArcGraph(real)
+    guarded = CircularArcGraph(real)
+    guarded._s = _SelectFreeBits(guarded._s)
+
+    def sample(k):
+        return [(rng.randint(1, n), rng.randint(1, n)) for _ in range(k)]
+
+    pairs = sample(2000)
+    assert [guarded.adjacent(u, v) for u, v in pairs] == [plain.adjacent(u, v) for u, v in pairs]
+    pairs = sample(300)
+    assert [guarded.spath(u, v) for u, v in pairs] == [plain.spath(u, v) for u, v in pairs]
 
 
 def test_degree_table_matches_oracle():

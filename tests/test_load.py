@@ -11,8 +11,8 @@ import struct
 
 import pytest
 
-from conftest import FIG2_ARCS, count_calls, fig1_realization
-from sigraph import variants
+from conftest import FIG2_ARCS, circular_adjacent_case, count_calls, fig1_realization
+from sigraph import circular, variants
 from sigraph.bitvector import BitVector
 from sigraph.circular import (
     ArcRealization,
@@ -91,20 +91,30 @@ def test_load_makes_no_per_vertex_queries(kind, monkeypatch):
     assert h.to_bytes() == blob
 
 
+# linear adjacent tests "v starts before r_u" as one rank on S
 _LINEAR_COUNTS = {
     "degree": {"BitVector.select0": 1, "BitVector.rank": 1},
-    "adjacent": {"BitVector.select0": 1},
+    "adjacent": {"BitVector.rank": 1},
 }
 # the proper structure reads r_v as the v-th 1 of S
 _PROPER_COUNTS = {
     "degree": {"BitVector.select0": 1, "BitVector.select1": 1, "BitVector.rank": 1},
-    "adjacent": {"BitVector.select0": 1, "BitVector.select1": 1},
+    "adjacent": {"BitVector.select1": 1, "BitVector.rank": 1},
 }
-# circular degree reads its table; adjacent decodes both arcs, each with
-# one select on S and one access and one rank on the family vector
+# circular degree reads its table. Circular adjacent orders the labels so
+# that u < v and stops at the first case that decides, never selecting:
+# a reversed u holds l_v (one access on the family vector); else r_u is
+# read (one family rank) and v starts before it (one rank on S); else a
+# normal v misses u (a second access); else the reversed v is read and
+# tested against l_u (one more of each rank)
 _CIRCULAR_COUNTS = {
     "degree": {},
-    "adjacent": {"BitVector.select0": 2, "BitVector.access": 2, "BitVector.rank": 2},
+    "adjacent": {
+        "u reversed": {"BitVector.access": 1},
+        "v starts before r_u": {"BitVector.access": 1, "BitVector.rank": 2},
+        "both normal, no meet": {"BitVector.access": 2, "BitVector.rank": 2},
+        "v reversed": {"BitVector.access": 2, "BitVector.rank": 4},
+    },
 }
 QUERY_COUNTS = {
     "interval": _LINEAR_COUNTS,
@@ -120,12 +130,16 @@ QUERY_COUNTS = {
 def test_degree_and_adjacent_make_fixed_counts(kind, n, monkeypatch):
     """degree and adjacent are O(1): every vertex and every pair makes
     the same primitive calls, at n = 200 as at n = 2000, on a built and
-    on a reloaded structure; none of them reaches a range-max index."""
+    on a reloaded structure; none of them reaches a range-max index.
+    A circular pair makes the exact calls of its case, and the pairs
+    reach every case."""
     rng = random.Random(f"fixed/{kind}/{n}")
     g = STRUCTURES[kind](rng, n)
     h = type(g).from_bytes(g.to_bytes())
     pairs = [(u, v) for u in range(1, n + 1) for v in rng.sample(range(1, n + 1), 3)]
     want = QUERY_COUNTS[kind]
+    arcs = g.realization().arcs if kind == "circular" else None
+    seen = set()
     calls = count_calls(monkeypatch, PRIMITIVES + ((RangeMaxIndex, "query"),))
     for built in (g, h):
         for v in range(1, n + 1):
@@ -136,9 +150,17 @@ def test_degree_and_adjacent_make_fixed_counts(kind, n, monkeypatch):
             if u == v:
                 continue
             for a, b in ((u, v), (v, u)):
+                if arcs is None:
+                    expect = want["adjacent"]
+                else:
+                    case = circular_adjacent_case(arcs, a, b)
+                    seen.add(case)
+                    expect = want["adjacent"][case]
                 calls.clear()
                 built.adjacent(a, b)
-                assert calls == want["adjacent"], (a, b, calls)
+                assert calls == expect, (a, b, calls)
+    if arcs is not None:
+        assert seen == set(want["adjacent"])
 
 
 # -- bulk decoding -------------------------------------------------------
@@ -320,6 +342,18 @@ def test_kproper_load_builds_no_realization(mode, monkeypatch):
     assert calls == {}
     h.realization()
     assert calls == {"IntervalRealization.__post_init__": 1}
+    monkeypatch.undo()
+    assert h.to_bytes() == blob
+
+
+def test_circular_load_computes_s_prime_once(monkeypatch):
+    """A validated load builds from the S' it compared with the decoded
+    one, so it runs _arc_symbols once, as a build does."""
+    g = _circular(random.Random(12), 300)
+    blob = g.to_bytes()
+    calls = count_calls(monkeypatch, ((circular, "_arc_symbols"),))
+    h = CircularArcGraph.from_bytes(blob)
+    assert calls == {"sigraph.circular._arc_symbols": 1}
     monkeypatch.undo()
     assert h.to_bytes() == blob
 
