@@ -19,16 +19,18 @@ Adjacency and spath never select on S. Labels follow start order, so a
 right endpoint r lies past l_v exactly when S.rank(0, r) >= v. An
 adjacency test reads at most two families (one access each) and two
 right endpoints (one family rank each), and compares each by one rank:
-at most 2 accesses and 4 ranks. The spath walks carry heads (label, r,
-reversed); a hop's meet test makes at most 2 ranks, and its greedy
-successor at most 3 more ranks, 3 range-max calls and one select on the
-left family vector for the label the path prints.
+at most 2 accesses and 4 ranks. A spath makes that test first, then
+walks heads (label, r, reversed, k), where k = S.rank(0, r) is ranked
+once, when the head is made: a hop's meet test makes no rank, and its
+greedy successor at most 3 ranks, 3 range-max calls and one select on
+the left family vector for the label the path prints.
 
-The one constructor builds all of it from an ArcRealization. A blob
-holds S' and the right-endpoint lists only, never the degree table; a
-load pairs each start in S' with the next end of its family's list,
-lets ArcRealization check the pairing, and compares the S' those arcs
-give with the decoded one, then builds through the constructor.
+The one constructor builds all of it from an ArcRealization; both
+range-max indexes take the block size derived from the normal family's
+size. A blob holds that block size, S' and the right-endpoint lists,
+never the degree table; a load checks the block size, pairs each start
+in S' with the next end of its family's list, lets ArcRealization check
+the pairing, and compares the S' those arcs give with the decoded one.
 
 A neighborhood gathers the family ranks of its hits (contiguous runs
 plus range-max reports) and turns each family into labels with one
@@ -53,8 +55,9 @@ from dataclasses import dataclass
 from .bitvector import BitVector
 from .errors import GraphInputError, QueryRangeError, SerializationError
 from .graph import report_above
-from .rmq import RangeMaxIndex
-from .serial import Reader, Writer, pack_uints, uint_array, unpack_uints, width_for
+from .rmq import RangeMaxIndex, default_block_size
+from .serial import Reader, Writer, check_block_size, pack_uints, uint_array
+from .serial import unpack_uints, width_for
 from .wavelet import AlphabetSequence
 
 _MAGIC = b"SCAG"
@@ -176,10 +179,10 @@ class CircularArcGraph:
         "_degrees",
     )
 
-    def __init__(self, real: ArcRealization, block_size: int | None = None):
-        self._build(real, _arc_symbols(real.arcs), block_size)
+    def __init__(self, real: ArcRealization):
+        self._build(real, _arc_symbols(real.arcs))
 
-    def _build(self, real: ArcRealization, symbols: list[int], block_size: int | None) -> None:
+    def _build(self, real: ArcRealization, symbols: list[int]) -> None:
         """Every field from the realization and its S', which a load has
         already computed to compare with the decoded one."""
         arcs = real.arcs
@@ -192,15 +195,14 @@ class CircularArcGraph:
         self._rk = BitVector(sym >> 1 for sym in symbols if sym & 1)
         self._rp = rp
         self._rpp = rpp
-        self._rmax_n = RangeMaxIndex(rp, block_size)
-        self._rmax_r = RangeMaxIndex(rpp, block_size)
+        c = default_block_size(self._q)
+        self._rmax_n = RangeMaxIndex(rp, c)
+        self._rmax_r = RangeMaxIndex(rpp, c)
         self._degrees = _arc_degrees(real)
 
     @classmethod
-    def from_realization(
-        cls, real: ArcRealization, block_size: int | None = None
-    ) -> "CircularArcGraph":
-        return cls(real, block_size)
+    def from_realization(cls, real: ArcRealization) -> "CircularArcGraph":
+        return cls(real)
 
     # -- S' operations over the factored vectors -------------------------
 
@@ -243,14 +245,19 @@ class CircularArcGraph:
         if not 1 <= v <= self._n:
             raise QueryRangeError(f"vertex {v} outside [1, {self._n}]")
 
-    def _head(self, v: int) -> tuple[int, int, bool]:
-        """(v, r_v, reversed): one access and one rank, no select."""
+    def _right(self, v: int) -> tuple[int, bool]:
+        """(r_v, reversed): one access and one rank, no select."""
         if self._lk.access(v):
-            return v, self._rpp[self._lk.rank(1, v) - 1], True
-        return v, self._rp[self._lk.rank(0, v) - 1], False
+            return self._rpp[self._lk.rank(1, v) - 1], True
+        return self._rp[self._lk.rank(0, v) - 1], False
+
+    def _head(self, v: int, r: int, rev: bool) -> tuple[int, int, bool, int]:
+        """A walk's head (v, r_v, reversed, k), where k = S.rank(0, r_v)
+        counts the arcs starting before r_v: one rank, made once."""
+        return v, r, rev, self._s.rank(0, r)
 
     def _decode(self, v: int) -> tuple[int, int, bool]:
-        _, r, rev = self._head(v)
+        r, rev = self._right(v)
         return self._s.select(0, v), r, rev
 
     def arc_of(self, v: int) -> tuple[int, int]:
@@ -296,15 +303,15 @@ class CircularArcGraph:
             return True
         return bool(lk.access(v)) and rank(0, self._rpp[lk.rank(1, v) - 1]) >= u
 
-    def _meets(self, a: tuple[int, int, bool], b: tuple[int, int, bool]) -> bool:
-        """The adjacent test for two distinct heads, whose r and family
-        are already read."""
+    @staticmethod
+    def _meets(a: tuple[int, int, bool, int], b: tuple[int, int, bool, int]) -> bool:
+        """The adjacent test for two distinct heads, whose family and
+        start count k are already known: no primitive call."""
         if a[0] > b[0]:
             a, b = b, a
-        u, ru, revu = a
-        v, rv, revv = b
-        rank = self._s.rank
-        return revu or rank(0, ru) >= v or (revv and rank(0, rv) >= u)
+        u, _, revu, ku = a
+        v, _, revv, kv = b
+        return revu or ku >= v or (revv and kv >= u)
 
     def neighborhood(self, v: int) -> list[int]:
         """Neighbors of v in increasing label order. The hits of each
@@ -349,20 +356,19 @@ class CircularArcGraph:
 
     # -- shortest paths --------------------------------------------------
 
-    def _succ(self, head: tuple[int, int, bool]):
-        """Clockwise greedy hop from a head (label, r, reversed): the head
-        of the neighbor reaching farthest past r; None when nothing
-        advances the frontier."""
-        v, r, rev = head
+    def _succ(self, head: tuple[int, int, bool, int]):
+        """Clockwise greedy hop from a head (label, r, reversed, k): the
+        head of the neighbor reaching farthest past r; None when nothing
+        advances the frontier. At most 3 ranks, the new head's k included."""
+        v, r, rev, k = head         # k arcs start before r
         lk = self._lk
-        k = self._s.rank(0, r)      # arcs starting before r
         wrap = lk.rank(1, k)
         if wrap:
             # a reversed neighbor starting before r carries the walk
             # past the anchor point: farther than anything on this lap
             # (from a reversed arc, r < l keeps the arc itself out)
             x = self._rmax_r.query(1, wrap)
-            return lk.select(1, x), self._rpp[x - 1], True
+            return self._head(lk.select(1, x), self._rpp[x - 1], True)
         # no reversed arc starts before r, so all k of them are normal
         best_x = None
         best_val = r
@@ -388,44 +394,45 @@ class CircularArcGraph:
         if best_x is None:
             return None
         x, is_rev = best_x
-        return lk.select(int(is_rev), x), best_val, is_rev
+        return self._head(lk.select(int(is_rev), x), best_val, is_rev)
 
     def spath(self, u: int, v: int):
         """A shortest u-v path by two alternating clockwise walks, one
         from each end; the first to reach the other side wins. The walks
-        carry heads (label, r, reversed), so no hop selects on S."""
-        self._check_vertex(u)
-        self._check_vertex(v)
+        carry heads (label, r, reversed, k), so no hop selects on S and
+        the meet tests make no primitive call."""
+        if self.adjacent(u, v):
+            return [u, v]
         if u == v:
             return [u]
-        start_u = self._head(u)
-        start_v = self._head(v)
+        # adjacent has checked both labels and made both walks' first meet
+        # test; every later test follows a hop, from a head that missed the
+        # far endpoint, so a live head is never that endpoint
+        head_a = start_u = self._head(u, *self._right(u))
+        head_b = start_v = self._head(v, *self._right(v))
         path_a = [u]
         path_b = [v]
-        head_a, head_b = start_u, start_v
         dead_a = dead_b = False
         for _ in range(4 * self._n + 8):
             if not dead_a:
-                # the adjacency check runs before any hop, so a live
-                # head is never the untouched far endpoint
-                if self._meets(head_a, start_v):
-                    path_a.append(v)
-                    return path_a
                 head_a = self._succ(head_a)
                 if head_a is None:
                     dead_a = True
                 else:
                     path_a.append(head_a[0])
+                    if self._meets(head_a, start_v):
+                        path_a.append(v)
+                        return path_a
             if not dead_b:
-                if self._meets(head_b, start_u):
-                    path_b.append(u)
-                    path_b.reverse()
-                    return path_b
                 head_b = self._succ(head_b)
                 if head_b is None:
                     dead_b = True
                 else:
                     path_b.append(head_b[0])
+                    if self._meets(head_b, start_u):
+                        path_b.append(u)
+                        path_b.reverse()
+                        return path_b
             if dead_a and dead_b:
                 return None
         # every hop moves a live walk's frontier clockwise, so the walks
@@ -473,7 +480,7 @@ class CircularArcGraph:
         r = Reader(data)
         r.magic(_MAGIC, _VERSION)
         n = r.u64()
-        c = r.block_size()
+        c = r.u32()
         flag = r.u8()
         if flag:
             raise SerializationError(
@@ -486,6 +493,7 @@ class CircularArcGraph:
         q = symbols.count(_NL)
         if symbols.count(_RL) != n - q:
             raise GraphInputError("endpoint kinds must pair up")
+        check_block_size(c, default_block_size(q))
         width = width_for(2 * n)
         rp = unpack_uints(r.block(), q, width)
         rpp = unpack_uints(r.block(), n - q, width)
@@ -508,7 +516,7 @@ class CircularArcGraph:
                 raise GraphInputError("normal right endpoints disagree with the sequence")
             raise GraphInputError("arc orientations disagree with their families")
         g = cls.__new__(cls)
-        g._build(real, symbols, c)
+        g._build(real, symbols)
         return g
 
 

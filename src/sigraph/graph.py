@@ -2,18 +2,20 @@
 
 Vertices are 1..n in increasing left-endpoint order. The structure keeps
 the 2n-bit endpoint-kind sequence S (0 marks a left endpoint), the right
-endpoints r_1..r_n, and a range-max index over r. All of degree,
-adjacent and succ are constant-time: degree makes one select and one
-rank on S, adjacent one rank. Labels follow left-endpoint order, so
-l_v < r_u exactly when S.rank(0, r_u) >= v, and adjacency never looks
-up a left endpoint. Neighborhood reports the later neighbors as one
-label range. Its K = 2v - 1 - l_v earlier neighbors are counted by the
-select that finds l_v, so their search is one scan of at most 2K labels
-ending at v - 1, plus at most 2m - 1 range-max calls for the m of them
-that scan missed: O(degree) time. A proper family's earlier neighbors
-are the K labels just before v, so it makes no range-max call. Spath
-walks the one-ended greedy succ chain; each hop makes one rank and one range-max over the labels it
-newly reaches, so a path costs O(path length) primitive calls.
+endpoints r_1..r_n, and a range-max index over r, all built from the
+realization alone: raw S and r enter only through the validating
+from_bytes. All of degree, adjacent and succ are constant-time: degree
+makes one select and one rank on S, adjacent one rank. Labels follow
+left-endpoint order, so l_v < r_u exactly when S.rank(0, r_u) >= v, and
+adjacency never looks up a left endpoint. Neighborhood reports the later
+neighbors as one label range. Its K = 2v - 1 - l_v earlier neighbors are
+counted by the select that finds l_v, so their search is one scan of at
+most 2K labels ending at v - 1, plus at most 2m - 1 range-max calls for
+the m of them that scan missed: O(degree) time. A proper family's
+earlier neighbors are the K labels just before v, so it makes no
+range-max call. Spath walks the one-ended greedy succ chain; each hop
+makes one rank and one range-max over the labels it newly reaches, so a
+path costs O(path length) primitive calls.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from typing import Sequence
 from .bitvector import BitVector
 from .errors import GraphInputError, QueryRangeError
 from .intervals import IntervalRealization
-from .rmq import RangeMaxIndex
-from .serial import Reader, Writer, pack_uints, unpack_uints, width_for
+from .rmq import RangeMaxIndex, default_block_size
+from .serial import Reader, Writer, check_block_size, pack_uints, unpack_uints, width_for
 
 _MAGIC = b"SIGR"
 _VERSION = 1
@@ -105,17 +107,11 @@ class IntervalQueries:
 
     # -- hooks -----------------------------------------------------------
 
-    def _l(self, v: int) -> int:
-        return self._s.select(0, v)
-
     def _r(self, v: int) -> int:
         return self._rlist[v - 1]
 
     def _rights(self) -> list[int]:
         return self._rlist
-
-    def _rank_left(self, p: int) -> int:
-        return self._s.rank(0, p)
 
     def _argmax_r(self, i: int, j: int) -> int:
         return self._rmax.query(i, j)
@@ -126,7 +122,7 @@ class IntervalQueries:
 
     def interval_of(self, v: int) -> tuple[int, int]:
         self._check_vertex(v)
-        return self._l(v), self._r(v)
+        return self._s.select(0, v), self._r(v)
 
     def realization(self) -> IntervalRealization:
         """All intervals in one sweep over S; the realization's own
@@ -144,7 +140,7 @@ class IntervalQueries:
         self._check_vertex(v)
         # intervals starting before r_v, less those ending before l_v
         # (l_v less the v lefts up to it), less v itself
-        return self._rank_left(self._r(v)) - (self._l(v) - v) - 1
+        return self._s.rank(0, self._r(v)) - (self._s.select(0, v) - v) - 1
 
     def adjacent(self, u: int, v: int) -> bool:
         self._check_vertex(u)
@@ -155,24 +151,24 @@ class IntervalQueries:
             u, v = v, u
         # l_u < l_v, so the two meet exactly when u ends past l_v, that
         # is, when v is among the intervals starting before r_u
-        return self._rank_left(self._r(u)) >= v
+        return self._s.rank(0, self._r(u)) >= v
 
     def neighborhood(self, v: int) -> list[int]:
         self._check_vertex(v)
         # an earlier label is a neighbor when it ends past l_v: of the v - 1
         # earlier labels, the l_v - v rights before l_v end too soon. Every
         # later label up to the last one starting before r_v starts inside v
-        l = self._l(v)
+        l = self._s.select(0, v)
         out: list[int] = []
         report_above(self._argmax_r, self._rlist, 1, v - 1, l, 2 * v - 1 - l, out)
-        out.extend(range(v + 1, self._rank_left(self._r(v)) + 1))
+        out.extend(range(v + 1, self._s.rank(0, self._r(v)) + 1))
         return out
 
     def succ(self, u: int) -> int:
         """Neighbor with the farthest right endpoint among intervals
         starting before r_u; u itself when nothing reaches farther."""
         self._check_vertex(u)
-        return self._argmax_r(1, self._rank_left(self._r(u)))
+        return self._argmax_r(1, self._s.rank(0, self._r(u)))
 
     def spath(self, u: int, v: int):
         """A shortest u-v path, or None when they are disconnected.
@@ -190,12 +186,12 @@ class IntervalQueries:
         swapped = u > v
         if swapped:
             u, v = v, u
-        lv = self._l(v)
+        lv = self._s.select(0, v)
         rc = self._r(u)
         path = [u]
         k = 0
         while rc < lv:
-            kn = self._rank_left(rc)
+            kn = self._s.rank(0, rc)
             if kn == k:
                 return None
             i = self._argmax_r(k + 1, kn)
@@ -215,20 +211,18 @@ class SuccinctIntervalGraph(IntervalQueries):
 
     __slots__ = ("_n", "_s", "_rlist", "_rmax")
 
-    def __init__(self, s: BitVector, rights, block_size: int | None = None):
-        n = len(s) // 2
-        if len(s) != 2 * n or len(rights) != n:
-            raise GraphInputError("endpoint sequence and right list disagree")
-        self._n = n
+    def __init__(self, real: IntervalRealization):
+        self._build(_parity_bits(real), [r for _, r in real.intervals])
+
+    def _build(self, s: BitVector, rights: list[int]) -> None:
+        self._n = len(rights)
         self._s = s
-        self._rlist = list(rights)
-        self._rmax = RangeMaxIndex(self._rlist, block_size)
+        self._rlist = rights
+        self._rmax = RangeMaxIndex(rights, default_block_size(self._n))
 
     @classmethod
-    def from_realization(
-        cls, real: IntervalRealization, block_size: int | None = None
-    ) -> "SuccinctIntervalGraph":
-        return cls(_parity_bits(real), [r for _, r in real.intervals], block_size)
+    def from_realization(cls, real: IntervalRealization) -> "SuccinctIntervalGraph":
+        return cls(real)
 
     # -- reporting and serialization ------------------------------------
 
@@ -253,10 +247,13 @@ class SuccinctIntervalGraph(IntervalQueries):
         r = Reader(data)
         r.magic(_MAGIC, _VERSION)
         n = r.u64()
-        c = r.block_size()
+        check_block_size(r.u32(), default_block_size(n))
         s = BitVector.from_bytes(r.block())
         rights = unpack_uints(r.block(), n, width_for(2 * n))
         r.done()
-        g = cls(s, rights, c)
+        if len(s) != 2 * n:
+            raise GraphInputError("endpoint sequence and right list disagree")
+        g = cls.__new__(cls)
+        g._build(s, rights)
         g.realization()  # full invariant check on untrusted input
         return g

@@ -1,14 +1,15 @@
 """Positional range-maximum and range-minimum indexes.
 
-The target sequence is sampled in blocks of c values; a sparse table over
-the per-block leaders answers the full-block middle of a query. A partial
-block is answered by its leader (the block's leftmost maximum) when the
-leader lies inside the query range, and scanned directly otherwise, so a
-prefix or suffix query scans at most one block. The index stores
-positions only, never values, so its accounted size is O((n/c) log n)
-bits on top of the sequence it indexes. Ties resolve to the leftmost
-position. The minimum index is the maximum index over a negated copy of
-its sequence.
+The target sequence is sampled in blocks of c values (the graph
+structures derive c with default_block_size and reject a blob that
+stores any other); a sparse table over the per-block leaders answers
+the full-block middle of a query. A partial block is answered by its
+leader (the block's leftmost maximum) when the leader lies inside the
+query range, and scanned directly otherwise, so a prefix or suffix query
+scans at most one block. The index stores positions only, never values,
+so its accounted size is O((n/c) log n) bits on top of the sequence it
+indexes. Ties resolve to the leftmost position. The minimum index is the
+maximum index over a negated copy of its sequence.
 
 Queries are 1-based inclusive ranges; answers are 1-based positions.
 """

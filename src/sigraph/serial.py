@@ -26,6 +26,12 @@ def uint_array(values, max_value: int) -> array:
     return array(code, values)
 
 
+def check_block_size(stored: int, derived: int) -> None:
+    """A stored range-index block size must be the one a loader derives."""
+    if stored != derived:
+        raise SerializationError(f"range index block size {stored} must be {derived}")
+
+
 def pack_uints(values, width: int) -> bytes:
     """Bit-pack non-negative ints of the given width, LSB first."""
     out = bytearray()
@@ -139,13 +145,6 @@ class Reader:
         if v > 1:
             raise SerializationError(f"{what} byte must be 0 or 1, found {v}")
         return v
-
-    def block_size(self) -> int:
-        """A range-index block size: a u32 that must be positive."""
-        c = self.u32()
-        if c == 0:
-            raise SerializationError("range index block size must be positive")
-        return c
 
     def block(self) -> bytes:
         return self._take(self.u64())

@@ -7,16 +7,16 @@ The bounded-depth structure annotates every endpoint with its interval's
 containment depth, which pairs left and right endpoints within each
 depth class. The blob stores only that annotation T. In memory the
 structure keeps S, the right list with the range-max index its queries
-run on, and one depth per vertex; T is rebuilt from them in one sweep
-only when it is saved or asked for. A load pairs T's endpoints class by
-class and recounts every depth from the right list, which costs
+run on, and one depth per vertex. A build takes all of them straight
+from the realization; T is made from them in one sweep only when it is
+saved or asked for. Only a load pairs T's endpoints, class by class,
+and it recounts every depth from the right list, which costs
 O(n log n + Σ depth) in a sorted list and never more than the O(n log n)
 of a Fenwick tree.
 """
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect
 from collections import deque
 
@@ -24,8 +24,8 @@ from .bitvector import BitVector
 from .errors import GraphInputError, NotProperError
 from .graph import IntervalQueries, _parity_bits
 from .intervals import IntervalRealization
-from .rmq import RangeMaxIndex
-from .serial import Reader, Writer, uint_array, width_for
+from .rmq import RangeMaxIndex, default_block_size
+from .serial import Reader, Writer, check_block_size, uint_array, width_for
 from .wavelet import AlphabetSequence
 
 _PROPER_MAGIC = b"SPGR"
@@ -66,18 +66,18 @@ class ProperIntervalGraph(IntervalQueries):
 
     __slots__ = ("_n", "_s", "_rlist")
 
-    def __init__(self, s: BitVector):
-        n = len(s) // 2
-        if len(s) != 2 * n or s.count(0) != n:
-            raise GraphInputError("endpoint sequence must balance lefts and rights")
-        self._n = n
+    def __init__(self, real: IntervalRealization):
+        check_proper(real)
+        self._build(_parity_bits(real))
+
+    def _build(self, s: BitVector) -> None:
+        self._n = len(s) // 2
         self._s = s
         self._rlist = _RightsFromS(s)
 
     @classmethod
     def from_realization(cls, real: IntervalRealization) -> "ProperIntervalGraph":
-        check_proper(real)
-        return cls(_parity_bits(real))
+        return cls(real)
 
     # -- r from S: the v-th right endpoint is the v-th 1 ---------------
 
@@ -114,7 +114,8 @@ class ProperIntervalGraph(IntervalQueries):
         r.done()
         if len(s) != 2 * n:
             raise GraphInputError("endpoint sequence length disagrees with header")
-        g = cls(s)
+        g = cls.__new__(cls)
+        g._build(s)
         g.realization()  # validates balance and pairing
         return g
 
@@ -191,68 +192,24 @@ class KProperGraph(IntervalQueries):
 
     __slots__ = ("_n", "_s", "_depths", "_mode", "_k", "_rlist", "_rmax")
 
-    def __init__(
-        self,
-        symbols: list[int],
-        sigma: int,
-        mode: str,
-        block_size: int | None = None,
-    ):
-        if mode not in (MODE_PROPER, MODE_IMPROPER):
-            raise GraphInputError(f"unknown depth mode {mode!r}")
-        if len(symbols) % 2 or len(symbols) == 0:
-            raise GraphInputError("endpoint annotation length must be even")
-        n = len(symbols) // 2
-        if sigma % 2:
-            raise GraphInputError("depth alphabet must pair even/odd symbols")
-        if sigma > 2 * n:
-            raise GraphInputError(f"depth alphabet of {sigma} exceeds {n} depth classes")
-        if min(symbols) < 0 or max(symbols) >= sigma:
-            raise GraphInputError(f"a symbol lies outside alphabet [0, {sigma})")
-        self._n = n
-        self._mode = mode
-        self._k = sigma // 2 - 1
-        if max(symbols) >> 1 != self._k:
-            raise GraphInputError("depth alphabet must end at the deepest class")
-        self._s = BitVector(sym & 1 for sym in symbols)
-        if self._s.count(0) != n:
-            raise GraphInputError(f"annotation must hold {n} left endpoints")
-        self._rlist, self._depths = self._pair(symbols)
-        self._rmax = RangeMaxIndex(self._rlist, block_size)
+    def __init__(self, real: IntervalRealization, mode: str = MODE_PROPER):
+        rights = [r for _, r in real.intervals]
+        self._build(_parity_bits(real), rights, _depths_from_rights(rights, mode), mode)
 
-    def _pair(self, symbols: list[int]) -> tuple[list[int], array]:
-        # within one depth class the i-th left matches the i-th right;
-        # the constructor has checked that there are n lefts
-        pending = [deque() for _ in range(self._k + 1)]
-        rights = [0] * self._n
-        depths = [0] * self._n
-        v = 0
-        for p, sym in enumerate(symbols, start=1):
-            if sym & 1:
-                waiting = pending[sym >> 1]
-                if not waiting:
-                    raise GraphInputError(
-                        f"unmatched right endpoint at position {p}"
-                    )
-                rights[waiting.popleft()] = p
-            else:
-                pending[sym >> 1].append(v)
-                depths[v] = sym >> 1
-                v += 1
-        if any(pending):
-            raise GraphInputError("unmatched left endpoints in annotation")
-        return rights, uint_array(depths, self._k)
+    def _build(self, s: BitVector, rights: list[int], depths: list[int], mode: str) -> None:
+        self._n = len(rights)
+        self._s = s
+        self._rlist = rights
+        self._rmax = RangeMaxIndex(rights, default_block_size(self._n))
+        self._k = max(depths)
+        self._depths = uint_array(depths, self._k)
+        self._mode = mode
 
     @classmethod
     def from_realization(
-        cls,
-        real: IntervalRealization,
-        mode: str = MODE_PROPER,
-        block_size: int | None = None,
+        cls, real: IntervalRealization, mode: str = MODE_PROPER
     ) -> "KProperGraph":
-        depths = containment_depths(real, mode)
-        symbols = _depth_symbols(real.intervals, depths)
-        return cls(symbols, 2 * max(depths) + 2, mode, block_size)
+        return cls(real, mode)
 
     # -- depth reporting -------------------------------------------------
 
@@ -307,17 +264,52 @@ class KProperGraph(IntervalQueries):
         r.magic(_KPROPER_MAGIC, _VERSION)
         n = r.u64()
         mode = (MODE_PROPER, MODE_IMPROPER)[r.flag("depth mode")]
-        c = r.block_size()
+        check_block_size(r.u32(), default_block_size(n))
         symbols, sigma = AlphabetSequence.decode(r.block())
         r.done()
         if len(symbols) != 2 * n:
             raise GraphInputError("annotation length disagrees with header")
+        if not n:
+            raise GraphInputError("realization needs at least one interval")
+        # _pair allocates one queue per depth class
+        if sigma > 2 * n:
+            raise GraphInputError(f"depth alphabet of {sigma} exceeds {n} depth classes")
+        k = max(symbols) >> 1
+        if sigma != 2 * k + 2:
+            raise GraphInputError("depth alphabet must end at the deepest class")
+        s = BitVector(sym & 1 for sym in symbols)
+        if s.count(0) != n:
+            raise GraphInputError(f"annotation must hold {n} left endpoints")
         # _pair has matched every right to an earlier left, and labels
         # follow left order, so the endpoints form a realization already
-        g = cls(symbols, sigma, mode, c)
-        if _depths_from_rights(g._rlist, mode) != g._depths.tolist():
+        rights, depths = _pair(symbols, n, k)
+        if _depths_from_rights(rights, mode) != depths:
             raise GraphInputError("annotation depths disagree with the realization")
+        g = cls.__new__(cls)
+        g._build(s, rights, depths, mode)
         return g
+
+
+def _pair(symbols: list[int], n: int, k: int) -> tuple[list[int], list[int]]:
+    """The rights and depths of T's n intervals, whose deepest class is k:
+    within one depth class the i-th left matches the i-th right."""
+    pending = [deque() for _ in range(k + 1)]
+    rights = [0] * n
+    depths = [0] * n
+    v = 0
+    for p, sym in enumerate(symbols, start=1):
+        if sym & 1:
+            waiting = pending[sym >> 1]
+            if not waiting:
+                raise GraphInputError(f"unmatched right endpoint at position {p}")
+            rights[waiting.popleft()] = p
+        else:
+            pending[sym >> 1].append(v)
+            depths[v] = sym >> 1
+            v += 1
+    if any(pending):
+        raise GraphInputError("unmatched left endpoints in annotation")
+    return rights, depths
 
 
 def _depth_symbols(intervals, depths) -> list[int]:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIG1_D, fig1_realization
+from conftest import FIG1_D, count_calls, fig1_realization
 from sigraph.algorithms import (
     bfs_order,
     build_d_sequence,
@@ -199,23 +199,13 @@ def test_algorithms_make_no_per_vertex_queries(kind, monkeypatch):
     rank, select or range query; a per-vertex decode would make
     thousands."""
     g = STRUCTURES[kind](_realization(kind, 2000, random.Random(11)))
-    calls = {}
-
-    def counting(owner, name):
-        orig = getattr(owner, name)
-
-        def wrapper(*args, **kwargs):
-            key = f"{owner.__name__}.{name}"
-            calls[key] = calls.get(key, 0) + 1
-            return orig(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, wrapper)
-
-    counting(IntervalQueries, "neighborhood")
-    counting(BitVector, "rank")
-    counting(BitVector, "select")
-    counting(RangeMaxIndex, "query")
-    counting(RangeMinIndex, "query")
+    calls = count_calls(monkeypatch, (
+        (IntervalQueries, "neighborhood"),
+        (BitVector, "rank"),
+        (BitVector, "select"),
+        (RangeMaxIndex, "query"),
+        (RangeMinIndex, "query"),
+    ))
     for algorithm in (mis, mvc, max_clique, build_d_sequence, greedy_coloring):
         algorithm(g)
     assert "IntervalQueries.neighborhood" not in calls

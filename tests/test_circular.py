@@ -26,8 +26,8 @@ from sigraph.oracle import OracleGraph
 from sigraph.wavelet import PointGrid
 
 
-def fig2_graph(**kw) -> CircularArcGraph:
-    return CircularArcGraph.from_realization(ArcRealization(FIG2_ARCS), **kw)
+def fig2_graph() -> CircularArcGraph:
+    return CircularArcGraph.from_realization(ArcRealization(FIG2_ARCS))
 
 
 def fig2_oracle() -> OracleGraph:
@@ -336,6 +336,35 @@ def _short_arcs(n: int, rng) -> ArcRealization:
 
 
 @pytest.mark.parametrize("make", [random_arc_realization, _short_arcs])
+def test_spath_heads_rank_their_right_endpoint_once(make, monkeypatch):
+    """A head carries k = S.rank(0, r), ranked once when it is made: the
+    meet test makes no primitive call, and a greedy hop at most 3 ranks,
+    the new head's k among them."""
+    n = 2000
+    rng = random.Random(f"heads/{make.__name__}")
+    g = CircularArcGraph(make(n, rng))
+    s = g._s
+    heads = [g._head(v, *g._right(v)) for v in rng.sample(range(1, n + 1), 400)]
+    for v, r, rev, k in heads:
+        assert (r, rev) == (g.arc_of(v)[1], g.is_reversed(v))
+        assert k == s.rank(0, r)
+    calls = count_calls(monkeypatch, [(BitVector, name) for name in ("select", "rank", "access")])
+    hops = 0
+    for a, b in zip(heads, heads[1:]):
+        if a[0] == b[0]:
+            continue
+        calls.clear()
+        g._meets(a, b)
+        assert calls == {}, (a, b)
+        nxt = g._succ(a)
+        assert calls.get("BitVector.rank", 0) <= 3, (a, calls)
+        if nxt is not None:
+            hops += 1
+            assert nxt[3] == s.rank(0, nxt[1])
+    assert hops > 300
+
+
+@pytest.mark.parametrize("make", [random_arc_realization, _short_arcs])
 def test_adjacent_and_spath_never_select_on_s(make):
     """Labels follow start order, so adjacency and the spath walks test
     starts by rank: with S unable to select they answer as before."""
@@ -367,32 +396,6 @@ def test_degree_table_matches_oracle():
         h = CircularArcGraph.from_bytes(g.to_bytes())
         for built in (g, h):
             assert [built.degree(v) for v in range(1, n + 1)] == want, n
-
-
-def test_constructor_answers_like_from_realization():
-    """The constructor is the one build path: CircularArcGraph(real)
-    holds the degree table and answers degree, neighborhood and spath
-    as from_realization(real) and the oracle do."""
-    rng = random.Random(10)
-    for n in range(1, 26):
-        real = random_arc_realization(n, rng, require_reversed=False)
-        oracle = OracleGraph.from_arc_positions(real.arcs)
-        g = CircularArcGraph(real)
-        f = CircularArcGraph.from_realization(real)
-        assert g.to_bytes() == f.to_bytes()
-        for v in range(1, n + 1):
-            assert g.degree(v) == f.degree(v) == oracle.degree(v), (n, v)
-            assert g.neighborhood(v) == f.neighborhood(v) == oracle.neighborhood(v), (n, v)
-        for u in range(1, n + 1):
-            dists = oracle.dists_from(u)
-            for v in range(1, n + 1):
-                path = g.spath(u, v)
-                assert path == f.spath(u, v), (n, u, v)
-                if dists[v] is None:
-                    assert path is None, (n, u, v)
-                else:
-                    assert len(path) - 1 == dists[v], (n, u, v)
-                    _check_path(oracle, path)
 
 
 @pytest.mark.parametrize("n", [200, 2000])

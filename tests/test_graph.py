@@ -15,6 +15,7 @@ from sigraph.intervals import (
     random_realization,
 )
 from sigraph.oracle import OracleGraph
+from sigraph.rmq import default_block_size
 from sigraph.variants import (
     MODE_IMPROPER,
     MODE_PROPER,
@@ -195,10 +196,10 @@ class TestSpace:
 # -- spath and neighborhood on every linear structure ---------------------
 
 STRUCTURES = {
-    "interval": lambda real, c=None: SuccinctIntervalGraph.from_realization(real, c),
-    "proper": lambda real, c=None: ProperIntervalGraph.from_realization(real),
-    "kproper": lambda real, c=None: KProperGraph.from_realization(real, MODE_PROPER, c),
-    "kimproper": lambda real, c=None: KProperGraph.from_realization(real, MODE_IMPROPER, c),
+    "interval": SuccinctIntervalGraph,
+    "proper": ProperIntervalGraph,
+    "kproper": lambda real: KProperGraph(real, MODE_PROPER),
+    "kimproper": lambda real: KProperGraph(real, MODE_IMPROPER),
 }
 
 
@@ -232,22 +233,26 @@ def _greedy_spath(g, u, v):
 
 @pytest.mark.parametrize("kind", sorted(STRUCTURES))
 def test_spath_equals_greedy_reference(kind):
+    """Sampled pairs at n in 100..300, where the derived range-max block
+    size leaves at least 3 blocks, so hops search across blocks."""
     rng = random.Random(f"spath/{kind}")
     disconnected = 0
-    for t in range(80):
-        n = rng.randint(1, 40)
+    for t in range(30):
+        n = rng.randint(100, 300)
+        while -(-n // default_block_size(n)) < 3:
+            n = rng.randint(100, 300)
         if t % 2:
             real = _scattered(n, rng, proper=kind == "proper")
         elif kind == "proper":
             real = random_proper_realization(n, rng)
         else:
             real = random_realization(n, rng)
-        g = STRUCTURES[kind](real, rng.randint(1, 8))
-        for u in range(1, n + 1):
-            for v in range(1, n + 1):
-                path = g.spath(u, v)
-                assert path == _greedy_spath(g, u, v), (real.intervals, u, v)
-                disconnected += path is None
+        g = STRUCTURES[kind](real)
+        for _ in range(400):
+            u, v = rng.randint(1, n), rng.randint(1, n)
+            path = g.spath(u, v)
+            assert path == _greedy_spath(g, u, v), (real.intervals, u, v)
+            disconnected += path is None
     assert disconnected > 0
 
 
@@ -447,7 +452,7 @@ def test_query_hooks_live_in_interval_queries():
     for cls in (SuccinctIntervalGraph, ProperIntervalGraph, KProperGraph):
         assert issubclass(cls, IntervalQueries)
         own = set(vars(cls))
-        shared = {"_l", "_rank_left", "_rank_right", "endpoint_bits", "space_bits"}
+        shared = {"endpoint_bits", "space_bits"}
         assert not own & shared, cls
         r_hooks = own & {"_r", "_rights", "_argmax_r"}
         if cls is ProperIntervalGraph:

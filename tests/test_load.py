@@ -6,6 +6,7 @@ it only when it re-encodes byte-identically, and it must do its checks
 in sweeps rather than in per-vertex select/rank/access calls.
 """
 
+import inspect
 import random
 import struct
 
@@ -18,6 +19,7 @@ from sigraph.circular import (
     ArcRealization,
     CircularArcGraph,
     _arc_symbols,
+    anchor_arcs,
     random_arc_realization,
 )
 from sigraph.errors import GraphInputError, SerializationError
@@ -28,7 +30,7 @@ from sigraph.intervals import (
     random_realization,
 )
 from sigraph.oracle import OracleGraph
-from sigraph.rmq import RangeMaxIndex
+from sigraph.rmq import RangeMaxIndex, default_block_size
 from sigraph.serial import Writer, pack_uints, width_for
 from sigraph.variants import (
     MODE_IMPROPER,
@@ -163,6 +165,90 @@ def test_degree_and_adjacent_make_fixed_counts(kind, n, monkeypatch):
         assert seen == set(want["adjacent"])
 
 
+# -- one build path ------------------------------------------------------
+
+# kind -> the class, its realization draw and its constructor's mode argument
+BUILDS = {
+    "interval": (SuccinctIntervalGraph, random_realization, ()),
+    "proper": (ProperIntervalGraph, random_proper_realization, ()),
+    "kproper": (KProperGraph, random_realization, (MODE_PROPER,)),
+    "kimproper": (KProperGraph, random_realization, (MODE_IMPROPER,)),
+    "circular": (
+        CircularArcGraph,
+        lambda n, rng: random_arc_realization(n, rng, require_reversed=False),
+        (),
+    ),
+}
+
+
+def test_constructors_take_the_realization_alone():
+    """No constructor or from_realization takes a block size, raw S, r
+    or T, or an alphabet size: only the realization and a depth mode."""
+    for cls, _, args in BUILDS.values():
+        want = ["real", "mode"] if args else ["real"]
+        assert list(inspect.signature(cls).parameters) == want, cls
+        assert list(inspect.signature(cls.from_realization).parameters) == want, cls
+
+
+def _oracle(real) -> OracleGraph:
+    if isinstance(real, ArcRealization):
+        return OracleGraph.from_arc_positions(real.arcs)
+    return OracleGraph.from_intervals(real)
+
+
+@pytest.mark.parametrize("kind", sorted(BUILDS))
+def test_constructor_answers_like_from_realization(kind):
+    """cls(real) is the one build path: it gives the blob and the degree,
+    neighborhood and spath answers of from_realization(real) and the
+    oracle."""
+    cls, draw, args = BUILDS[kind]
+    rng = random.Random(f"constructor/{kind}")
+    for n in range(1, 26):
+        real = draw(n, rng)
+        oracle = _oracle(real)
+        g = cls(real, *args)
+        f = cls.from_realization(real, *args)
+        assert g.to_bytes() == f.to_bytes()
+        for v in range(1, n + 1):
+            assert g.degree(v) == f.degree(v) == oracle.degree(v), (n, v)
+            assert g.neighborhood(v) == f.neighborhood(v) == oracle.neighborhood(v), (n, v)
+        for u in range(1, n + 1):
+            dists = oracle.dists_from(u)
+            for v in range(1, n + 1):
+                path = g.spath(u, v)
+                assert path == f.spath(u, v), (n, u, v)
+                if dists[v] is None:
+                    assert path is None, (n, u, v)
+                else:
+                    assert len(path) - 1 == dists[v], (n, u, v)
+                    assert (path[0], path[-1]) == (u, v)
+                    assert all(oracle.adjacent(a, b) for a, b in zip(path, path[1:]))
+
+
+@pytest.mark.parametrize("kind", sorted(STRUCTURES))
+def test_space_report_survives_a_round_trip(kind):
+    rng = random.Random(f"space/{kind}")
+    for n in (1, 2, 40, 700):
+        g = STRUCTURES[kind](rng, n)
+        assert type(g).from_bytes(g.to_bytes()).space_report() == g.space_report()
+
+
+def test_space_report_survives_a_round_trip_with_few_reversed_arcs():
+    """With about 90% normal arcs the two families' own default block
+    sizes differ; both indexes take the normal family's, which the blob
+    stores, so a load reports the space that the build did."""
+    rng = random.Random(3000)
+    raw = []
+    for _ in range(3000):
+        a = rng.random()
+        raw.append((a, (a + rng.random() * 0.2) % 1.0))
+    g = CircularArcGraph(anchor_arcs(raw))
+    q = g.normal_count
+    assert 0.85 < q / g.n < 0.95
+    assert default_block_size(q) != default_block_size(g.n - q)
+    assert CircularArcGraph.from_bytes(g.to_bytes()).space_report() == g.space_report()
+
+
 # -- bulk decoding -------------------------------------------------------
 
 
@@ -249,9 +335,15 @@ def _patched(blob: bytes, offset: int, fmt: str, value: int) -> bytes:
     "kind,offset", [("interval", 13), ("kproper", 14), ("circular", 13)]
 )
 def test_zero_block_size_rejected(kind, offset):
+    """A load derives the block size from n (from the normal family's
+    size for circular arcs), so it rejects every other stored value."""
     g = STRUCTURES[kind](random.Random(1), 30)
-    with pytest.raises(SerializationError, match="block size"):
-        type(g).from_bytes(_patched(g.to_bytes(), offset, "<L", 0))
+    blob = g.to_bytes()
+    c = default_block_size(g.normal_count if kind == "circular" else g.n)
+    assert struct.unpack_from("<L", blob, offset) == (c,)
+    for bad in (0, 1, c - 1, c + 1, 2 * c):
+        with pytest.raises(SerializationError, match="block size"):
+            type(g).from_bytes(_patched(blob, offset, "<L", bad))
 
 
 @pytest.mark.parametrize("value", [2, 7, 255])

@@ -287,7 +287,12 @@ def test_holds_no_sequence(mode, monkeypatch):
 
 
 def test_constructor_rejects_symbols_outside_the_alphabet():
-    with pytest.raises(GraphInputError, match="outside alphabet"):
-        KProperGraph(FIG1_T[:-1] + [7], 6, MODE_PROPER)
-    with pytest.raises(GraphInputError, match="outside alphabet"):
-        KProperGraph([-2] + FIG1_T[1:], 6, MODE_PROPER)
+    """T enters only through from_bytes, whose decode rejects a stored
+    symbol at or past sigma; 6 and 7 both fit the 3-bit field of sigma 6."""
+    blob = KProperGraph(fig1_realization(), MODE_PROPER).to_bytes()
+    seq = AlphabetSequence.encode(FIG1_T, 6)
+    assert blob.endswith(seq)
+    for bad in (6, 7):
+        mutant = blob[:-len(seq)] + AlphabetSequence.encode(FIG1_T[:-1] + [bad], 6)
+        with pytest.raises(GraphInputError, match="outside alphabet"):
+            KProperGraph.from_bytes(mutant)
