@@ -50,7 +50,7 @@ from .variants import (
     check_proper,
     containment_depths,
 )
-from .verify import verify_circular, verify_interval, verify_variants
+from .verify import verify
 from .wavelet import AlphabetSequence, PointGrid
 
 __version__ = "0.1.0"
@@ -93,7 +93,5 @@ __all__ = [
     "random_arc_realization",
     "random_proper_realization",
     "random_realization",
-    "verify_circular",
-    "verify_interval",
-    "verify_variants",
+    "verify",
 ]

@@ -20,10 +20,11 @@ right endpoint r lies past l_v exactly when S.rank(0, r) >= v. An
 adjacency test reads at most two families (one access each) and two
 right endpoints (one family rank each), and compares each by one rank:
 at most 2 accesses and 4 ranks. A spath makes that test first, then
-walks heads (label, r, reversed, k), where k = S.rank(0, r) is ranked
-once, when the head is made: a hop's meet test makes no rank, and its
-greedy successor at most 3 ranks, 3 range-max calls and one select on
-the left family vector for the label the path prints.
+walks heads (label, r, reversed, k, x), where k = S.rank(0, r) is
+ranked once, when the head is made, and x is the arc's rank in its
+family: a hop's meet test makes no rank, and its greedy successor at
+most 2 ranks, 3 range-max calls and one select on the left family
+vector for the label the path prints.
 
 The one constructor builds all of it from an ArcRealization; both
 range-max indexes take the block size derived from the normal family's
@@ -245,19 +246,22 @@ class CircularArcGraph:
         if not 1 <= v <= self._n:
             raise QueryRangeError(f"vertex {v} outside [1, {self._n}]")
 
-    def _right(self, v: int) -> tuple[int, bool]:
-        """(r_v, reversed): one access and one rank, no select."""
+    def _right(self, v: int) -> tuple[int, bool, int]:
+        """(r_v, reversed, x), x being v's rank in its family: one access
+        and one rank, no select."""
         if self._lk.access(v):
-            return self._rpp[self._lk.rank(1, v) - 1], True
-        return self._rp[self._lk.rank(0, v) - 1], False
+            x = self._lk.rank(1, v)
+            return self._rpp[x - 1], True, x
+        x = self._lk.rank(0, v)
+        return self._rp[x - 1], False, x
 
-    def _head(self, v: int, r: int, rev: bool) -> tuple[int, int, bool, int]:
-        """A walk's head (v, r_v, reversed, k), where k = S.rank(0, r_v)
+    def _head(self, v: int, r: int, rev: bool, x: int) -> tuple[int, int, bool, int, int]:
+        """A walk's head (v, r_v, reversed, k, x), where k = S.rank(0, r_v)
         counts the arcs starting before r_v: one rank, made once."""
-        return v, r, rev, self._s.rank(0, r)
+        return v, r, rev, self._s.rank(0, r), x
 
     def _decode(self, v: int) -> tuple[int, int, bool]:
-        r, rev = self._right(v)
+        r, rev, _ = self._right(v)
         return self._s.select(0, v), r, rev
 
     def arc_of(self, v: int) -> tuple[int, int]:
@@ -304,13 +308,13 @@ class CircularArcGraph:
         return bool(lk.access(v)) and rank(0, self._rpp[lk.rank(1, v) - 1]) >= u
 
     @staticmethod
-    def _meets(a: tuple[int, int, bool, int], b: tuple[int, int, bool, int]) -> bool:
+    def _meets(a: tuple, b: tuple) -> bool:
         """The adjacent test for two distinct heads, whose family and
         start count k are already known: no primitive call."""
         if a[0] > b[0]:
             a, b = b, a
-        u, _, revu, ku = a
-        v, _, revv, kv = b
+        u, _, revu, ku, _ = a
+        v, _, revv, kv, _ = b
         return revu or ku >= v or (revv and kv >= u)
 
     def neighborhood(self, v: int) -> list[int]:
@@ -356,11 +360,12 @@ class CircularArcGraph:
 
     # -- shortest paths --------------------------------------------------
 
-    def _succ(self, head: tuple[int, int, bool, int]):
-        """Clockwise greedy hop from a head (label, r, reversed, k): the
-        head of the neighbor reaching farthest past r; None when nothing
-        advances the frontier. At most 3 ranks, the new head's k included."""
-        v, r, rev, k = head         # k arcs start before r
+    def _succ(self, head: tuple[int, int, bool, int, int]):
+        """Clockwise greedy hop from a head (label, r, reversed, k, x):
+        the head of the neighbor reaching farthest past r; None when
+        nothing advances the frontier. At most 2 ranks, the new head's k
+        included."""
+        _, r, rev, k, mine = head   # k arcs start before r
         lk = self._lk
         wrap = lk.rank(1, k)
         if wrap:
@@ -368,7 +373,7 @@ class CircularArcGraph:
             # past the anchor point: farther than anything on this lap
             # (from a reversed arc, r < l keeps the arc itself out)
             x = self._rmax_r.query(1, wrap)
-            return self._head(lk.select(1, x), self._rpp[x - 1], True)
+            return self._head(lk.select(1, x), self._rpp[x - 1], True, x)
         # no reversed arc starts before r, so all k of them are normal
         best_x = None
         best_val = r
@@ -385,7 +390,6 @@ class CircularArcGraph:
                 if self._rpp[x - 1] > best_val:
                     best_x, best_val = (x, True), self._rpp[x - 1]
         else:
-            mine = lk.rank(1, v)
             for lo, hi in ((1, mine - 1), (mine + 1, nrev)):
                 if lo <= hi:
                     x = self._rmax_r.query(lo, hi)
@@ -394,12 +398,12 @@ class CircularArcGraph:
         if best_x is None:
             return None
         x, is_rev = best_x
-        return self._head(lk.select(int(is_rev), x), best_val, is_rev)
+        return self._head(lk.select(int(is_rev), x), best_val, is_rev, x)
 
     def spath(self, u: int, v: int):
         """A shortest u-v path by two alternating clockwise walks, one
         from each end; the first to reach the other side wins. The walks
-        carry heads (label, r, reversed, k), so no hop selects on S and
+        carry heads (label, r, reversed, k, x), so no hop selects on S and
         the meet tests make no primitive call."""
         if self.adjacent(u, v):
             return [u, v]

@@ -20,23 +20,26 @@ from .circular import CircularArcGraph, anchor_arcs, random_arc_realization
 from .errors import GraphInputError, QueryRangeError, SerializationError
 from .graph import SuccinctIntervalGraph
 from .intervals import (
-    IntervalRealization,
     normalize,
     parse_realization_text,
     random_proper_realization,
     random_realization,
 )
-from .variants import (
-    MODE_IMPROPER,
-    MODE_PROPER,
-    KProperGraph,
-    ProperIntervalGraph,
-    check_proper,
-)
-from .verify import verify_circular, verify_interval, verify_variants
+from .variants import MODE_IMPROPER, MODE_PROPER, KProperGraph, ProperIntervalGraph
+from .verify import verify
 
-_INTERVAL_TYPES = ("interval", "proper", "kproper", "kimproper")
-_ALL_TYPES = _INTERVAL_TYPES + ("circular",)
+# each --type: its structure's constructor from a realization, and the
+# random realization generator that verify --random and bench draw from
+_KINDS = {
+    "interval": (SuccinctIntervalGraph, random_realization),
+    "proper": (ProperIntervalGraph, random_proper_realization),
+    "kproper": (lambda real: KProperGraph(real, MODE_PROPER), random_realization),
+    "kimproper": (lambda real: KProperGraph(real, MODE_IMPROPER), random_realization),
+    "circular": (
+        CircularArcGraph,
+        lambda n, rng: random_arc_realization(n, rng, require_reversed=False),
+    ),
+}
 
 _LOADERS = {
     b"SIGR": SuccinctIntervalGraph,
@@ -68,25 +71,13 @@ def load_structure(path):
 
 def _read_realization(path: str, want: str, anchor=None):
     kind, pairs = parse_realization_text(Path(path).read_text())
-    if want in _INTERVAL_TYPES:
-        if kind != "interval":
-            raise GraphInputError(f"{path}: expected an interval realization, got {kind}")
-        return normalize(pairs)
-    if kind != "circular":
-        raise GraphInputError(f"{path}: expected a circular realization, got {kind}")
-    return anchor_arcs(pairs, anchor)
-
-
-def _build_structure(kind: str, real):
-    if kind == "interval":
-        return SuccinctIntervalGraph.from_realization(real)
-    if kind == "proper":
-        return ProperIntervalGraph.from_realization(real)
-    if kind == "kproper":
-        return KProperGraph.from_realization(real, MODE_PROPER)
-    if kind == "kimproper":
-        return KProperGraph.from_realization(real, MODE_IMPROPER)
-    return CircularArcGraph.from_realization(real)
+    if want == "circular":
+        if kind != "circular":
+            raise GraphInputError(f"{path}: expected a circular realization, got {kind}")
+        return anchor_arcs(pairs, anchor)
+    if kind != "interval":
+        raise GraphInputError(f"{path}: expected an interval realization, got {kind}")
+    return normalize(pairs)
 
 
 def _emit(args, text: str, payload) -> None:
@@ -106,8 +97,8 @@ def cmd_build(args) -> int:
     if args.anchor is not None and args.type != "circular":
         raise GraphInputError("--anchor applies to circular structures only")
     real = _read_realization(args.input, args.type, args.anchor)
-    g = _build_structure(args.type, real)
-    blob = g.to_bytes()
+    build, _ = _KINDS[args.type]
+    blob = build(real).to_bytes()
     Path(args.output).write_bytes(blob)
     _emit(
         args,
@@ -172,33 +163,16 @@ def cmd_algo(args) -> int:
     return 0
 
 
-def _random_for(kind: str, n: int, rng: random.Random):
-    if kind == "proper":
-        return random_proper_realization(n, rng)
-    if kind == "circular":
-        return random_arc_realization(n, rng, require_reversed=False)
-    return random_realization(n, rng)
-
-
-def _verify_one(kind: str, real) -> list[str]:
-    if kind == "circular":
-        return verify_circular(real)
-    if kind == "interval":
-        return verify_interval(real)
-    if kind == "proper":
-        check_proper(real)  # a non-proper input is a type error, not a mismatch
-        return verify_variants(real)
-    return verify_variants(real)
-
-
 def cmd_verify(args) -> int:
     if (args.input is None) == (args.random is None):
         raise GraphInputError("verify needs exactly one of --input or --random")
+    # a constructor that rejects its input (a nesting one for --type
+    # proper) raises a type error, not a mismatch
+    build, draw = _KINDS[args.type]
     failures: list[str] = []
     if args.input is not None:
         real = _read_realization(args.input, args.type, None)
-        label = args.input
-        failures = [f"{label}: {msg}" for msg in _verify_one(args.type, real)]
+        failures = [f"{args.input}: {msg}" for msg in verify(build(real), real)]
         trials = 1
     else:
         if args.trials < 1:
@@ -206,8 +180,8 @@ def cmd_verify(args) -> int:
         rng = random.Random(_seed(args))
         trials = args.trials
         for t in range(trials):
-            real = _random_for(args.type, args.random, rng)
-            for msg in _verify_one(args.type, real):
+            real = draw(args.random, rng)
+            for msg in verify(build(real), real):
                 failures.append(f"trial {t + 1}: {msg}")
             if failures:
                 break
@@ -248,9 +222,10 @@ def cmd_bench(args) -> int:
         raise GraphInputError(f"--queries must be at least 0, got {args.queries}")
     rng = random.Random(_seed(args))
     n = args.n
-    real = _random_for(args.type, n, rng)
+    build, draw = _KINDS[args.type]
+    real = draw(n, rng)
     t0 = perf_counter()
-    g = _build_structure(args.type, real)
+    g = build(real)
     build_s = perf_counter() - t0
     components = g.space_report()
     total = sum(components.values())
@@ -319,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="build a structure from a text realization")
-    b.add_argument("--type", choices=_ALL_TYPES, default="interval")
+    b.add_argument("--type", choices=tuple(_KINDS), default="interval")
     b.add_argument("--input", required=True, help="text realization file")
     b.add_argument("--output", required=True, help="binary structure file")
     b.add_argument("--anchor", type=int, default=None,
@@ -341,7 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
     a.set_defaults(func=cmd_algo)
 
     v = sub.add_parser("verify", help="cross-check against the brute oracle")
-    v.add_argument("--type", choices=_ALL_TYPES, default="interval")
+    v.add_argument("--type", choices=tuple(_KINDS), default="interval")
     v.add_argument("--input", default=None, help="text realization file")
     v.add_argument("--random", type=int, default=None, metavar="N",
                    help="verify random instances of n vertices")
@@ -351,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.set_defaults(func=cmd_verify)
 
     e = sub.add_parser("bench", help="space accounting and query timings")
-    e.add_argument("--type", choices=_ALL_TYPES, default="interval")
+    e.add_argument("--type", choices=tuple(_KINDS), default="interval")
     e.add_argument("--n", type=int, required=True)
     e.add_argument("--queries", type=int, default=100)
     e.add_argument("--seed", type=int, default=None)

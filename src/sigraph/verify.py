@@ -1,25 +1,18 @@
 """Cross-checks of the succinct structures against the brute oracle.
 
-Each function returns a list of mismatch descriptions; an empty list
-means every check passed. Checks cover all query pairs, so they are
-meant for moderate n, not benchmarks.
+One path serves every kind: verify(g, real) takes the oracle from the
+realization's type and checks g's own answers against it, so code that
+several structures share is never compared with itself. It returns a
+list of mismatch descriptions; an empty list means every check passed.
+Checks cover all query pairs, so they are meant for moderate n, not
+benchmarks.
 """
 
 from __future__ import annotations
 
 from . import algorithms
-from .circular import ArcRealization, CircularArcGraph
-from .errors import NotProperError
-from .graph import SuccinctIntervalGraph
-from .intervals import IntervalRealization
+from .circular import ArcRealization
 from .oracle import OracleGraph, mis_size_dp
-from .variants import (
-    MODE_IMPROPER,
-    MODE_PROPER,
-    KProperGraph,
-    ProperIntervalGraph,
-    check_proper,
-)
 
 
 def _check_paths(g, oracle: OracleGraph, issues: list[str]) -> None:
@@ -73,8 +66,7 @@ def _check_queries(g, oracle: OracleGraph, issues: list[str]) -> None:
     _check_paths(g, oracle, issues)
 
 
-def _check_algorithms(g: SuccinctIntervalGraph, oracle: OracleGraph, issues) -> None:
-    real = g.realization()
+def _check_algorithms(g, real, oracle: OracleGraph, issues: list[str]) -> None:
     n = g.n
     d = algorithms.build_d_sequence(g)
     clique = algorithms.max_clique(g)
@@ -113,70 +105,22 @@ def _check_algorithms(g: SuccinctIntervalGraph, oracle: OracleGraph, issues) -> 
             issues.append("clique size differs from exhaustive search")
 
 
-def verify_interval(real: IntervalRealization) -> list[str]:
-    """Oracle equivalence for the plain interval structure."""
+def verify(g, real) -> list[str]:
+    """Oracle equivalence for a structure g of any kind built from real:
+    the decoded realization, a byte-identical blob round trip, every
+    query against the oracle, and the algorithms on linear structures."""
     issues: list[str] = []
-    g = SuccinctIntervalGraph.from_realization(real)
-    oracle = OracleGraph.from_intervals(real)
-    if g.realization() != real:
-        issues.append("decoded realization differs from the input")
-    back = SuccinctIntervalGraph.from_bytes(g.to_bytes())
-    if back.to_bytes() != g.to_bytes():
-        issues.append("serialization round trip is not byte-identical")
-    _check_queries(g, oracle, issues)
-    _check_algorithms(g, oracle, issues)
-    return issues
-
-
-def verify_variants(real: IntervalRealization) -> list[str]:
-    """Depth-annotated structures answer exactly like the plain one."""
-    issues: list[str] = []
-    g = SuccinctIntervalGraph.from_realization(real)
-    oracle = OracleGraph.from_intervals(real)
-    n = real.n
-    contenders = [
-        ("kproper", KProperGraph.from_realization(real, MODE_PROPER)),
-        ("kimproper", KProperGraph.from_realization(real, MODE_IMPROPER)),
-    ]
-    try:
-        check_proper(real)
-    except NotProperError:
-        pass
+    circular = isinstance(real, ArcRealization)
+    if circular:
+        oracle = OracleGraph.from_arc_positions(real.arcs)
     else:
-        contenders.append(("proper", ProperIntervalGraph.from_realization(real)))
-    for name, h in contenders:
-        blob = h.to_bytes()
-        if type(h).from_bytes(blob).to_bytes() != blob:
-            issues.append(f"{name}: serialization round trip is not byte-identical")
-        if h.realization() != real:
-            issues.append(f"{name}: decoded realization differs from the input")
-        for v in range(1, n + 1):
-            if h.degree(v) != g.degree(v):
-                issues.append(f"{name}: degree({v}) = {h.degree(v)} != {g.degree(v)}")
-            if h.neighborhood(v) != g.neighborhood(v):
-                issues.append(f"{name}: neighborhood({v}) differs")
-        for u in range(1, n + 1):
-            for v in range(1, n + 1):
-                if h.adjacent(u, v) != g.adjacent(u, v):
-                    issues.append(f"{name}: adjacent({u},{v}) differs")
-        _check_paths(h, oracle, issues)
-    return issues
-
-
-def verify_circular(real: ArcRealization) -> list[str]:
-    """Oracle equivalence for the circular-arc structure."""
-    issues: list[str] = []
-    g = CircularArcGraph.from_realization(real)
-    oracle = OracleGraph.from_arc_positions(real.arcs)
+        oracle = OracleGraph.from_intervals(real)
     if g.realization() != real:
         issues.append("decoded realization differs from the input")
-    back = CircularArcGraph.from_bytes(g.to_bytes())
-    if back.to_bytes() != g.to_bytes():
+    blob = g.to_bytes()
+    if type(g).from_bytes(blob).to_bytes() != blob:
         issues.append("serialization round trip is not byte-identical")
-    rev = sorted(real.reversed_set())
-    for i, u in enumerate(rev):
-        for v in rev[i + 1 :]:
-            if not g.adjacent(u, v):
-                issues.append(f"reversed arcs {u} and {v} must intersect")
     _check_queries(g, oracle, issues)
+    if not circular:
+        _check_algorithms(g, real, oracle, issues)
     return issues

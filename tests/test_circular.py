@@ -337,17 +337,18 @@ def _short_arcs(n: int, rng) -> ArcRealization:
 
 @pytest.mark.parametrize("make", [random_arc_realization, _short_arcs])
 def test_spath_heads_rank_their_right_endpoint_once(make, monkeypatch):
-    """A head carries k = S.rank(0, r), ranked once when it is made: the
-    meet test makes no primitive call, and a greedy hop at most 3 ranks,
-    the new head's k among them."""
+    """A head carries k = S.rank(0, r), ranked once when it is made, and
+    its family rank x: the meet test makes no primitive call, and a greedy
+    hop at most 2 ranks, the new head's k among them."""
     n = 2000
     rng = random.Random(f"heads/{make.__name__}")
     g = CircularArcGraph(make(n, rng))
     s = g._s
     heads = [g._head(v, *g._right(v)) for v in rng.sample(range(1, n + 1), 400)]
-    for v, r, rev, k in heads:
+    for v, r, rev, k, x in heads:
         assert (r, rev) == (g.arc_of(v)[1], g.is_reversed(v))
         assert k == s.rank(0, r)
+        assert x == g._lk.rank(int(rev), v)
     calls = count_calls(monkeypatch, [(BitVector, name) for name in ("select", "rank", "access")])
     hops = 0
     for a, b in zip(heads, heads[1:]):
@@ -357,10 +358,11 @@ def test_spath_heads_rank_their_right_endpoint_once(make, monkeypatch):
         g._meets(a, b)
         assert calls == {}, (a, b)
         nxt = g._succ(a)
-        assert calls.get("BitVector.rank", 0) <= 3, (a, calls)
+        assert calls.get("BitVector.rank", 0) <= 2, (a, calls)
         if nxt is not None:
             hops += 1
             assert nxt[3] == s.rank(0, nxt[1])
+            assert nxt[4] == g._lk.rank(int(nxt[2]), nxt[0])
     assert hops > 300
 
 

@@ -10,7 +10,7 @@ from conftest import FIG1_INTERVALS, FIG2_ARCS, FIG2_TABLE_BLOB
 from sigraph import algorithms
 from sigraph.circular import ArcRealization, CircularArcGraph
 from sigraph.cli import load_structure, main
-from sigraph.graph import SuccinctIntervalGraph
+from sigraph.graph import IntervalQueries, SuccinctIntervalGraph
 from sigraph.intervals import IntervalRealization, random_realization
 from sigraph.serial import width_for
 from sigraph.variants import containment_depths
@@ -297,13 +297,22 @@ def test_verify_mismatch_exits_4(tmp_path, capsys, monkeypatch):
     write_interval_text(src, FIG1_INTERVALS)
     import sigraph.cli as cli_mod
 
-    monkeypatch.setattr(
-        cli_mod, "verify_interval", lambda real, **kw: ["degree(3): got 9, expected 4"]
-    )
+    monkeypatch.setattr(cli_mod, "verify", lambda g, real: ["degree(3): got 9, expected 4"])
     assert main(["verify", "--input", str(src)]) == 4
     out = capsys.readouterr().out
     assert out.startswith("FAIL")
     assert "degree(3)" in out
+
+
+@pytest.mark.parametrize("kind", ["interval", "proper", "kproper", "kimproper"])
+def test_verify_reports_a_shared_query_bug_on_every_linear_type(kind, capsys, monkeypatch):
+    """Each --type checks its own structure against the oracle, so a bug
+    in the query code all linear structures share fails every type."""
+    degree = IntervalQueries.degree
+    monkeypatch.setattr(IntervalQueries, "degree", lambda self, v: degree(self, v) + (v == 2))
+    argv = ["verify", "--type", kind, "--random", "12", "--trials", "2", "--seed", "3"]
+    assert main(argv) == 4
+    assert "degree(2)" in capsys.readouterr().out
 
 
 def test_verify_proper_type_rejects_improper_input(tmp_path, capsys):

@@ -1,42 +1,105 @@
 """The cross-checker must stay silent on honest structures and speak up
-when a query path is wrong."""
+when a query path is wrong, whichever structure runs that path."""
 
 import random
 
+import pytest
+
 from conftest import FIG1_INTERVALS, FIG2_ARCS
-from sigraph.circular import ArcRealization, random_arc_realization
-from sigraph.graph import SuccinctIntervalGraph
+from sigraph.circular import ArcRealization, CircularArcGraph, random_arc_realization
+from sigraph.graph import IntervalQueries, SuccinctIntervalGraph
 from sigraph.intervals import (
     IntervalRealization,
     random_proper_realization,
     random_realization,
 )
-from sigraph.oracle import OracleGraph
-from sigraph.verify import (
-    _check_queries,
-    verify_circular,
-    verify_interval,
-    verify_variants,
-)
+from sigraph.variants import MODE_IMPROPER, MODE_PROPER, KProperGraph, ProperIntervalGraph
+from sigraph.verify import verify
+
+# the four linear kinds, each with the realization generator it accepts
+LINEAR = {
+    "interval": (SuccinctIntervalGraph, random_realization),
+    "proper": (ProperIntervalGraph, random_proper_realization),
+    "kproper": (lambda real: KProperGraph(real, MODE_PROPER), random_realization),
+    "kimproper": (lambda real: KProperGraph(real, MODE_IMPROPER), random_realization),
+}
+NESTED = IntervalRealization(((1, 4), (2, 3)))
+
+
+def _draw(draw, nested: bool) -> IntervalRealization:
+    """A random 14-vertex realization from draw, nesting or not as asked,
+    in which vertex 1 meets vertex 2."""
+    rng = random.Random(11)
+    while True:
+        real = draw(14, rng)
+        (_, r1), (l2, _) = real.intervals[:2]
+        rights = [r for _, r in real.intervals]
+        if l2 < r1 and (rights != sorted(rights)) == nested:
+            return real
+
+
+def _linear_cases():
+    """(kind, structure, realization): FIG1 and a nested random input for
+    every kind that accepts nesting, a random proper input for proper."""
+    fig1 = IntervalRealization(FIG1_INTERVALS)
+    nested = _draw(random_realization, True)
+    for kind, (build, draw) in LINEAR.items():
+        cases = [_draw(draw, False)] if kind == "proper" else [fig1, nested]
+        for real in cases:
+            yield kind, build(real), real
 
 
 def test_clean_on_golden_instances():
-    assert verify_interval(IntervalRealization(FIG1_INTERVALS)) == []
-    assert verify_variants(IntervalRealization(FIG1_INTERVALS)) == []
-    assert verify_circular(ArcRealization(FIG2_ARCS)) == []
+    fig1 = IntervalRealization(FIG1_INTERVALS)
+    for kind, (build, _) in LINEAR.items():
+        if kind != "proper":
+            assert verify(build(fig1), fig1) == [], kind
+            assert verify(build(NESTED), NESTED) == [], kind
+    fig2 = ArcRealization(FIG2_ARCS)
+    assert verify(CircularArcGraph(fig2), fig2) == []
 
 
 def test_clean_on_random_instances():
     rng = random.Random(42)
     for _ in range(6):
-        assert verify_interval(random_realization(rng.randint(1, 15), rng)) == []
-        assert verify_variants(random_proper_realization(rng.randint(1, 12), rng)) == []
-        assert verify_circular(random_arc_realization(rng.randint(1, 15), rng)) == []
+        for kind, (build, draw) in LINEAR.items():
+            real = draw(rng.randint(1, 15), rng)
+            assert verify(build(real), real) == [], kind
+        real = random_arc_realization(rng.randint(1, 15), rng)
+        assert verify(CircularArcGraph(real), real) == []
 
 
-def test_variants_skip_proper_structure_on_nested_input():
-    # nested input: the proper structure cannot be built, the rest must agree
-    assert verify_variants(IntervalRealization(((1, 4), (2, 3)))) == []
+def test_shared_degree_bug_is_reported_on_every_linear_kind(monkeypatch):
+    """All linear kinds run IntervalQueries, so each must be checked
+    against the oracle, not against another kind running the same code."""
+    degree = IntervalQueries.degree
+    monkeypatch.setattr(IntervalQueries, "degree", lambda self, v: degree(self, v) + (v == 2))
+    for kind, g, real in _linear_cases():
+        assert any(s.startswith("degree(2)") for s in verify(g, real)), kind
+
+
+def test_shared_neighborhood_bug_is_reported_on_every_linear_kind(monkeypatch):
+    hood = IntervalQueries.neighborhood
+    monkeypatch.setattr(
+        IntervalQueries, "neighborhood",
+        lambda self, v: hood(self, v)[: -1 if v == 1 else None],
+    )
+    for kind, g, real in _linear_cases():
+        assert any(s.startswith("neighborhood(1)") for s in verify(g, real)), kind
+
+
+@pytest.mark.parametrize("query", ["degree", "neighborhood"])
+def test_circular_query_bug_is_reported(monkeypatch, query):
+    real = ArcRealization(FIG2_ARCS)
+    g = CircularArcGraph(real)
+    honest = getattr(CircularArcGraph, query)
+    if query == "degree":
+        monkeypatch.setattr(CircularArcGraph, "degree", lambda self, v: honest(self, v) + (v == 2))
+    else:
+        monkeypatch.setattr(
+            CircularArcGraph, "neighborhood", lambda self, v: honest(self, v)[: -1 if v == 2 else None]
+        )
+    assert any(s.startswith(f"{query}(2)") for s in verify(g, real))
 
 
 class _WrongDegree(SuccinctIntervalGraph):
@@ -60,9 +123,7 @@ class _WrongPath(SuccinctIntervalGraph):
 
 def _issues_for(cls):
     real = IntervalRealization(FIG1_INTERVALS)
-    issues = []
-    _check_queries(cls.from_realization(real), OracleGraph.from_intervals(real), issues)
-    return issues
+    return verify(cls(real), real)
 
 
 def test_detects_wrong_degree():
