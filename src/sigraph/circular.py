@@ -214,9 +214,6 @@ class CircularArcGraph:
     def _rank_nl(self, p: int) -> int:
         return self._lk.rank(0, self._s.rank(0, p))
 
-    def _rank_rl(self, p: int) -> int:
-        return self._lk.rank(1, self._s.rank(0, p))
-
     # -- decoding --------------------------------------------------------
 
     @property
@@ -260,14 +257,9 @@ class CircularArcGraph:
         counts the arcs starting before r_v: one rank, made once."""
         return v, r, rev, self._s.rank(0, r), x
 
-    def _decode(self, v: int) -> tuple[int, int, bool]:
-        r, rev, _ = self._right(v)
-        return self._s.select(0, v), r, rev
-
     def arc_of(self, v: int) -> tuple[int, int]:
         self._check_vertex(v)
-        l, r, _ = self._decode(v)
-        return l, r
+        return self._s.select(0, v), self._right(v)[0]
 
     def is_reversed(self, v: int) -> bool:
         self._check_vertex(v)
@@ -324,7 +316,8 @@ class CircularArcGraph:
         family, unless a family's hits are sparser than one per word,
         in which case that family takes one select per hit."""
         self._check_vertex(v)
-        l, r, rev = self._decode(v)
+        l = self._s.select(0, v)
+        r, rev, mine = self._right(v)   # mine: v's rank in its family
         nrev = self._n - self._q
         deg = self._degrees[v - 1]
         normal_hits: list[int] = []
@@ -333,11 +326,12 @@ class CircularArcGraph:
             # an earlier normal arc is a neighbor when it ends past l, so
             # the normal rights before l are the earlier ones that miss v;
             # every later one up to the last starting before r starts inside v
-            mine = self._lk.rank(0, v)
             earlier = mine - 1 - self._rk.rank(0, self._s.rank(1, l))
             report_above(self._rmax_n.query, self._rp, 1, mine - 1, l, earlier, normal_hits)
-            normal_hits.extend(range(mine + 1, self._rank_nl(r) + 1))
-            cross = self._rank_rl(r)
+            k = self._s.rank(0, r)   # labels 1..v and the later ones starting before r
+            normal = self._lk.rank(0, k) if k > v else mine   # normal ones among them
+            normal_hits.extend(range(mine + 1, normal + 1))
+            cross = k - normal   # reversed arcs starting before r
             reversed_hits.extend(range(1, cross + 1))
             report_above(
                 self._rmax_r.query, self._rpp, cross + 1, nrev, l,
@@ -350,7 +344,6 @@ class CircularArcGraph:
                 self._rmax_n.query, self._rp, cross + 1, self._q, l,
                 deg - cross - (nrev - 1), normal_hits,
             )
-            mine = self._lk.rank(1, v)
             reversed_hits.extend(range(1, mine))
             reversed_hits.extend(range(mine + 1, nrev + 1))
         out = self._lk.select_many(0, normal_hits)

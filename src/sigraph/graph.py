@@ -14,8 +14,10 @@ most 2K labels ending at v - 1, plus at most 2m - 1 range-max calls for
 the m of them that scan missed: O(degree) time. A proper family's
 earlier neighbors are the K labels just before v, so it makes no
 range-max call. Spath walks the one-ended greedy succ chain; each hop
-makes one rank and one range-max over the labels it newly reaches, so a
-path costs O(path length) primitive calls.
+makes one rank and one _farthest call, by default one range-max over the
+labels it newly reaches, so a path costs O(path length) primitive calls.
+A structure that knows where the prefix maxima of r lie may answer
+_farthest without the range-max index, as a proper-mode KProperGraph does.
 """
 
 from __future__ import annotations
@@ -116,6 +118,12 @@ class IntervalQueries:
     def _argmax_r(self, i: int, j: int) -> int:
         return self._rmax.query(i, j)
 
+    def _farthest(self, k: int, kn: int) -> int:
+        """A label among 1..kn holding the largest r there, given that
+        the caller's current vertex already holds the largest r over
+        1..k: one range-max over the labels k + 1..kn."""
+        return self._argmax_r(k + 1, kn)
+
     def _check_vertex(self, v: int) -> None:
         if not 1 <= v <= self._n:
             raise QueryRangeError(f"vertex {v} outside [1, {self._n}]")
@@ -166,17 +174,19 @@ class IntervalQueries:
 
     def succ(self, u: int) -> int:
         """Neighbor with the farthest right endpoint among intervals
-        starting before r_u; u itself when nothing reaches farther."""
+        starting before r_u; u itself when nothing reaches farther. One
+        rank and one _farthest call."""
         self._check_vertex(u)
-        return self._argmax_r(1, self._s.rank(0, self._r(u)))
+        return self._farthest(0, self._s.rank(0, self._r(u)))
 
     def spath(self, u: int, v: int):
         """A shortest u-v path, or None when they are disconnected.
 
         Walks the greedy succ chain up from the smaller label. The current
         vertex already holds the maximum r over the labels searched so
-        far, so each hop searches only the labels it newly reaches. The
-        chain stays below v, so it is adjacent to v exactly when
+        far, so each hop searches only the labels it newly reaches: one
+        rank and one _farthest call, which by default is one range-max.
+        The chain stays below v, so it is adjacent to v exactly when
         r_cur > l_v.
         """
         self._check_vertex(u)
@@ -190,11 +200,13 @@ class IntervalQueries:
         rc = self._r(u)
         path = [u]
         k = 0
+        rank = self._s.rank
+        farthest = self._farthest
         while rc < lv:
-            kn = self._s.rank(0, rc)
+            kn = rank(0, rc)
             if kn == k:
                 return None
-            i = self._argmax_r(k + 1, kn)
+            i = farthest(k, kn)
             ri = self._r(i)
             if ri <= rc:
                 return None

@@ -13,6 +13,14 @@ saved or asked for. Only a load pairs T's endpoints, class by class,
 and it recounts every depth from the right list, which costs
 O(n log n + Σ depth) in a sorted list and never more than the O(n log n)
 of a Fenwick tree.
+
+In proper mode a label has depth 0 exactly when it ends after every
+earlier label, so the depth-0 labels are the prefix maxima of r and the
+farthest-reaching label up to any label is the last depth-0 one. With
+k < 256 the depths are one byte each, so a spath or succ hop is one rank
+on S and one rfind over those bytes, with no range-max call. Improper
+mode, and proper mode with k >= 256, hop by range-max as the general
+structure does.
 """
 
 from __future__ import annotations
@@ -190,7 +198,9 @@ class KProperGraph(IntervalQueries):
     """Depth-annotated structure: 2n log k + O(n) bits for families where
     every interval is contained by (or contains) at most k others."""
 
-    __slots__ = ("_n", "_s", "_depths", "_mode", "_k", "_rlist", "_rmax")
+    # _farthest holds the spath hop _build picks: an instance slot, so no
+    # hop tests the mode or the depth width again
+    __slots__ = ("_n", "_s", "_depths", "_mode", "_k", "_rlist", "_rmax", "_farthest")
 
     def __init__(self, real: IntervalRealization, mode: str = MODE_PROPER):
         rights = [r for _, r in real.intervals]
@@ -202,8 +212,27 @@ class KProperGraph(IntervalQueries):
         self._rlist = rights
         self._rmax = RangeMaxIndex(rights, default_block_size(self._n))
         self._k = max(depths)
-        self._depths = uint_array(depths, self._k)
         self._mode = mode
+        if mode == MODE_PROPER and self._k < 256:
+            self._depths = bytes(depths)
+            self._farthest = self._last_outermost
+        else:
+            self._depths = uint_array(depths, self._k)
+            self._farthest = super()._farthest
+
+    def _last_outermost(self, k: int, kn: int) -> int:
+        """_farthest in proper mode: the last depth-0 label up to kn.
+
+        A depth-0 label ends after every earlier label, since one of those
+        ending after it would contain it; a label of depth d > 0 ends
+        before some earlier one. So the depth-0 labels are the prefix
+        maxima of r, and the last of them up to kn holds the largest r
+        over 1..kn. Label 1 has depth 0, so the search always finds one.
+        r values are distinct, so this is the label a range-max returns;
+        if it lies at or before k, it is the caller's own vertex, which
+        the caller sees as no advance. One C-level rfind, no range-max.
+        """
+        return self._depths.rfind(0, 0, kn) + 1
 
     @classmethod
     def from_realization(

@@ -594,7 +594,7 @@ def test_neighborhood_knows_its_hit_counts(n, monkeypatch):
                 lo, hi, count, _ = reports[False]
                 assert (lo, hi) == (1, mine - 1), v
                 assert mine - 1 - g._rk.rank(0, g._s.rank(1, l)) == count, v
-                cross = g._rank_rl(r)
+                cross = g._lk.rank(1, g._s.rank(0, r))
                 normal_total = count + g._rank_nl(r) - mine
                 assert deg - normal_total - cross == reports[True][2], v
             else:
@@ -656,6 +656,26 @@ def test_neighborhood_makes_at_most_five_selects(n, monkeypatch):
         total_selects += counts["select"]
         total_hits += len(hood)
     assert total_selects <= total_hits / 20
+
+
+def test_neighborhood_ranks_nothing_twice(monkeypatch):
+    """v's rank in its family comes from the one _right call that reads
+    r_v, so no neighborhood repeats a rank on the same vector, bit and
+    position."""
+    n = 2000
+    g = CircularArcGraph(random_arc_realization(n, random.Random(3)))
+    rank = BitVector.rank
+    seen = []
+
+    def recording_rank(self, bit, p):
+        seen.append((id(self), bit, p))
+        return rank(self, bit, p)
+
+    monkeypatch.setattr(BitVector, "rank", recording_rank)
+    for v in range(1, n + 1):
+        seen.clear()
+        g.neighborhood(v)
+        assert len(set(seen)) == len(seen), (v, seen)
 
 
 def test_sparse_hits_are_not_scanned(monkeypatch):

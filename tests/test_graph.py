@@ -305,16 +305,23 @@ def _count_guard_graph(kind):
 def test_spath_makes_constant_calls_per_hop(kind, monkeypatch):
     """One select0 per path, at most one rank and one range-max per hop,
     and the range-max ranges never overlap: a walk that searched the
-    whole prefix every hop would sum to far more than n."""
+    whole prefix every hop would sum to far more than n. A proper-mode
+    KProperGraph of depth under 256 hops to the last depth-0 label by one
+    rfind over its depths: no range-max at all, and one r read per hop."""
     g, rng = _count_guard_graph(kind)
     n = g.n
     calls = _counted(monkeypatch, g)
+    reads = _CountingReads(g._rlist)
+    if kind == "kproper":
+        assert g.k < 256
+        monkeypatch.setattr(g, "_rlist", reads)
     paths = 0
     for _ in range(300):
         u, v = rng.randint(1, n), rng.randint(1, n)
         if u == v:
             continue
         _zeroed(calls)
+        reads.sliced = reads.indexed = 0
         path = g.spath(u, v)
         if path is None:
             continue
@@ -326,6 +333,9 @@ def test_spath_makes_constant_calls_per_hop(kind, monkeypatch):
         if kind != "proper":
             assert calls["select1"] == 0
         assert sum(j - i + 1 for i, j in calls["ranges"]) <= n, (u, v)
+        if kind == "kproper":
+            assert calls["ranges"] == [], (u, v)
+            assert reads.sliced == 0 and reads.indexed <= hops + 1, (u, v)
     assert paths >= 100
 
 
@@ -448,7 +458,10 @@ def test_endpoint_bits_are_the_realization_s(kind):
 
 def test_query_hooks_live_in_interval_queries():
     """S and r are read in IntervalQueries alone; only the proper
-    structure, which derives r from S, overrides the r hooks."""
+    structure, which derives r from S, overrides the r hooks, and only
+    the depth-annotated one, which knows where the prefix maxima of r
+    lie, overrides the spath hop."""
+    assert "_farthest" in vars(IntervalQueries)
     for cls in (SuccinctIntervalGraph, ProperIntervalGraph, KProperGraph):
         assert issubclass(cls, IntervalQueries)
         own = set(vars(cls))
@@ -459,3 +472,54 @@ def test_query_hooks_live_in_interval_queries():
             assert r_hooks == {"_r", "_rights", "_argmax_r"}
         else:
             assert not r_hooks, cls
+        assert ("_farthest" in own) == (cls is KProperGraph), cls
+
+
+def _tower_and_chain(depth, chain):
+    """depth nested intervals, each inside all earlier ones, so the
+    innermost has depth - 1 containers in proper mode; short intervals
+    scattered under the tower; and a chain of chain unit intervals, each
+    meeting the next, running from under the tower far past its right
+    end, so paths along it take many hops."""
+    rng = random.Random(f"tower/{depth}/{chain}")
+    raw = [(i, 4.0 * depth - i) for i in range(depth)]
+    raw += [(a, a + 0.5) for a in (rng.uniform(depth, 3.0 * depth) for _ in range(depth))]
+    raw += [(2.0 * depth + 0.75 * j, 2.0 * depth + 0.75 * j + 1) for j in range(chain)]
+    return normalize(raw)
+
+
+def _kproper_families():
+    rng = random.Random("kproper/hop")
+    for _ in range(6):
+        n = rng.randint(100, 400)
+        yield random_realization(n, rng)
+        yield _scattered(n, rng, proper=False)
+        yield _nested(n, rng)
+    yield _tower_and_chain(300, 2000)
+
+
+@pytest.mark.parametrize("mode", [MODE_PROPER, MODE_IMPROPER])
+def test_kproper_paths_match_range_max_route(mode):
+    """KProperGraph's spath and succ against a SuccinctIntervalGraph of the
+    same realization, which keeps the range-max hop: the last-depth-0 hop
+    of proper mode with k < 256, and the inherited hop of improper mode
+    and of k >= 256, give the same labels. The depths are bytes, which
+    the hop searches, exactly in proper mode with k < 256, after a build
+    and after a load."""
+    deep = 0
+    for real in _kproper_families():
+        n = real.n
+        ref = SuccinctIntervalGraph(real)
+        built = KProperGraph.from_realization(real, mode)
+        fast = mode == MODE_PROPER and built.k < 256
+        deep += built.k >= 256
+        rng = random.Random(n)
+        pairs = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(200)]
+        want_paths = [ref.spath(u, v) for u, v in pairs]
+        want_succ = [ref.succ(u) for u, _ in pairs]
+        for g in (built, KProperGraph.from_bytes(built.to_bytes())):
+            assert (type(g._depths) is bytes) == fast, (mode, g.k)
+            assert (g._farthest.__func__ is IntervalQueries._farthest) != fast
+            assert [g.spath(u, v) for u, v in pairs] == want_paths
+            assert [g.succ(u) for u, _ in pairs] == want_succ
+    assert deep >= 1

@@ -10,6 +10,7 @@ from sigraph.circular import ArcRealization, CircularArcGraph, random_arc_realiz
 from sigraph.graph import IntervalQueries, SuccinctIntervalGraph
 from sigraph.intervals import (
     IntervalRealization,
+    normalize,
     random_proper_realization,
     random_realization,
 )
@@ -67,6 +68,21 @@ def test_clean_on_random_instances():
             assert verify(build(real), real) == [], kind
         real = random_arc_realization(rng.randint(1, 15), rng)
         assert verify(CircularArcGraph(real), real) == []
+
+
+def test_clean_on_a_tower_too_deep_for_byte_depths():
+    """257 nested intervals put depth 256 in either mode, so the depths
+    take two bytes and spath keeps the range-max hop: a chain of short
+    intervals leaving the tower makes its paths take several hops."""
+    depth = 257
+    raw = [(i, 2 * depth - i) for i in range(depth)]
+    raw += [(2 * depth - 1 + j, 2 * depth + j + 0.5) for j in range(6)]
+    real = normalize(raw)
+    for mode in (MODE_PROPER, MODE_IMPROPER):
+        g = KProperGraph(real, mode)
+        assert g.k == 256 and type(g._depths) is not bytes, mode
+        assert len(g.spath(depth, real.n)) > 4
+        assert verify(g, real) == [], mode
 
 
 def test_shared_degree_bug_is_reported_on_every_linear_kind(monkeypatch):
