@@ -1,15 +1,18 @@
 """Bit vector with constant-time rank and near-constant-time select.
 
-Bits are packed into 64-bit words, little-endian within each word. A
-two-level directory (cumulative counts per 4096-bit superblock, plus
-12-bit offsets per word inside its superblock) answers rank with one
-popcount. select(b, j) reads the occurrences of b before any word from
-the same directory (the zeros as its complement), so it searches the
-words between two sampled superblocks by interpolation, guarded: a step
-that fails to halve the range makes the next one bisect, which bounds a
-search at O(log words) steps. It adds no stored bits beyond the samples,
-and it finishes inside one word with a 32/16/8-bit popcount split and
-one byte-table read.
+Bits are packed into 64-bit words, little-endian within each word, held
+in one array('Q'). A build turns the bits into one '0'/'1' text, reads
+it as one int and copies that int's bytes into the array, all in C; a
+load copies the blob's words into the array directly. A two-level
+directory (cumulative counts per 4096-bit superblock in a short list,
+plus 12-bit offsets per word inside its superblock in an array('H'))
+answers rank with one popcount. select(b, j) reads the occurrences of b
+before any word from the same directory (the zeros as its complement),
+so it searches the words between two sampled superblocks by
+interpolation, guarded: a step that fails to halve the range makes the
+next one bisect, which bounds a search at O(log words) steps. It adds no
+stored bits beyond the samples, and it finishes inside one word with a
+32/16/8-bit popcount split and one byte-table read.
 
 select_many answers a batch of selects on one bit with two selects, for
 the smallest and the largest requested occurrence, and one pass over
@@ -23,7 +26,9 @@ All public positions are 1-based; rank takes a prefix length in [0, N].
 from __future__ import annotations
 
 import struct
-from itertools import compress
+import sys
+from array import array
+from itertools import accumulate, compress
 
 from .errors import QueryRangeError, SerializationError
 
@@ -35,76 +40,73 @@ _SAMPLE = 4096          # one select hint per this many occurrences
 # _BYTE_SEL[b] lists the positions (0..7) of the set bits of byte b, LSB first.
 _BYTE_SEL = [[k for k in range(8) if b >> k & 1] for b in range(256)]
 
+# one byte per bit to '0'/'1' text: any nonzero byte is a 1
+_BIT_TEXT = b"0" + b"1" * 255
+
 # _text() bytes mapped to 1 where the bit equals 0 / equals 1
 _IS_ZERO = bytes.maketrans(b"01", b"\x01\x00")
 _IS_ONE = bytes.maketrans(b"01", b"\x00\x01")
 
 _WORD_MASK = (1 << 64) - 1
 
+# blobs hold the words little-endian; array('Q') holds them natively
+_SWAP = sys.byteorder == "big"
+
 _MAGIC = b"SBVC"
 _VERSION = 1
 
 
-def _select_in_word(word: int, k: int) -> int:
-    """0-based offset of the k-th set bit of a 64-bit word, k >= 1: one
-    32/16/8-bit split by popcount, then one byte-table read."""
-    off = 0
-    c = (word & 0xFFFFFFFF).bit_count()
-    if k > c:
-        k -= c
-        word >>= 32
-        off = 32
-    c = (word & 0xFFFF).bit_count()
-    if k > c:
-        k -= c
-        word >>= 16
-        off += 16
-    c = (word & 0xFF).bit_count()
-    if k > c:
-        k -= c
-        word >>= 8
-        off += 8
-    return off + _BYTE_SEL[word & 0xFF][k - 1]
+def _words_from_le(data: bytes) -> array:
+    """Little-endian 64-bit words as an array('Q')."""
+    words = array("Q")
+    words.frombytes(data)
+    if _SWAP:
+        words.byteswap()
+    return words
+
+
+def _le_bytes(words: array) -> bytes:
+    """An array('Q') as little-endian bytes."""
+    if _SWAP:
+        words = array("Q", words)
+        words.byteswap()
+    return words.tobytes()
 
 
 class BitVector:
     """Static bit sequence supporting access(i), rank(b, i), select(b, j)."""
 
     __slots__ = (
-        "_n", "_words", "_nwords", "_ones",
+        "_n", "_words", "_bytes", "_nwords", "_ones",
         "_sb_ones", "_word_ones", "_sel1_sb", "_sel0_sb",
     )
 
     def __init__(self, bits):
-        chars = "".join("1" if b else "0" for b in bits)
-        n = len(chars)
-        words = [
-            int(chars[base:base + 64][::-1], 2) if chars[base:base + 64] else 0
-            for base in range(0, n, 64)
-        ]
-        self._init_from_words(words, n)
+        """bits: ints in [0, 255] or bools, position 1 first; a nonzero
+        value is a 1."""
+        raw = bytes(bits)
+        n = len(raw)
+        # bit p + 1 is bit p of one int, read from the reversed text
+        value = int(raw.translate(_BIT_TEXT)[::-1], 2) if n else 0
+        packed = value.to_bytes(8 * ((n + 63) >> 6), "little")
+        self._init_from_words(_words_from_le(packed), n)
 
     # -- construction ----------------------------------------------------
 
-    def _init_from_words(self, words: list[int], n: int) -> None:
+    def _init_from_words(self, words: array, n: int) -> None:
         self._n = n
         self._words = words
-        self._nwords = len(words)
-        sb_ones: list[int] = []
-        word_ones: list[int] = []
-        total = 0
-        sb_base = 0
-        for w_idx, w in enumerate(words):
-            if w_idx % _SB_WORDS == 0:
-                sb_ones.append(total)
-                sb_base = total
-            word_ones.append(total - sb_base)
-            total += w.bit_count()
-        if not sb_ones:
-            sb_ones.append(0)
-        self._ones = total
+        # the words as little-endian bytes, so that byte i >> 3 holds the
+        # bit at 0-based position i: a view, except on big-endian hosts.
+        # access reads one byte, a cached small int, not a boxed word
+        self._bytes = memoryview(_le_bytes(words) if _SWAP else words).cast("B")
+        self._nwords = nwords = len(words)
+        # ones[i]: the ones before word i
+        ones = list(accumulate(map(int.bit_count, words), initial=0))
+        sb_ones = ones[:max(nwords, 1):_SB_WORDS]
+        self._ones = total = ones[-1]
         self._sb_ones = sb_ones
-        self._word_ones = word_ones
+        self._word_ones = array("H", [ones[i] - sb_ones[i >> 6] for i in range(nwords)])
         self._sel1_sb = self._build_samples(sb_ones, total, ones=True)
         self._sel0_sb = self._build_samples(sb_ones, n - total, ones=False)
 
@@ -124,12 +126,6 @@ class BitVector:
             samples.append(s)
         return samples
 
-    @classmethod
-    def _from_words(cls, words: list[int], n: int) -> "BitVector":
-        bv = cls.__new__(cls)
-        bv._init_from_words(words, n)
-        return bv
-
     # -- queries ---------------------------------------------------------
 
     def __len__(self) -> int:
@@ -144,23 +140,20 @@ class BitVector:
         if not 1 <= i <= self._n:
             raise QueryRangeError(f"access position {i} outside [1, {self._n}]")
         i -= 1
-        return self._words[i >> 6] >> (i & 63) & 1
+        return self._bytes[i >> 3] >> (i & 7) & 1
 
     def rank(self, b: int, i: int) -> int:
         """Occurrences of bit b among the first i positions, 0 <= i <= N."""
         if not 0 <= i <= self._n:
             raise QueryRangeError(f"rank prefix {i} outside [0, {self._n}]")
-        ones = self._rank1(i)
+        fw = i >> 6
+        if fw < self._nwords:
+            ones = self._sb_ones[fw >> 6] + self._word_ones[fw]
+            if i & 63:
+                ones += (self._words[fw] & (1 << (i & 63)) - 1).bit_count()
+        else:
+            ones = self._ones
         return ones if b else i - ones
-
-    def _rank1(self, i: int) -> int:
-        fw, rem = divmod(i, 64)
-        if fw >= self._nwords:
-            return self._ones
-        c = self._sb_ones[fw >> 6] + self._word_ones[fw]
-        if rem:
-            c += (self._words[fw] & (1 << rem) - 1).bit_count()
-        return c
 
     def select(self, b: int, j: int) -> int:
         """1-based position of the j-th occurrence of bit b, 1 <= j <= count(b)."""
@@ -205,7 +198,26 @@ class BitVector:
                 word = words[g] if b else ~words[g] & _WORD_MASK
                 c_next = c + word.bit_count()
                 if c_next >= j:
-                    return (g << 6) + _select_in_word(word, j - c) + 1
+                    # the (j - c)-th set bit of word: one 32/16/8-bit
+                    # split by popcount, then one byte-table read
+                    k = j - c
+                    off = g << 6
+                    c = (word & 0xFFFFFFFF).bit_count()
+                    if k > c:
+                        k -= c
+                        word >>= 32
+                        off += 32
+                    c = (word & 0xFFFF).bit_count()
+                    if k > c:
+                        k -= c
+                        word >>= 16
+                        off += 16
+                    c = (word & 0xFF).bit_count()
+                    if k > c:
+                        k -= c
+                        word >>= 8
+                        off += 8
+                    return off + _BYTE_SEL[word & 0xFF][k - 1] + 1
                 lo = g + 1
                 c_lo = c_next
             halve = 2 * (hi - lo) > size
@@ -250,9 +262,8 @@ class BitVector:
     def _text(self, w_lo: int, w_hi: int) -> str:
         """Words w_lo..w_hi - 1 as '0'/'1' text, bit w_lo * 64 + 1 first;
         64 characters a word, the last word's padding read as zeros."""
-        k = w_hi - w_lo
-        packed = struct.pack(f"<{k}Q", *self._words[w_lo:w_hi])
-        return format(int.from_bytes(packed, "little"), f"0{64 * k}b")[::-1]
+        value = int.from_bytes(_le_bytes(self._words[w_lo:w_hi]), "little")
+        return format(value, f"0{64 * (w_hi - w_lo)}b")[::-1]
 
     # -- reporting and serialization ------------------------------------
 
@@ -274,9 +285,7 @@ class BitVector:
         return sum(self.space_report().values())
 
     def to_bytes(self) -> bytes:
-        return struct.pack(
-            f"<4sBQ{self._nwords}Q", _MAGIC, _VERSION, self._n, *self._words
-        )
+        return struct.pack("<4sBQ", _MAGIC, _VERSION, self._n) + _le_bytes(self._words)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "BitVector":
@@ -288,10 +297,12 @@ class BitVector:
         nwords = (n + 63) // 64
         if len(data) != 13 + 8 * nwords:
             raise SerializationError("bit vector payload length mismatch")
-        words = list(struct.unpack_from(f"<{nwords}Q", data, 13))
+        words = _words_from_le(data[13:])
         if n % 64 and words and words[-1] >> (n % 64):
             raise SerializationError("nonzero padding bits in bit vector")
-        return cls._from_words(words, n)
+        bv = cls.__new__(cls)
+        bv._init_from_words(words, n)
+        return bv
 
     def __repr__(self) -> str:
         return f"BitVector(n={self._n}, ones={self._ones})"

@@ -15,6 +15,14 @@ bitvector operations. On top sit the right-endpoint lists with range-max
 indexes for reporting and paths, and a degree table counted in one sweep,
 so degree is one read.
 
+Every per-arc array is a packed C array. Each bitvector keeps its words
+and its directory in arrays, and a build makes all three from S' as
+bytes, one C-level translate each. The right-endpoint lists, _rp of
+the normal family and _rpp of the reversed one, are packed unsigned
+arrays of the narrowest typecode that holds 2n; each compares equal to
+the list of its values, and its range-max index reads it in place. The
+degree table is packed the same way.
+
 Adjacency and spath never select on S. Labels follow start order, so a
 right endpoint r lies past l_v exactly when S.rank(0, r) >= v. An
 adjacency test reads at most two families (one access each) and two
@@ -66,6 +74,13 @@ _VERSION = 1
 
 # endpoint symbols in S'
 _NL, _NR, _RL, _RR = 0, 1, 2, 3
+
+# bytes.translate tables over S' as bytes: a symbol's side (1 at a right
+# endpoint) and its family (1 when reversed); and each side's symbols
+_PARITY = bytes([_NL & 1, _NR & 1, _RL & 1, _RR & 1]) + bytes(252)
+_REVERSED = bytes([_NL >> 1, _NR >> 1, _RL >> 1, _RR >> 1]) + bytes(252)
+_LEFTS = bytes([_NL, _RL])
+_RIGHTS = bytes([_NR, _RR])
 
 
 @dataclass(frozen=True)
@@ -187,15 +202,19 @@ class CircularArcGraph:
         """Every field from the realization and its S', which a load has
         already computed to compare with the decoded one."""
         arcs = real.arcs
-        rp = [r for l, r in arcs if l < r]
-        rpp = [r for l, r in arcs if l > r]
-        self._n = real.n
+        n = real.n
+        self._n = n
+        # S' as bytes; each vector is one C-level translate of it: S its
+        # parity, the left (right) family vector its left (right)
+        # symbols, the others deleted, 1 where reversed. Starts in
+        # position order are labels 1..n
+        raw = bytes(symbols)
+        self._s = BitVector(raw.translate(_PARITY))
+        self._lk = BitVector(raw.translate(_REVERSED, _RIGHTS))
+        self._rk = BitVector(raw.translate(_REVERSED, _LEFTS))
+        self._rp = rp = uint_array([r for l, r in arcs if l < r], 2 * n)
+        self._rpp = rpp = uint_array([r for l, r in arcs if l > r], 2 * n)
         self._q = len(rp)
-        self._s = BitVector(sym & 1 for sym in symbols)
-        self._lk = BitVector(l > r for l, r in arcs)
-        self._rk = BitVector(sym >> 1 for sym in symbols if sym & 1)
-        self._rp = rp
-        self._rpp = rpp
         c = default_block_size(self._q)
         self._rmax_n = RangeMaxIndex(rp, c)
         self._rmax_r = RangeMaxIndex(rpp, c)
@@ -360,34 +379,39 @@ class CircularArcGraph:
         included."""
         _, r, rev, k, mine = head   # k arcs start before r
         lk = self._lk
+        rpp = self._rpp
         wrap = lk.rank(1, k)
         if wrap:
             # a reversed neighbor starting before r carries the walk
             # past the anchor point: farther than anything on this lap
             # (from a reversed arc, r < l keeps the arc itself out)
             x = self._rmax_r.query(1, wrap)
-            return self._head(lk.select(1, x), self._rpp[x - 1], True, x)
-        # no reversed arc starts before r, so all k of them are normal
+            return self._head(lk.select(1, x), rpp[x - 1], True, x)
+        # no reversed arc starts before r, so all k of them are normal;
+        # each candidate's r is read once
         best_x = None
         best_val = r
         if k:
             x = self._rmax_n.query(1, k)
-            if self._rp[x - 1] > best_val:
-                best_x, best_val = (x, False), self._rp[x - 1]
+            val = self._rp[x - 1]
+            if val > best_val:
+                best_x, best_val = (x, False), val
         nrev = self._n - self._q
         if not rev:
             # a reversed arc ending past best_val >= r > l reaches back
             # over this arc's start, so it is a neighbor
             if nrev:
                 x = self._rmax_r.query(1, nrev)
-                if self._rpp[x - 1] > best_val:
-                    best_x, best_val = (x, True), self._rpp[x - 1]
+                val = rpp[x - 1]
+                if val > best_val:
+                    best_x, best_val = (x, True), val
         else:
             for lo, hi in ((1, mine - 1), (mine + 1, nrev)):
                 if lo <= hi:
                     x = self._rmax_r.query(lo, hi)
-                    if self._rpp[x - 1] > best_val:
-                        best_x, best_val = (x, True), self._rpp[x - 1]
+                    val = rpp[x - 1]
+                    if val > best_val:
+                        best_x, best_val = (x, True), val
         if best_x is None:
             return None
         x, is_rev = best_x

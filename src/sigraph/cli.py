@@ -7,6 +7,7 @@ error, 4 verify mismatch.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import random
@@ -14,6 +15,7 @@ import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from time import perf_counter
+from types import BuiltinFunctionType, FunctionType, MethodType, ModuleType
 
 from . import algorithms
 from .circular import CircularArcGraph, anchor_arcs, random_arc_realization
@@ -56,9 +58,32 @@ class StatsReport:
     total_bits: int
     bits_per_vertex: float
     build_seconds: float
+    heap_bits: int
+    heap_bits_per_vertex: float
     components: dict = field(default_factory=dict)
     baselines: dict = field(default_factory=dict)
     queries: dict = field(default_factory=dict)
+
+
+# shared code, not data a structure holds: the heap walk stops there
+_NOT_OWNED = (type, ModuleType, FunctionType, BuiltinFunctionType, MethodType)
+
+
+def _heap_bytes(root) -> int:
+    """Bytes of every object reachable from root, each counted once: a
+    referent walk with sys.getsizeof that stops at classes, modules and
+    functions."""
+    seen = set()
+    stack = [root]
+    total = 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, _NOT_OWNED):
+            continue
+        seen.add(id(obj))
+        total += sys.getsizeof(obj)
+        stack.extend(gc.get_referents(obj))
+    return total
 
 
 def load_structure(path):
@@ -227,6 +252,7 @@ def cmd_bench(args) -> int:
     t0 = perf_counter()
     g = build(real)
     build_s = perf_counter() - t0
+    heap_bits = 8 * _heap_bytes(g)
     components = g.space_report()
     total = sum(components.values())
     deg_sum = sum(g.degree(v) for v in range(1, n + 1))
@@ -254,6 +280,8 @@ def cmd_bench(args) -> int:
         total_bits=total,
         bits_per_vertex=round(total / n, 3),
         build_seconds=round(build_s, 4),
+        heap_bits=heap_bits,
+        heap_bits_per_vertex=round(heap_bits / n, 3),
         components=components,
         baselines=baselines,
         queries=queries,
@@ -265,6 +293,7 @@ def cmd_bench(args) -> int:
         f"{rep.kind} structure, n={rep.n}, edges={m}",
         f"build time: {rep.build_seconds}s",
         f"total bits: {rep.total_bits} ({rep.bits_per_vertex} per vertex)",
+        f"heap bits: {rep.heap_bits} ({rep.heap_bits_per_vertex} per vertex)",
         "components:",
     ]
     for name, bits in sorted(components.items(), key=lambda kv: -kv[1]):

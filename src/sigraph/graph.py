@@ -4,7 +4,11 @@ Vertices are 1..n in increasing left-endpoint order. The structure keeps
 the 2n-bit endpoint-kind sequence S (0 marks a left endpoint), the right
 endpoints r_1..r_n, and a range-max index over r, all built from the
 realization alone: raw S and r enter only through the validating
-from_bytes. All of degree, adjacent and succ are constant-time: degree
+from_bytes. S is a BitVector, whose words and directory are C arrays.
+r is one packed unsigned array of the narrowest typecode that holds 2n
+(serial.uint_array), and the range-max index reads that array in place;
+IntervalQueries._index_rights builds both, for every structure that
+keeps r. All of degree, adjacent and succ are constant-time: degree
 makes one select and one rank on S, adjacent one rank. Labels follow
 left-endpoint order, so l_v < r_u exactly when S.rank(0, r_u) >= v, and
 adjacency never looks up a left endpoint. Neighborhood reports the later
@@ -28,7 +32,15 @@ from .bitvector import BitVector
 from .errors import GraphInputError, QueryRangeError
 from .intervals import IntervalRealization
 from .rmq import RangeMaxIndex, default_block_size
-from .serial import Reader, Writer, check_block_size, pack_uints, unpack_uints, width_for
+from .serial import (
+    Reader,
+    Writer,
+    check_block_size,
+    pack_uints,
+    uint_array,
+    unpack_uints,
+    width_for,
+)
 
 _MAGIC = b"SIGR"
 _VERSION = 1
@@ -36,7 +48,7 @@ _VERSION = 1
 
 def _parity_bits(real: IntervalRealization) -> BitVector:
     """S of a realization: 0 at every left endpoint, 1 at every right."""
-    bits = [1] * (2 * real.n)
+    bits = bytearray(b"\x01") * (2 * real.n)
     for l, _ in real.intervals:
         bits[l - 1] = 0
     return BitVector(bits)
@@ -83,10 +95,10 @@ class IntervalQueries:
     """Query layer shared by every linear-interval representation.
 
     Every query reads the endpoint sequence S and r. The hooks here read
-    r from _rlist, in label order, and its range-max index _rmax; a class
-    that derives r from S overrides _r, _rights and _argmax_r, and keeps
-    in _rlist a sequence view that reads r from S. Concrete classes
-    provide space_report().
+    r from _rlist, the packed array of r in label order, and its
+    range-max index _rmax; a class that derives r from S overrides _r,
+    _rights and _argmax_r, and keeps in _rlist a sequence view that reads
+    r from S. Concrete classes provide space_report().
     """
 
     __slots__ = ()
@@ -123,6 +135,12 @@ class IntervalQueries:
         the caller's current vertex already holds the largest r over
         1..k: one range-max over the labels k + 1..kn."""
         return self._argmax_r(k + 1, kn)
+
+    def _index_rights(self, rights) -> None:
+        """Keep r, the n rights in label order, packed in one unsigned
+        array as _rlist, and index that array in place as _rmax."""
+        self._rlist = packed = uint_array(rights, 2 * self._n)
+        self._rmax = RangeMaxIndex(packed, default_block_size(self._n))
 
     def _check_vertex(self, v: int) -> None:
         if not 1 <= v <= self._n:
@@ -229,8 +247,7 @@ class SuccinctIntervalGraph(IntervalQueries):
     def _build(self, s: BitVector, rights: list[int]) -> None:
         self._n = len(rights)
         self._s = s
-        self._rlist = rights
-        self._rmax = RangeMaxIndex(rights, default_block_size(self._n))
+        self._index_rights(rights)
 
     @classmethod
     def from_realization(cls, real: IntervalRealization) -> "SuccinctIntervalGraph":

@@ -16,6 +16,7 @@ Queries are 1-based inclusive ranges; answers are 1-based positions.
 
 from __future__ import annotations
 
+from array import array
 from typing import Sequence
 
 from .errors import QueryRangeError
@@ -52,7 +53,11 @@ class RangeMaxIndex:
 
     def _scan(self, a: int, b: int) -> int:
         # Leftmost maximum position in the 0-based half-open range [a, b).
+        # A packed array boxes each value once, into a list, instead of
+        # once in max and again in index.
         seg = self._values[a:b]
+        if isinstance(seg, array):
+            seg = seg.tolist()
         return a + seg.index(max(seg))
 
     def _build_table(self, leaders: list[int]) -> list[list[int]]:

@@ -6,8 +6,9 @@ its last label.
 The bounded-depth structure annotates every endpoint with its interval's
 containment depth, which pairs left and right endpoints within each
 depth class. The blob stores only that annotation T. In memory the
-structure keeps S, the right list with the range-max index its queries
-run on, and one depth per vertex. A build takes all of them straight
+structure keeps S, the right list (one packed array, as the general
+structure keeps it) with the range-max index its queries run on, and
+one depth per vertex. A build takes all of them straight
 from the realization; T is made from them in one sweep only when it is
 saved or asked for. Only a load pairs T's endpoints, class by class,
 and it recounts every depth from the right list, which costs
@@ -27,6 +28,8 @@ from __future__ import annotations
 
 from bisect import bisect
 from collections import deque
+from itertools import repeat
+from operator import and_
 
 from .bitvector import BitVector
 from .errors import GraphInputError, NotProperError
@@ -199,7 +202,9 @@ class KProperGraph(IntervalQueries):
     every interval is contained by (or contains) at most k others."""
 
     # _farthest holds the spath hop _build picks: an instance slot, so no
-    # hop tests the mode or the depth width again
+    # hop tests the mode or the depth width again. It closes over the
+    # depths or the range-max index, never over the graph, so a dropped
+    # graph is freed at once, not by the cyclic collector
     __slots__ = ("_n", "_s", "_depths", "_mode", "_k", "_rlist", "_rmax", "_farthest")
 
     def __init__(self, real: IntervalRealization, mode: str = MODE_PROPER):
@@ -209,30 +214,15 @@ class KProperGraph(IntervalQueries):
     def _build(self, s: BitVector, rights: list[int], depths: list[int], mode: str) -> None:
         self._n = len(rights)
         self._s = s
-        self._rlist = rights
-        self._rmax = RangeMaxIndex(rights, default_block_size(self._n))
+        self._index_rights(rights)
         self._k = max(depths)
         self._mode = mode
         if mode == MODE_PROPER and self._k < 256:
             self._depths = bytes(depths)
-            self._farthest = self._last_outermost
+            self._farthest = _last_outermost(self._depths)
         else:
             self._depths = uint_array(depths, self._k)
-            self._farthest = super()._farthest
-
-    def _last_outermost(self, k: int, kn: int) -> int:
-        """_farthest in proper mode: the last depth-0 label up to kn.
-
-        A depth-0 label ends after every earlier label, since one of those
-        ending after it would contain it; a label of depth d > 0 ends
-        before some earlier one. So the depth-0 labels are the prefix
-        maxima of r, and the last of them up to kn holds the largest r
-        over 1..kn. Label 1 has depth 0, so the search always finds one.
-        r values are distinct, so this is the label a range-max returns;
-        if it lies at or before k, it is the caller's own vertex, which
-        the caller sees as no advance. One C-level rfind, no range-max.
-        """
-        return self._depths.rfind(0, 0, kn) + 1
+            self._farthest = _range_max_hop(self._rmax)
 
     @classmethod
     def from_realization(
@@ -306,7 +296,7 @@ class KProperGraph(IntervalQueries):
         k = max(symbols) >> 1
         if sigma != 2 * k + 2:
             raise GraphInputError("depth alphabet must end at the deepest class")
-        s = BitVector(sym & 1 for sym in symbols)
+        s = BitVector(map(and_, symbols, repeat(1)))
         if s.count(0) != n:
             raise GraphInputError(f"annotation must hold {n} left endpoints")
         # _pair has matched every right to an earlier left, and labels
@@ -317,6 +307,37 @@ class KProperGraph(IntervalQueries):
         g = cls.__new__(cls)
         g._build(s, rights, depths, mode)
         return g
+
+
+def _last_outermost(depths: bytes):
+    """The proper-mode hop over one-byte depths: _farthest(k, kn) is the
+    last depth-0 label up to kn.
+
+    A depth-0 label ends after every earlier label, since one of those
+    ending after it would contain it; a label of depth d > 0 ends before
+    some earlier one. So the depth-0 labels are the prefix maxima of r,
+    and the last of them up to kn holds the largest r over 1..kn. Label 1
+    has depth 0, so the search always finds one. r values are distinct,
+    so this is the label a range-max returns; if it lies at or before k,
+    it is the caller's own vertex, which the caller sees as no advance.
+    One C-level rfind, no range-max.
+    """
+    rfind = depths.rfind
+
+    def last_outermost(k: int, kn: int) -> int:
+        return rfind(0, 0, kn) + 1
+
+    return last_outermost
+
+
+def _range_max_hop(rmax: RangeMaxIndex):
+    """IntervalQueries._farthest over rmax, the index of the graph's r:
+    one range-max over the labels k + 1..kn."""
+
+    def range_max_hop(k: int, kn: int) -> int:
+        return rmax.query(k + 1, kn)
+
+    return range_max_hop
 
 
 def _pair(symbols: list[int], n: int, k: int) -> tuple[list[int], list[int]]:

@@ -1,15 +1,18 @@
 """End-to-end CLI coverage: build, query, algo, verify, bench, and the
 exit-code contract."""
 
+import gc
 import json
 import random
+import sys
+from types import BuiltinFunctionType, FunctionType, MethodType, ModuleType
 
 import pytest
 
 from conftest import FIG1_INTERVALS, FIG2_ARCS, FIG2_TABLE_BLOB
 from sigraph import algorithms
 from sigraph.circular import ArcRealization, CircularArcGraph
-from sigraph.cli import load_structure, main
+from sigraph.cli import _KINDS, load_structure, main
 from sigraph.graph import IntervalQueries, SuccinctIntervalGraph
 from sigraph.intervals import IntervalRealization, random_realization
 from sigraph.serial import width_for
@@ -386,6 +389,41 @@ def test_bench_kproper_reports_depths(kind, mode, capsys):
     assert rep["components"]["depths"] == n * width_for(k)
     assert not any(name.startswith("T_") for name in rep["components"])
     assert rep["total_bits"] == sum(rep["components"].values())
+
+
+def _walk_bytes(root) -> int:
+    """Bytes under root by a referent walk with sys.getsizeof, each object
+    once, stopping at classes, modules and functions."""
+    shared = (type, ModuleType, FunctionType, BuiltinFunctionType, MethodType)
+    seen = set()
+    stack = [root]
+    total = 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, shared):
+            continue
+        seen.add(id(obj))
+        total += sys.getsizeof(obj)
+        stack.extend(gc.get_referents(obj))
+    return total
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_bench_reports_heap_bits(kind, capsys):
+    """bench reports what the structure it built holds on the heap, as
+    bits and bits per vertex, next to the accounted bits."""
+    n, seed = 400, 6
+    assert main(["bench", "--type", kind, "--n", str(n), "--queries", "5",
+                 "--seed", str(seed), "--json"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    build, draw = _KINDS[kind]
+    g = build(draw(n, random.Random(seed)))
+    assert rep["heap_bits"] == 8 * _walk_bytes(g)
+    assert rep["heap_bits_per_vertex"] == round(rep["heap_bits"] / n, 3)
+    assert main(["bench", "--type", kind, "--n", str(n), "--queries", "5",
+                 "--seed", str(seed)]) == 0
+    out = capsys.readouterr().out
+    assert f"heap bits: {rep['heap_bits']} ({rep['heap_bits_per_vertex']} per vertex)" in out
 
 
 def test_bench_rejects_negative_queries(capsys):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIG1_INTERVALS, FIG1_S, fig1_realization
+from conftest import FIG1_INTERVALS, FIG1_S, count_calls, fig1_realization
 from sigraph.bitvector import BitVector
 from sigraph.errors import GraphInputError, QueryRangeError
 from sigraph.graph import IntervalQueries, SuccinctIntervalGraph
@@ -15,7 +15,7 @@ from sigraph.intervals import (
     random_realization,
 )
 from sigraph.oracle import OracleGraph
-from sigraph.rmq import default_block_size
+from sigraph.rmq import RangeMaxIndex, default_block_size
 from sigraph.variants import (
     MODE_IMPROPER,
     MODE_PROPER,
@@ -266,15 +266,17 @@ def _nested(n, rng):
 
 
 def _zeroed(calls):
-    calls.update(select0=0, select1=0, rank=0, ranges=[])
+    calls.update(select0=0, select1=0, rank=0, ranges=[], rmq=[])
     return calls
 
 
 def _counted(monkeypatch, g):
     """Patch the primitives g's queries reach; return the live tallies:
-    select calls by bit, rank calls, and the ranges passed to _argmax_r."""
+    select calls by bit, rank calls, the ranges passed to _argmax_r, and
+    those passed to RangeMaxIndex.query, which a hop may call directly."""
     calls = _zeroed({})
     select, rank, argmax = BitVector.select, BitVector.rank, type(g)._argmax_r
+    query = RangeMaxIndex.query
 
     def counting_select(self, bit, k):
         calls[f"select{bit}"] += 1
@@ -288,9 +290,14 @@ def _counted(monkeypatch, g):
         calls["ranges"].append((i, j))
         return argmax(self, i, j)
 
+    def counting_query(self, i, j):
+        calls["rmq"].append((i, j))
+        return query(self, i, j)
+
     monkeypatch.setattr(BitVector, "select", counting_select)
     monkeypatch.setattr(BitVector, "rank", counting_rank)
     monkeypatch.setattr(type(g), "_argmax_r", counting_argmax)
+    monkeypatch.setattr(RangeMaxIndex, "query", counting_query)
     return calls
 
 
@@ -333,8 +340,10 @@ def test_spath_makes_constant_calls_per_hop(kind, monkeypatch):
         if kind != "proper":
             assert calls["select1"] == 0
         assert sum(j - i + 1 for i, j in calls["ranges"]) <= n, (u, v)
+        assert sum(j - i + 1 for i, j in calls["rmq"]) <= n, (u, v)
+        assert len(calls["rmq"]) <= hops, (u, v)
         if kind == "kproper":
-            assert calls["ranges"] == [], (u, v)
+            assert calls["ranges"] == [] == calls["rmq"], (u, v)
             assert reads.sliced == 0 and reads.indexed <= hops + 1, (u, v)
     assert paths >= 100
 
@@ -499,13 +508,15 @@ def _kproper_families():
 
 
 @pytest.mark.parametrize("mode", [MODE_PROPER, MODE_IMPROPER])
-def test_kproper_paths_match_range_max_route(mode):
+def test_kproper_paths_match_range_max_route(mode, monkeypatch):
     """KProperGraph's spath and succ against a SuccinctIntervalGraph of the
     same realization, which keeps the range-max hop: the last-depth-0 hop
-    of proper mode with k < 256, and the inherited hop of improper mode
+    of proper mode with k < 256, and the range-max hop of improper mode
     and of k >= 256, give the same labels. The depths are bytes, which
-    the hop searches, exactly in proper mode with k < 256, after a build
-    and after a load."""
+    the hop searches with no range-max call, exactly in proper mode with
+    k < 256, after a build and after a load; every succ makes one hop, so
+    the range-max route makes calls."""
+    calls = count_calls(monkeypatch, [(RangeMaxIndex, "query")])
     deep = 0
     for real in _kproper_families():
         n = real.n
@@ -519,7 +530,8 @@ def test_kproper_paths_match_range_max_route(mode):
         want_succ = [ref.succ(u) for u, _ in pairs]
         for g in (built, KProperGraph.from_bytes(built.to_bytes())):
             assert (type(g._depths) is bytes) == fast, (mode, g.k)
-            assert (g._farthest.__func__ is IntervalQueries._farthest) != fast
+            calls.clear()
             assert [g.spath(u, v) for u, v in pairs] == want_paths
             assert [g.succ(u) for u, _ in pairs] == want_succ
+            assert ("RangeMaxIndex.query" in calls) != fast, (mode, g.k)
     assert deep >= 1
