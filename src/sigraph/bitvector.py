@@ -18,7 +18,14 @@ select_many answers a batch of selects on one bit with two selects, for
 the smallest and the largest requested occurrence, and one pass over
 the words between them, when those words number at most one per
 request; otherwise it makes one select per request. Either way the
-batch costs O(len(js)).
+batch costs O(len(js)). select_marked takes the batch as a byte mask
+over a run of occurrences instead, marked bytes nonzero, and returns
+the marked positions in increasing order: the same two selects and word
+pass, bounded by the marked count, then one compress with the mask, so
+it builds no list of the occurrences it is asked for.
+
+A vector pickles, and deep-copies, through to_bytes and the validating
+from_bytes.
 
 All public positions are 1-based; rank takes a prefix length in [0, N].
 """
@@ -236,20 +243,52 @@ class BitVector:
         hi_j = max(js)
         if not 1 <= lo_j <= hi_j <= self.count(b):
             return [self.select(b, j) for j in js]
+        p_lo, p_hi, between = self._select_span(b, lo_j, hi_j, len(js))
+        if between is None:
+            known = {lo_j: p_lo, hi_j: p_hi}
+            return [known.get(j) or self.select(b, j) for j in js]
+        found = list(between)
+        return [found[j - lo_j] for j in js]
+
+    def select_marked(self, b: int, lo_j: int, mask) -> list[int]:
+        """select(b, lo_j + i) for every i with mask[i] nonzero, in
+        increasing order. mask is bytes-like, one byte per occurrence
+        from the first marked one to the last, so its first and last
+        bytes are nonzero.
+
+        The same two selects and word pass as select_many, bounded by
+        the marked count, then one compress of the occurrences between
+        the two with the mask; when the words outnumber the marked
+        occurrences, one select per marked occurrence instead.
+        """
+        size = len(mask)
+        if size <= 1:
+            return [self.select(b, lo_j)] if size else []
+        hi_j = lo_j + size - 1
+        p_lo, p_hi, between = self._select_span(b, lo_j, hi_j, size - mask.count(0))
+        if between is None:
+            inner = compress(range(lo_j + 1, hi_j), mask[1:-1])
+            return [p_lo, *[self.select(b, j) for j in inner], p_hi]
+        return list(compress(between, mask))
+
+    def _select_span(self, b: int, lo_j: int, hi_j: int, wanted: int):
+        """(select(b, lo_j), select(b, hi_j), between), lo_j <= hi_j: two
+        selects (one when they are equal). between iterates over the
+        positions of occurrences lo_j..hi_j from one pass over the words
+        the two span, when those number at most wanted; it is None
+        otherwise, and no word is read."""
         p_lo = self.select(b, lo_j)
         p_hi = p_lo if hi_j == lo_j else self.select(b, hi_j)
         w_lo = (p_lo - 1) >> 6
         w_hi = ((p_hi - 1) >> 6) + 1
-        if w_hi - w_lo > len(js):
-            known = {lo_j: p_lo, hi_j: p_hi}
-            return [known.get(j) or self.select(b, j) for j in js]
+        if w_hi - w_lo > wanted:
+            return p_lo, p_hi, None
         base = w_lo * 64 + 1
         flags = (
             self._text(w_lo, w_hi)[p_lo - base:p_hi - base + 1]
             .encode("ascii").translate(_IS_ONE if b else _IS_ZERO)
         )
-        found = list(compress(range(p_lo, p_hi + 1), flags))
-        return [found[j - lo_j] for j in js]
+        return p_lo, p_hi, compress(range(p_lo, p_hi + 1), flags)
 
     def positions(self, b: int) -> list[int]:
         """1-based positions of every occurrence of bit b, in increasing
@@ -303,6 +342,9 @@ class BitVector:
         bv = cls.__new__(cls)
         bv._init_from_words(words, n)
         return bv
+
+    def __reduce__(self):
+        return type(self).from_bytes, (self.to_bytes(),)
 
     def __repr__(self) -> str:
         return f"BitVector(n={self._n}, ones={self._ones})"

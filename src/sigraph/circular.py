@@ -41,29 +41,36 @@ never the degree table; a load checks the block size, pairs each start
 in S' with the next end of its family's list, lets ArcRealization check
 the pairing, and compares the S' those arcs give with the decoded one.
 
-A neighborhood gathers the family ranks of its hits (contiguous runs
-plus range-max reports) and turns each family into labels with one
-select_many on the left family vector. That is at most 5 selects per
-neighborhood, one in the decode and two per family, plus one pass over
-the words each family's hits span, as long as the hits number at least
-one per word; a sparser family takes one select per hit instead. Each
-range-max report knows its hit count beforehand: a normal arc's earlier
-normal hits are its earlier normal arcs less the normal rights before
-its start (two ranks), and the other family's report holds the degree
-less the hits already known. So a report costs one scan of at most
-2 * count ranks plus at most 2m - 1 range-max calls for the m hits that
-scan missed.
+A neighborhood marks each family's hits in one byte mask over the
+family's ranks, from its first hit to its last, and turns the mask into
+labels with one select_marked on the left family vector; no list of hit
+ranks is built. Known runs of hits are slice assignments of ones, a
+range-max report's window is one flag byte per rank, and each hit of
+its range-max recursion sets one byte. A family costs two selects, one
+pass over the words its hits span and one compress of those positions
+with the mask, as long as the hits number at least one per word; a
+sparser family takes one select per hit instead. So a neighborhood
+makes at most 5 selects, one in the decode and two per family, and
+one sort merges the two families' sorted labels. Each range-max report
+knows its hit count beforehand: a normal arc's earlier normal hits are
+its earlier normal arcs less the normal rights before its start (two
+ranks), and the other family's report holds the degree less the hits
+already known. So a report reads one window of at most 2 * count
+values, word-parallel when it holds at least 64 (flags_above), plus at
+most 2m - 1 range-max calls for the m hits that window missed: O(degree)
+time in all.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from array import array
 from dataclasses import dataclass
 
 from .bitvector import BitVector
 from .errors import GraphInputError, QueryRangeError, SerializationError
-from .graph import report_above
+from .graph import search_above
 from .rmq import RangeMaxIndex, default_block_size
 from .serial import Reader, Writer, check_block_size, pack_uints, uint_array
 from .serial import unpack_uints, width_for
@@ -81,6 +88,14 @@ _PARITY = bytes([_NL & 1, _NR & 1, _RL & 1, _RR & 1]) + bytes(252)
 _REVERSED = bytes([_NL >> 1, _NR >> 1, _RL >> 1, _RR >> 1]) + bytes(252)
 _LEFTS = bytes([_NL, _RL])
 _RIGHTS = bytes([_NR, _RR])
+
+# flags_above: the shortest window compared word-parallel, and a field's
+# top byte (0x80 where its guard bit survived) mapped to a flag
+_WORD_WINDOW = 64
+_TOP_FLAG = bytes(128) + b"\x01" + bytes(127)
+
+# array slices hold native-order fields; the word compare reads them little-endian
+_SWAP = sys.byteorder == "big"
 
 
 @dataclass(frozen=True)
@@ -329,45 +344,49 @@ class CircularArcGraph:
         return revu or ku >= v or (revv and kv >= u)
 
     def neighborhood(self, v: int) -> list[int]:
-        """Neighbors of v in increasing label order. The hits of each
-        family are collected as ranks and mapped to labels with one
-        select_many: at most 5 selects in all, plus one word pass per
-        family, unless a family's hits are sparser than one per word,
-        in which case that family takes one select per hit."""
+        """Neighbors of v in increasing label order. Each family's hits
+        are marked in one byte mask over its ranks, from the first hit
+        to the last, and one select_marked on the left family vector
+        turns the mask into labels: at most 5 selects in all, plus one
+        word pass per family, unless a family's hits are sparser than
+        one per word, in which case that family takes one select per hit."""
         self._check_vertex(v)
         l = self._s.select(0, v)
         r, rev, mine = self._right(v)   # mine: v's rank in its family
         nrev = self._n - self._q
         deg = self._degrees[v - 1]
-        normal_hits: list[int] = []
-        reversed_hits: list[int] = []
         if not rev:
             # an earlier normal arc is a neighbor when it ends past l, so
             # the normal rights before l are the earlier ones that miss v;
             # every later one up to the last starting before r starts inside v
             earlier = mine - 1 - self._rk.rank(0, self._s.rank(1, l))
-            report_above(self._rmax_n.query, self._rp, 1, mine - 1, l, earlier, normal_hits)
             k = self._s.rank(0, r)   # labels 1..v and the later ones starting before r
             normal = self._lk.rank(0, k) if k > v else mine   # normal ones among them
-            normal_hits.extend(range(mine + 1, normal + 1))
             cross = k - normal   # reversed arcs starting before r
-            reversed_hits.extend(range(1, cross + 1))
-            report_above(
-                self._rmax_r.query, self._rpp, cross + 1, nrev, l,
-                deg - len(normal_hits) - cross, reversed_hits,
+            normal_mask = _hit_mask(
+                ((mine + 1, normal),),
+                *_report(self._rmax_n.query, self._rp, 1, mine - 1, l, earlier),
+            )
+            reversed_mask = _hit_mask(
+                ((1, cross),),
+                *_report(
+                    self._rmax_r.query, self._rpp, cross + 1, nrev, l,
+                    deg - earlier - (normal - mine) - cross,
+                ),
             )
         else:
             cross = self._rank_nl(r)
-            normal_hits.extend(range(1, cross + 1))
-            report_above(
-                self._rmax_n.query, self._rp, cross + 1, self._q, l,
-                deg - cross - (nrev - 1), normal_hits,
+            normal_mask = _hit_mask(
+                ((1, cross),),
+                *_report(
+                    self._rmax_n.query, self._rp, cross + 1, self._q, l,
+                    deg - cross - (nrev - 1),
+                ),
             )
-            reversed_hits.extend(range(1, mine))
-            reversed_hits.extend(range(mine + 1, nrev + 1))
-        out = self._lk.select_many(0, normal_hits)
-        out.extend(self._lk.select_many(1, reversed_hits))
-        out.sort()
+            reversed_mask = _hit_mask(((1, mine - 1), (mine + 1, nrev)))
+        out = self._lk.select_marked(0, *normal_mask)
+        out += self._lk.select_marked(1, *reversed_mask)
+        out.sort()   # merges the two sorted families
         return out
 
     # -- shortest paths --------------------------------------------------
@@ -485,6 +504,10 @@ class CircularArcGraph:
     def space_bits(self) -> int:
         return sum(self.space_report().values())
 
+    def __reduce__(self):
+        # pickle and deepcopy go through the blob and the validating loader
+        return type(self).from_bytes, (self.to_bytes(),)
+
     def to_bytes(self) -> bytes:
         # the flag byte is always 0; from_bytes rejects the 1 that marked
         # a stored degree table
@@ -539,6 +562,87 @@ class CircularArcGraph:
         g = cls.__new__(cls)
         g._build(real, symbols)
         return g
+
+
+def _report(pick_max, values, lo: int, hi: int, threshold: int, count: int):
+    """A family's range-max report over ranks lo..hi, which holds count
+    ranks x with values[x - 1] > threshold: (a, flags, found). flags has
+    one byte per rank of the window a..hi, the at most 2 * count ranks
+    ending at hi, 1 at a hit; found holds the hits the window missed,
+    which lie before it, from search_above. So a report reads at most
+    2 * count values and makes at most max(0, 2m - 1) range-max calls
+    for the m hits in found; a count of 0 reads nothing."""
+    if count <= 0:
+        return 0, b"", ()
+    a = max(lo, hi - 2 * count + 1)
+    flags = flags_above(values, a, hi, threshold)
+    missing = count - flags.count(1)
+    if missing > 0 and lo < a:
+        return a, flags, search_above(pick_max, values, lo, a - 1, threshold, missing)
+    return a, flags, ()
+
+
+def _hit_mask(runs, a: int = 0, flags: bytes = b"", found=()) -> tuple[int, bytearray]:
+    """(base, mask) for one family's hits: a byte per family rank from
+    the first hit, base, to the last, 1 at a hit. The hits are the ranks
+    of runs, (first, last) pairs of which one with first > last is
+    empty; the ranks a + i with flags[i] set; and the ranks in found.
+    Each run is one slice assignment, the flags one slice copy from
+    their first hit to their last, and found one byte each."""
+    runs = [(lo, hi) for lo, hi in runs if lo <= hi]
+    firsts = [lo for lo, _ in runs]
+    lasts = [hi for _, hi in runs]
+    f0 = flags.find(1)
+    if f0 >= 0:
+        f1 = flags.rfind(1) + 1
+        firsts.append(a + f0)
+        lasts.append(a + f1 - 1)
+    if found:
+        firsts.append(min(found))
+        lasts.append(max(found))
+    if not firsts:
+        return 1, bytearray()
+    base = min(firsts)
+    mask = bytearray(max(lasts) - base + 1)
+    for lo, hi in runs:
+        mask[lo - base:hi - base + 1] = b"\x01" * (hi - lo + 1)
+    if f0 >= 0:
+        mask[a + f0 - base:a + f1 - base] = flags[f0:f1]
+    for x in found:
+        mask[x - base] = 1
+    return base, mask
+
+
+def flags_above(values, a: int, b: int, threshold: int) -> bytes:
+    """One byte per position x in [a, b] (1-based, inclusive) of the
+    packed unsigned array values: 1 where values[x - 1] > threshold.
+
+    A window of at least _WORD_WINDOW values is compared word-parallel
+    (broadword, as in Vigna's rank/select), in C over the whole slice
+    read as one int of w-bit fields: when no field uses its top bit, OR
+    a guard bit into each field's top bit and subtract threshold + 1
+    from every field at once; a field keeps its guard exactly when its
+    value exceeds threshold, and none borrows from the next. The guards
+    then become flags through each field's top byte, one strided slice
+    and one translate. A shorter window, one holding a value with its
+    top bit set, or a negative threshold is compared one value at a time.
+    """
+    seg = values[a - 1:b]
+    size = len(seg)
+    if size >= _WORD_WINDOW and threshold >= 0:
+        width = seg.itemsize
+        if _SWAP:
+            seg.byteswap()
+        fields = int.from_bytes(seg, "little")
+        top = 8 * width - 1
+        ones = int.from_bytes((b"\x01" + bytes(width - 1)) * size, "little")
+        guards = ones << top
+        if not fields & guards:
+            if threshold >> top:
+                return bytes(size)   # every value is below 2**top <= threshold
+            kept = ((fields | guards) - (threshold + 1) * ones) & guards
+            return kept.to_bytes(size * width, "little")[width - 1::width].translate(_TOP_FLAG)
+    return bytes([val > threshold for val in seg])
 
 
 def _arc_symbols(arcs) -> list[int]:

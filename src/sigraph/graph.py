@@ -57,15 +57,18 @@ def _parity_bits(real: IntervalRealization) -> BitVector:
 def report_above(pick_max, values, lo: int, hi: int, threshold: int, count: int, out: list):
     """Append, in increasing order, the count positions x in [lo, hi]
     whose value values[x - 1] exceeds threshold; the caller knows count.
+    The linear structures report their earlier neighbors this way.
 
-    One slice scans the window of at most 2 * count positions ending at
-    hi, which is the whole range when the range is that short. The
-    m = count - (window hits) positions the window missed lie before it,
-    and a recursion on the range-max index pick_max finds them: if the
-    maximum clears the bar, report it and split; otherwise that range is
-    exhausted. The recursion stops at the m-th hit, so the cost is one
-    scan of at most 2 * count values plus at most max(0, 2m - 1)
-    range-max calls; a count of 0 reads nothing.
+    One slice comprehension scans the window of at most 2 * count
+    positions ending at hi, which is the whole range when the range is
+    that short. The m = count - (window hits) positions the window
+    missed lie before it, and search_above finds them on the range-max
+    index pick_max. So the cost is one scan of at most 2 * count values
+    plus at most max(0, 2m - 1) range-max calls; a count of 0 reads
+    nothing. A circular neighborhood takes the same window and the same
+    recursion, but flags its window's hits in bytes and marks every hit
+    in a byte mask over its family's ranks, never in a list of ints, so
+    only search_above is shared.
     """
     if count <= 0:
         return
@@ -73,22 +76,33 @@ def report_above(pick_max, values, lo: int, hi: int, threshold: int, count: int,
     window = [x for x, val in enumerate(values[a - 1:hi], a) if val > threshold]
     missing = count - len(window)
     if missing > 0 and lo < a:
-        found = []
-        stack = [(lo, a - 1)]
-        while stack:
-            i, j = stack.pop()
-            m = pick_max(i, j)
-            if values[m - 1] > threshold:
-                found.append(m)
-                if len(found) == missing:
-                    break
-                if i < m:
-                    stack.append((i, m - 1))
-                if m < j:
-                    stack.append((m + 1, j))
+        found = search_above(pick_max, values, lo, a - 1, threshold, missing)
         found.sort()
         out.extend(found)
     out.extend(window)
+
+
+def search_above(pick_max, values, lo: int, hi: int, threshold: int, missing: int) -> list[int]:
+    """Up to missing positions x in [lo, hi] whose value values[x - 1]
+    exceeds threshold, in the order a range-max recursion finds them: if
+    the maximum of a range clears the bar, report it and split, otherwise
+    that range is exhausted. Stopping at the missing-th hit, it makes at
+    most max(0, 2 * missing - 1) pick_max calls when [lo, hi] holds that
+    many hits, the caller's count."""
+    found = []
+    stack = [(lo, hi)]
+    while stack:
+        i, j = stack.pop()
+        m = pick_max(i, j)
+        if values[m - 1] > threshold:
+            found.append(m)
+            if len(found) == missing:
+                break
+            if i < m:
+                stack.append((i, m - 1))
+            if m < j:
+                stack.append((m + 1, j))
+    return found
 
 
 class IntervalQueries:
@@ -98,7 +112,8 @@ class IntervalQueries:
     r from _rlist, the packed array of r in label order, and its
     range-max index _rmax; a class that derives r from S overrides _r,
     _rights and _argmax_r, and keeps in _rlist a sequence view that reads
-    r from S. Concrete classes provide space_report().
+    r from S. Concrete classes provide space_report(), to_bytes() and
+    from_bytes(), which pickling and copying go through.
     """
 
     __slots__ = ()
@@ -118,6 +133,11 @@ class IntervalQueries:
 
     def space_bits(self) -> int:
         return sum(self.space_report().values())
+
+    def __reduce__(self):
+        # pickle and deepcopy go through the blob and the validating
+        # loader, never through the packed arrays or hop closures
+        return type(self).from_bytes, (self.to_bytes(),)
 
     # -- hooks -----------------------------------------------------------
 

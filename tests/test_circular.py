@@ -2,6 +2,7 @@
 brute-force oracle on random realizations."""
 
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from sigraph.circular import (
     ArcRealization,
     CircularArcGraph,
     anchor_arcs,
+    flags_above,
     random_arc_realization,
 )
 from sigraph.errors import GraphInputError, QueryRangeError, SerializationError
@@ -613,34 +615,35 @@ def test_neighborhood_knows_its_hit_counts(n, monkeypatch):
 
 
 def _count_selects(monkeypatch):
-    """Count BitVector.select calls; also count, per select_many call
+    """Count BitVector.select calls; also count, per select_marked call
     whose hits span more words than there are hits, the selects its
-    per-hit path may make beyond the two for the smallest and largest."""
+    per-hit path may make beyond the two for the first and last hit."""
     counts = {"select": 0, "per_hit": 0}
     select = BitVector.select
-    select_many = BitVector.select_many
+    select_marked = BitVector.select_marked
 
     def counting_select(self, b, j):
         counts["select"] += 1
         return select(self, b, j)
 
-    def counting_many(self, b, js):
-        if len(set(js)) > 2:
-            lo = select(self, b, min(js))
-            hi = select(self, b, max(js))
-            if (hi - 1) // 64 - (lo - 1) // 64 + 1 > len(js):
-                counts["per_hit"] += len(js) - 2
-        return select_many(self, b, js)
+    def counting_marked(self, b, lo_j, mask):
+        hits = len(mask) - mask.count(0)
+        if hits > 2:
+            lo = select(self, b, lo_j)
+            hi = select(self, b, lo_j + len(mask) - 1)
+            if (hi - 1) // 64 - (lo - 1) // 64 + 1 > hits:
+                counts["per_hit"] += hits - 2
+        return select_marked(self, b, lo_j, mask)
 
     monkeypatch.setattr(BitVector, "select", counting_select)
-    monkeypatch.setattr(BitVector, "select_many", counting_many)
+    monkeypatch.setattr(BitVector, "select_marked", counting_marked)
     return counts
 
 
 @pytest.mark.parametrize("n", [200, 2000])
 def test_neighborhood_makes_at_most_five_selects(n, monkeypatch):
-    """One select decodes v and one select_many maps each family's ranks
-    to labels: two selects and one word pass while the family's hits
+    """One select decodes v and one select_marked maps each family's hit
+    mask to labels: two selects and one word pass while the family's hits
     number at least one per word they span, one select per hit past
     that. So a neighborhood costs at most 5 selects plus the per-hit
     selects of sparse families, which random arcs rarely have."""
@@ -678,11 +681,43 @@ def test_neighborhood_ranks_nothing_twice(monkeypatch):
         assert len(set(seen)) == len(seen), (v, seen)
 
 
+def _long_arcs(n: int, rng) -> ArcRealization:
+    """Arcs of 0.6 to 0.95 of the circle: most of them cover the anchor
+    point and are reversed, so both families' masks are long."""
+    raw = []
+    for _ in range(n):
+        a = rng.random()
+        raw.append((a, (a + rng.uniform(0.6, 0.95)) % 1.0))
+    return anchor_arcs(raw)
+
+
+def _bound_scans(monkeypatch) -> list:
+    """Wrap select_marked so that each call appends the bits it formats
+    (BitVector._text) and asserts at most 64 of them per marked hit."""
+    text = BitVector._text
+    select_marked = BitVector.select_marked
+    scanned = []
+
+    def counting_text(self, w_lo, w_hi):
+        scanned[-1] += 64 * (w_hi - w_lo)
+        return text(self, w_lo, w_hi)
+
+    def scanning_marked(self, b, lo_j, mask):
+        scanned.append(0)
+        out = select_marked(self, b, lo_j, mask)
+        assert scanned[-1] <= 64 * len(out), (b, lo_j, len(mask), scanned[-1])
+        return out
+
+    monkeypatch.setattr(BitVector, "_text", counting_text)
+    monkeypatch.setattr(BitVector, "select_marked", scanning_marked)
+    return scanned
+
+
 def test_sparse_hits_are_not_scanned(monkeypatch):
     """One long anchor arc and a second long arc over short arcs that
     overlap in disjoint pairs: a late short arc's hits are ranks 1, 2
-    and its partner's, far apart, so select_many selects each of them.
-    No select_many call formats more than 64 bits per requested j."""
+    and its partner's, far apart, so select_marked selects each of them.
+    No select_marked call formats more than 64 bits per hit."""
     m = 300
     n = 2 + 2 * m
     arcs = [(1, 2 * n), (2, 2 * n - 1)]
@@ -692,22 +727,7 @@ def test_sparse_hits_are_not_scanned(monkeypatch):
     g = CircularArcGraph.from_realization(ArcRealization(tuple(arcs)))
     oracle = OracleGraph.from_arc_positions(arcs)
     counts = _count_selects(monkeypatch)
-    text = BitVector._text
-    counting_many = BitVector.select_many
-    scanned = []
-
-    def counting_text(self, w_lo, w_hi):
-        scanned[-1] += 64 * (w_hi - w_lo)
-        return text(self, w_lo, w_hi)
-
-    def scanning_many(self, b, js):
-        scanned.append(0)
-        out = counting_many(self, b, js)
-        assert scanned[-1] <= 64 * len(js), (b, js, scanned[-1])
-        return out
-
-    monkeypatch.setattr(BitVector, "_text", counting_text)
-    monkeypatch.setattr(BitVector, "select_many", scanning_many)
+    scanned = _bound_scans(monkeypatch)
     for v in range(1, n + 1):
         assert g.neighborhood(v) == oracle.neighborhood(v), v
     # the last short arc: its decode plus one select per hit
@@ -716,3 +736,48 @@ def test_sparse_hits_are_not_scanned(monkeypatch):
     assert g.neighborhood(n) == [1, 2, n - 1]
     assert counts["select"] == 4
     assert scanned == [0, 0]
+
+
+@pytest.mark.parametrize("make", [_long_arcs, _short_arcs])
+def test_marked_hits_match_oracle_within_scan_bound(make, monkeypatch):
+    """Every arc of a reversed-heavy family and of a short-arc family at
+    n = 2000: the neighborhood equals the oracle's, and no select_marked
+    call formats more than 64 bits per hit."""
+    real = make(2000, random.Random(2000))
+    g = CircularArcGraph.from_realization(real)
+    oracle = OracleGraph.from_arc_positions(real.arcs)
+    scanned = _bound_scans(monkeypatch)
+    for v in range(1, g.n + 1):
+        assert g.neighborhood(v) == oracle.neighborhood(v), v
+    assert len(scanned) == 2 * g.n
+
+
+@pytest.mark.parametrize("code", "BHILQ")
+def test_flags_above_matches_brute_force(code):
+    """flags_above against a per-value compare, on packed arrays of every
+    typecode: values below the top bit (the word-parallel path) and
+    values that use it, which a compare without a spare bit would get
+    wrong; windows of 0, 1, 63, 64 and 65 values at several offsets;
+    thresholds at 0 (and -1), at the largest value and just below it,
+    and at both sides of the top bit."""
+    rng = random.Random(code)
+    top = 8 * array(code).itemsize - 1
+    most = (1 << top + 1) - 1
+    low = [rng.randrange(1 << top) for _ in range(200)]
+    for values in (
+        low,
+        low[:150] + [1 << top] + low[150:],   # the top bit set past the first windows
+        [rng.randrange(most + 1) for _ in range(200)],
+        [most] * 70 + [0] * 70,
+        [(1 << top) - 1] * 140,
+    ):
+        packed = array(code, values)
+        peak = max(values)
+        thresholds = {-1, 0, 1, peak, peak - 1, (1 << top) - 1, 1 << top, most - 1, most}
+        for size in (0, 1, 63, 64, 65):
+            for a in (1, 2, 7, len(values) - size + 1):
+                b = a + size - 1
+                window = values[a - 1:b]
+                for t in thresholds:
+                    want = bytes(v > t for v in window)
+                    assert flags_above(packed, a, b, t) == want, (code, a, size, t)

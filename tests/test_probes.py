@@ -1,5 +1,5 @@
 """Decoder probes over the five kinds: truncations, byte runs, forged
-header fields and blobs of another kind.
+header fields, duplicated and deleted spans, and blobs of another kind.
 
 Every mutant must be rejected with GraphInputError (SerializationError
 is a subclass) or load into a structure that re-encodes to the same
@@ -25,6 +25,10 @@ SIZES = (1, 5, 40)
 PEAK_BOUND = 64 * 1024
 
 FORGED = (2**40, 2**63 - 1)
+
+# lengths of the spans duplicated and deleted at every offset: a byte, a
+# u8 pair, a u32 and a u64 field
+SPANS = (1, 2, 4, 8)
 
 
 def _blobs():
@@ -92,6 +96,16 @@ def _mutants(blob: bytes):
                 yield f"field {pos} = {value}", blob[:pos] + forged + blob[pos + width:]
 
 
+def _span_edits(blob: bytes):
+    """Every span of each length in SPANS, at every offset, duplicated in
+    place and deleted."""
+    for k in SPANS:
+        for pos in range(len(blob) - k + 1):
+            span = blob[pos:pos + k]
+            yield f"{k} bytes at {pos} doubled", blob[:pos] + span + blob[pos:]
+            yield f"{k} bytes at {pos} deleted", blob[:pos] + blob[pos + k:]
+
+
 def _degrees_agree(g) -> bool:
     real = g.realization()
     oracle = (
@@ -138,6 +152,15 @@ def test_mutants_are_rejected_or_round_trip(traced):
         blob = g.to_bytes()
         assert _probe(cls, blob, f"{kind} n={n}")
         for what, mutant in _mutants(blob):
+            _probe(cls, mutant, f"{kind} n={n}, {what}")
+
+
+def test_span_edits_are_rejected_or_round_trip(traced):
+    """Duplicated and deleted spans of 1, 2, 4 and 8 bytes at every
+    offset, on every kind at n = 1, 5 and 40."""
+    for kind, n, g in _blobs():
+        cls = type(g)
+        for what, mutant in _span_edits(g.to_bytes()):
             _probe(cls, mutant, f"{kind} n={n}, {what}")
 
 
