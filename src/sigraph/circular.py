@@ -42,23 +42,25 @@ in S' with the next end of its family's list, lets ArcRealization check
 the pairing, and compares the S' those arcs give with the decoded one.
 
 A neighborhood marks each family's hits in one byte mask over the
-family's ranks, from its first hit to its last, and turns the mask into
-labels with one select_marked on the left family vector; no list of hit
-ranks is built. Known runs of hits are slice assignments of ones, a
-range-max report's window is one flag byte per rank, and each hit of
-its range-max recursion sets one byte. A family costs two selects, one
-pass over the words its hits span and one compress of those positions
-with the mask, as long as the hits number at least one per word; a
-sparser family takes one select per hit instead. So a neighborhood
-makes at most 5 selects, one in the decode and two per family, and
-one sort merges the two families' sorted labels. Each range-max report
-knows its hit count beforehand: a normal arc's earlier normal hits are
-its earlier normal arcs less the normal rights before its start (two
-ranks), and the other family's report holds the degree less the hits
-already known. So a report reads one window of at most 2 * count
-values, word-parallel when it holds at least 64 (flags_above), plus at
-most 2m - 1 range-max calls for the m hits that window missed: O(degree)
-time in all.
+family's ranks, from its first hit to its last, while they number at
+least one per 64 of those ranks, and turns the mask into labels with
+one select_marked on the left family vector. Known runs of hits are
+slice assignments of ones, a range-max report's window is one flag byte
+per rank, and each hit of its range-max recursion sets one byte. A
+family whose hits are sparser lists its ranks for one select_many
+instead, so no mask holds more than 64 bytes per hit. Either way a
+family costs two selects, one pass over the words its hits span and one
+compress of those positions, as long as the hits number at least one
+per word; a sparser family takes one select per hit instead. So a
+neighborhood makes at most 5 selects, one in the decode and two per
+family, and one sort merges the two families' sorted labels. Each
+range-max report knows its hit count beforehand: a normal arc's
+earlier normal hits are its earlier normal arcs less the normal rights
+before its start (two ranks), and the other family's report holds the
+degree less the hits already known. So a report reads one window of at
+most 2 * count values, word-parallel when it holds at least 64
+(flags_above), plus at most 2m - 1 range-max calls for the m hits that
+window missed: O(degree) time in all.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ import random
 import sys
 from array import array
 from dataclasses import dataclass
+from itertools import compress
 
 from .bitvector import BitVector
 from .errors import GraphInputError, QueryRangeError, SerializationError
@@ -89,8 +92,14 @@ _REVERSED = bytes([_NL >> 1, _NR >> 1, _RL >> 1, _RR >> 1]) + bytes(252)
 _LEFTS = bytes([_NL, _RL])
 _RIGHTS = bytes([_NR, _RR])
 
+# the most family ranks a neighborhood's hit mask spans per hit; a
+# sparser family lists its ranks instead
+_MASK_SPAN = 64
+
 # flags_above: the shortest window compared word-parallel, and a field's
-# top byte (0x80 where its guard bit survived) mapped to a flag
+# top byte (0x80 where its guard bit survived) mapped to a flag. On 'I'
+# fields under CPython 3.11 the word compare overtakes the comprehension
+# between 16 and 32 values and is 1.5x faster at 64
 _WORD_WINDOW = 64
 _TOP_FLAG = bytes(128) + b"\x01" + bytes(127)
 
@@ -347,9 +356,11 @@ class CircularArcGraph:
         """Neighbors of v in increasing label order. Each family's hits
         are marked in one byte mask over its ranks, from the first hit
         to the last, and one select_marked on the left family vector
-        turns the mask into labels: at most 5 selects in all, plus one
-        word pass per family, unless a family's hits are sparser than
-        one per word, in which case that family takes one select per hit."""
+        turns the mask into labels; a family with fewer hits than one
+        per 64 of those ranks lists them for one select_many instead.
+        At most 5 selects in all, plus one word pass per family, unless
+        a family's hits are sparser than one per word, in which case
+        that family takes one select per hit."""
         self._check_vertex(v)
         l = self._s.select(0, v)
         r, rev, mine = self._right(v)   # mine: v's rank in its family
@@ -363,12 +374,12 @@ class CircularArcGraph:
             k = self._s.rank(0, r)   # labels 1..v and the later ones starting before r
             normal = self._lk.rank(0, k) if k > v else mine   # normal ones among them
             cross = k - normal   # reversed arcs starting before r
-            normal_mask = _hit_mask(
-                ((mine + 1, normal),),
+            out = _family_labels(
+                self._lk, 0, ((mine + 1, normal),),
                 *_report(self._rmax_n.query, self._rp, 1, mine - 1, l, earlier),
             )
-            reversed_mask = _hit_mask(
-                ((1, cross),),
+            out += _family_labels(
+                self._lk, 1, ((1, cross),),
                 *_report(
                     self._rmax_r.query, self._rpp, cross + 1, nrev, l,
                     deg - earlier - (normal - mine) - cross,
@@ -376,16 +387,14 @@ class CircularArcGraph:
             )
         else:
             cross = self._rank_nl(r)
-            normal_mask = _hit_mask(
-                ((1, cross),),
+            out = _family_labels(
+                self._lk, 0, ((1, cross),),
                 *_report(
                     self._rmax_n.query, self._rp, cross + 1, self._q, l,
                     deg - cross - (nrev - 1),
                 ),
             )
-            reversed_mask = _hit_mask(((1, mine - 1), (mine + 1, nrev)))
-        out = self._lk.select_marked(0, *normal_mask)
-        out += self._lk.select_marked(1, *reversed_mask)
+            out += _family_labels(self._lk, 1, ((1, mine - 1), (mine + 1, nrev)))
         out.sort()   # merges the two sorted families
         return out
 
@@ -582,35 +591,48 @@ def _report(pick_max, values, lo: int, hi: int, threshold: int, count: int):
     return a, flags, ()
 
 
-def _hit_mask(runs, a: int = 0, flags: bytes = b"", found=()) -> tuple[int, bytearray]:
-    """(base, mask) for one family's hits: a byte per family rank from
-    the first hit, base, to the last, 1 at a hit. The hits are the ranks
-    of runs, (first, last) pairs of which one with first > last is
-    empty; the ranks a + i with flags[i] set; and the ranks in found.
-    Each run is one slice assignment, the flags one slice copy from
-    their first hit to their last, and found one byte each."""
+def _family_labels(
+    vec: BitVector, b: int, runs, a: int = 0, flags: bytes = b"", found=()
+) -> list[int]:
+    """Labels of one family's hits, in increasing order, from the left
+    family vector vec and the family's bit b. The hits are the ranks of
+    runs, (first, last) pairs of which one with first > last is empty;
+    the ranks a + i with flags[i] set; and the ranks in found.
+
+    While the hits number at least one per _MASK_SPAN ranks from the
+    first to the last, they are marked in one byte mask over those ranks
+    for one select_marked: each run is one slice assignment, the flags
+    one slice copy from their first hit to their last, and found one
+    byte each. A sparser family, an empty one included, lists its ranks
+    for one select_many instead, so no mask holds more than _MASK_SPAN
+    bytes per hit."""
     runs = [(lo, hi) for lo, hi in runs if lo <= hi]
-    firsts = [lo for lo, _ in runs]
-    lasts = [hi for _, hi in runs]
+    spans = list(runs)
+    hits = sum(hi - lo + 1 for lo, hi in runs) + len(found)
     f0 = flags.find(1)
     if f0 >= 0:
         f1 = flags.rfind(1) + 1
-        firsts.append(a + f0)
-        lasts.append(a + f1 - 1)
+        hits += flags.count(1)
+        spans.append((a + f0, a + f1 - 1))
     if found:
-        firsts.append(min(found))
-        lasts.append(max(found))
-    if not firsts:
-        return 1, bytearray()
-    base = min(firsts)
-    mask = bytearray(max(lasts) - base + 1)
-    for lo, hi in runs:
-        mask[lo - base:hi - base + 1] = b"\x01" * (hi - lo + 1)
-    if f0 >= 0:
-        mask[a + f0 - base:a + f1 - base] = flags[f0:f1]
-    for x in found:
-        mask[x - base] = 1
-    return base, mask
+        spans.append((min(found), max(found)))
+    if spans:
+        base = min(lo for lo, _ in spans)
+        size = max(hi for _, hi in spans) - base + 1
+        if size <= _MASK_SPAN * hits:
+            mask = bytearray(size)
+            for lo, hi in runs:
+                mask[lo - base:hi - base + 1] = b"\x01" * (hi - lo + 1)
+            if f0 >= 0:
+                mask[a + f0 - base:a + f1 - base] = flags[f0:f1]
+            for x in found:
+                mask[x - base] = 1
+            return vec.select_marked(b, base, mask)
+    ranks = [x for lo, hi in runs for x in range(lo, hi + 1)]
+    ranks += compress(range(a, a + len(flags)), flags)
+    ranks += found
+    ranks.sort()
+    return vec.select_many(b, ranks)
 
 
 def flags_above(values, a: int, b: int, threshold: int) -> bytes:

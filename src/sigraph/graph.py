@@ -67,8 +67,8 @@ def report_above(pick_max, values, lo: int, hi: int, threshold: int, count: int,
     plus at most max(0, 2m - 1) range-max calls; a count of 0 reads
     nothing. A circular neighborhood takes the same window and the same
     recursion, but flags its window's hits in bytes and marks every hit
-    in a byte mask over its family's ranks, never in a list of ints, so
-    only search_above is shared.
+    in a byte mask over its family's ranks (a family sparser than one hit
+    per 64 ranks lists its ranks instead), so only search_above is shared.
     """
     if count <= 0:
         return

@@ -615,28 +615,38 @@ def test_neighborhood_knows_its_hit_counts(n, monkeypatch):
 
 
 def _count_selects(monkeypatch):
-    """Count BitVector.select calls; also count, per select_marked call
-    whose hits span more words than there are hits, the selects its
-    per-hit path may make beyond the two for the first and last hit."""
+    """Count BitVector.select calls; also count, per select_marked or
+    select_many call whose hits span more words than there are hits, the
+    selects its per-hit path may make beyond the two for the first and
+    last hit."""
     counts = {"select": 0, "per_hit": 0}
     select = BitVector.select
     select_marked = BitVector.select_marked
+    select_many = BitVector.select_many
+
+    def credit_per_hit(self, b, lo_j, hi_j, hits):
+        if hits > 2:
+            lo = select(self, b, lo_j)
+            hi = select(self, b, hi_j)
+            if (hi - 1) // 64 - (lo - 1) // 64 + 1 > hits:
+                counts["per_hit"] += hits - 2
 
     def counting_select(self, b, j):
         counts["select"] += 1
         return select(self, b, j)
 
     def counting_marked(self, b, lo_j, mask):
-        hits = len(mask) - mask.count(0)
-        if hits > 2:
-            lo = select(self, b, lo_j)
-            hi = select(self, b, lo_j + len(mask) - 1)
-            if (hi - 1) // 64 - (lo - 1) // 64 + 1 > hits:
-                counts["per_hit"] += hits - 2
+        credit_per_hit(self, b, lo_j, lo_j + len(mask) - 1, len(mask) - mask.count(0))
         return select_marked(self, b, lo_j, mask)
+
+    def counting_many(self, b, js):
+        if js:
+            credit_per_hit(self, b, min(js), max(js), len(set(js)))
+        return select_many(self, b, js)
 
     monkeypatch.setattr(BitVector, "select", counting_select)
     monkeypatch.setattr(BitVector, "select_marked", counting_marked)
+    monkeypatch.setattr(BitVector, "select_many", counting_many)
     return counts
 
 
@@ -692,10 +702,13 @@ def _long_arcs(n: int, rng) -> ArcRealization:
 
 
 def _bound_scans(monkeypatch) -> list:
-    """Wrap select_marked so that each call appends the bits it formats
-    (BitVector._text) and asserts at most 64 of them per marked hit."""
+    """Wrap select_marked and select_many so that each call appends the
+    bits it formats (BitVector._text) and asserts at most 64 of them per
+    hit; a select_marked call also asserts that its mask holds at most
+    64 bytes per hit."""
     text = BitVector._text
     select_marked = BitVector.select_marked
+    select_many = BitVector.select_many
     scanned = []
 
     def counting_text(self, w_lo, w_hi):
@@ -703,21 +716,32 @@ def _bound_scans(monkeypatch) -> list:
         return text(self, w_lo, w_hi)
 
     def scanning_marked(self, b, lo_j, mask):
+        hits = len(mask) - mask.count(0)
+        assert len(mask) <= 64 * hits, (b, lo_j, len(mask), hits)
         scanned.append(0)
         out = select_marked(self, b, lo_j, mask)
         assert scanned[-1] <= 64 * len(out), (b, lo_j, len(mask), scanned[-1])
         return out
 
+    def scanning_many(self, b, js):
+        scanned.append(0)
+        out = select_many(self, b, js)
+        assert scanned[-1] <= 64 * len(js), (b, js, scanned[-1])
+        return out
+
     monkeypatch.setattr(BitVector, "_text", counting_text)
     monkeypatch.setattr(BitVector, "select_marked", scanning_marked)
+    monkeypatch.setattr(BitVector, "select_many", scanning_many)
     return scanned
 
 
 def test_sparse_hits_are_not_scanned(monkeypatch):
     """One long anchor arc and a second long arc over short arcs that
     overlap in disjoint pairs: a late short arc's hits are ranks 1, 2
-    and its partner's, far apart, so select_marked selects each of them.
-    No select_marked call formats more than 64 bits per hit."""
+    and its partner's, far apart, so its family lists them for one
+    select_many, which selects each of them, and builds no mask over the
+    ranks between. No call formats more than 64 bits per hit, and no
+    mask holds more than 64 bytes per hit."""
     m = 300
     n = 2 + 2 * m
     arcs = [(1, 2 * n), (2, 2 * n - 1)]
@@ -736,6 +760,28 @@ def test_sparse_hits_are_not_scanned(monkeypatch):
     assert g.neighborhood(n) == [1, 2, n - 1]
     assert counts["select"] == 4
     assert scanned == [0, 0]
+
+
+def test_far_run_builds_no_long_mask(monkeypatch):
+    """A normal arc v with one reversed neighbor X that starts before it
+    (the run 1..cross) and one, H, that starts last (the report window),
+    with m reversed arcs between them in start order that miss v. The
+    reversed family's two hits lie m + 1 ranks apart, so they are listed
+    for one select_many, and no mask spans the ranks between them."""
+    m = 300
+    # X ends at 3; the m misses end before v and start after it; H ends
+    # after them and starts last
+    arcs = [(1, 2), (m + 4, 3), (m + 5, m + 6)]
+    arcs += [(m + 6 + i, 3 + i) for i in range(1, m + 1)]
+    arcs += [(2 * m + 8, 2 * m + 7)]
+    real = ArcRealization(tuple(arcs))
+    g = CircularArcGraph.from_realization(real)
+    oracle = OracleGraph.from_arc_positions(arcs)
+    v = 3
+    scanned = _bound_scans(monkeypatch)
+    assert g.neighborhood(v) == oracle.neighborhood(v) == [2, g.n]   # X and H
+    for u in range(1, g.n + 1):
+        assert g.neighborhood(u) == oracle.neighborhood(u), u
 
 
 @pytest.mark.parametrize("make", [_long_arcs, _short_arcs])
