@@ -14,15 +14,14 @@ next one bisect, which bounds a search at O(log words) steps. It adds no
 stored bits beyond the samples, and it finishes inside one word with a
 32/16/8-bit popcount split and one byte-table read.
 
-select_many answers a batch of selects on one bit with two selects, for
-the smallest and the largest requested occurrence, and one pass over
-the words between them, when those words number at most one per
-request; otherwise it makes one select per request. Either way the
-batch costs O(len(js)). select_marked takes the batch as a byte mask
-over a run of occurrences instead, marked bytes nonzero, and returns
-the marked positions in increasing order: the same two selects and word
-pass, bounded by the marked count, then one compress with the mask, so
-it builds no list of the occurrences it is asked for.
+select_marked answers a batch of selects on one bit, given as a byte
+mask over a run of occurrences, marked bytes nonzero, and returns the
+marked positions in increasing order. Two selects find the first and
+the last marked occurrence; when the words between them number at most
+one per marked occurrence, one pass over those words and one compress
+with the mask answer the rest, and otherwise each marked occurrence gets
+its own select. Either way the batch costs O(marked count), and it
+builds no list of the occurrences it is asked for.
 
 A vector pickles, and deep-copies, through to_bytes and the validating
 from_bytes.
@@ -229,36 +228,16 @@ class BitVector:
                 c_lo = c_next
             halve = 2 * (hi - lo) > size
 
-    def select_many(self, b: int, js) -> list[int]:
-        """[select(b, j) for j in js], in the order of js.
-
-        Two selects find the smallest and the largest requested
-        occurrence. When the words between them number at most
-        len(js), one pass over those words answers every j; otherwise
-        each j gets its own select. Out-of-range js raise as select does.
-        """
-        if not js:
-            return []
-        lo_j = min(js)
-        hi_j = max(js)
-        if not 1 <= lo_j <= hi_j <= self.count(b):
-            return [self.select(b, j) for j in js]
-        p_lo, p_hi, between = self._select_span(b, lo_j, hi_j, len(js))
-        if between is None:
-            known = {lo_j: p_lo, hi_j: p_hi}
-            return [known.get(j) or self.select(b, j) for j in js]
-        found = list(between)
-        return [found[j - lo_j] for j in js]
-
     def select_marked(self, b: int, lo_j: int, mask) -> list[int]:
         """select(b, lo_j + i) for every i with mask[i] nonzero, in
         increasing order. mask is bytes-like, one byte per occurrence
         from the first marked one to the last, so its first and last
         bytes are nonzero.
 
-        The same two selects and word pass as select_many, bounded by
-        the marked count, then one compress of the occurrences between
-        the two with the mask; when the words outnumber the marked
+        Two selects find the first and the last marked occurrence; one
+        pass over the words they span, when those number at most the
+        marked count, then one compress of the occurrences between the
+        two with the mask; when the words outnumber the marked
         occurrences, one select per marked occurrence instead.
         """
         size = len(mask)

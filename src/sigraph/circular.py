@@ -47,9 +47,9 @@ least one per 64 of those ranks, and turns the mask into labels with
 one select_marked on the left family vector. Known runs of hits are
 slice assignments of ones, a range-max report's window is one flag byte
 per rank, and each hit of its range-max recursion sets one byte. A
-family whose hits are sparser lists its ranks for one select_many
-instead, so no mask holds more than 64 bytes per hit. Either way a
-family costs two selects, one pass over the words its hits span and one
+family whose hits are sparser lists its ranks and selects each of them
+instead, so no mask holds more than 64 bytes per hit. A masked family
+costs two selects, one pass over the words its hits span and one
 compress of those positions, as long as the hits number at least one
 per word; a sparser family takes one select per hit instead. So a
 neighborhood makes at most 5 selects, one in the decode and two per
@@ -157,6 +157,9 @@ def anchor_arcs(raw, anchor: int | None = None) -> ArcRealization:
     n = len(pairs)
     values = []
     for idx, (a, b) in enumerate(pairs):
+        # NaN compares false with everything, so it would sort anywhere
+        if a != a or b != b:
+            raise GraphInputError(f"arc #{idx + 1} has a NaN coordinate: ({a}, {b})")
         if a == b:
             raise GraphInputError(
                 f"arc #{idx + 1} covers the full circle (start equals end)"
@@ -357,7 +360,7 @@ class CircularArcGraph:
         are marked in one byte mask over its ranks, from the first hit
         to the last, and one select_marked on the left family vector
         turns the mask into labels; a family with fewer hits than one
-        per 64 of those ranks lists them for one select_many instead.
+        per 64 of those ranks lists them and selects each instead.
         At most 5 selects in all, plus one word pass per family, unless
         a family's hits are sparser than one per word, in which case
         that family takes one select per hit."""
@@ -604,7 +607,7 @@ def _family_labels(
     for one select_marked: each run is one slice assignment, the flags
     one slice copy from their first hit to their last, and found one
     byte each. A sparser family, an empty one included, lists its ranks
-    for one select_many instead, so no mask holds more than _MASK_SPAN
+    and selects each of them instead, so no mask holds more than _MASK_SPAN
     bytes per hit."""
     runs = [(lo, hi) for lo, hi in runs if lo <= hi]
     spans = list(runs)
@@ -632,7 +635,7 @@ def _family_labels(
     ranks += compress(range(a, a + len(flags)), flags)
     ranks += found
     ranks.sort()
-    return vec.select_many(b, ranks)
+    return [vec.select(b, x) for x in ranks]
 
 
 def flags_above(values, a: int, b: int, threshold: int) -> bytes:

@@ -15,13 +15,14 @@ adjacency never looks up a left endpoint. Neighborhood reports the later
 neighbors as one label range. Its K = 2v - 1 - l_v earlier neighbors are
 counted by the select that finds l_v, so their search is one scan of at
 most 2K labels ending at v - 1, plus at most 2m - 1 range-max calls for
-the m of them that scan missed: O(degree) time. A proper family's
-earlier neighbors are the K labels just before v, so it makes no
-range-max call. Spath walks the one-ended greedy succ chain; each hop
-makes one rank and one _farthest call, by default one range-max over the
-labels it newly reaches, so a path costs O(path length) primitive calls.
-A structure that knows where the prefix maxima of r lie may answer
-_farthest without the range-max index, as a proper-mode KProperGraph does.
+the m of them that scan missed: O(degree) time. Spath walks the
+one-ended greedy succ chain; each hop makes one rank and one _farthest
+call, by default one range-max over the labels it newly reaches, so a
+path costs O(path length) primitive calls. A structure that knows more
+about r overrides these: a proper family keeps no r at all, so its
+earlier neighbors are the K labels just before v and its hop is the
+last label reached (variants.ProperIntervalGraph), and a proper-mode
+KProperGraph finds the prefix maxima of r among its depths.
 """
 
 from __future__ import annotations
@@ -57,7 +58,8 @@ def _parity_bits(real: IntervalRealization) -> BitVector:
 def report_above(pick_max, values, lo: int, hi: int, threshold: int, count: int, out: list):
     """Append, in increasing order, the count positions x in [lo, hi]
     whose value values[x - 1] exceeds threshold; the caller knows count.
-    The linear structures report their earlier neighbors this way.
+    The linear structures that keep r report their earlier neighbors
+    this way.
 
     One slice comprehension scans the window of at most 2 * count
     positions ending at hi, which is the whole range when the range is
@@ -109,11 +111,12 @@ class IntervalQueries:
     """Query layer shared by every linear-interval representation.
 
     Every query reads the endpoint sequence S and r. The hooks here read
-    r from _rlist, the packed array of r in label order, and its
-    range-max index _rmax; a class that derives r from S overrides _r,
-    _rights and _argmax_r, and keeps in _rlist a sequence view that reads
-    r from S. Concrete classes provide space_report(), to_bytes() and
-    from_bytes(), which pickling and copying go through.
+    r from _rlist, the packed array of r in label order, and search it
+    on its range-max index _rmax; a class that derives r from S keeps
+    neither, and overrides _r, _rights, _farthest and neighborhood.
+    Concrete classes provide space_report(), to_bytes() and from_bytes(),
+    which pickling and copying go through; from_realization is the
+    constructor, for every class.
     """
 
     __slots__ = ()
@@ -139,6 +142,10 @@ class IntervalQueries:
         # loader, never through the packed arrays or hop closures
         return type(self).from_bytes, (self.to_bytes(),)
 
+    @classmethod
+    def from_realization(cls, real: IntervalRealization, *args, **kwargs):
+        return cls(real, *args, **kwargs)
+
     # -- hooks -----------------------------------------------------------
 
     def _r(self, v: int) -> int:
@@ -147,14 +154,11 @@ class IntervalQueries:
     def _rights(self) -> list[int]:
         return self._rlist
 
-    def _argmax_r(self, i: int, j: int) -> int:
-        return self._rmax.query(i, j)
-
     def _farthest(self, k: int, kn: int) -> int:
         """A label among 1..kn holding the largest r there, given that
         the caller's current vertex already holds the largest r over
         1..k: one range-max over the labels k + 1..kn."""
-        return self._argmax_r(k + 1, kn)
+        return self._rmax.query(k + 1, kn)
 
     def _index_rights(self, rights) -> None:
         """Keep r, the n rights in label order, packed in one unsigned
@@ -206,7 +210,7 @@ class IntervalQueries:
         # later label up to the last one starting before r_v starts inside v
         l = self._s.select(0, v)
         out: list[int] = []
-        report_above(self._argmax_r, self._rlist, 1, v - 1, l, 2 * v - 1 - l, out)
+        report_above(self._rmax.query, self._rlist, 1, v - 1, l, 2 * v - 1 - l, out)
         out.extend(range(v + 1, self._s.rank(0, self._r(v)) + 1))
         return out
 
@@ -268,10 +272,6 @@ class SuccinctIntervalGraph(IntervalQueries):
         self._n = len(rights)
         self._s = s
         self._index_rights(rights)
-
-    @classmethod
-    def from_realization(cls, real: IntervalRealization) -> "SuccinctIntervalGraph":
-        return cls(real)
 
     # -- reporting and serialization ------------------------------------
 

@@ -66,6 +66,9 @@ def normalize(raw) -> IntervalRealization:
         raise GraphInputError("realization needs at least one interval")
     events = []
     for idx, (a, b) in enumerate(pairs):
+        # NaN compares false with everything, so it would sort anywhere
+        if a != a or b != b:
+            raise GraphInputError(f"interval #{idx + 1} has a NaN coordinate: ({a}, {b})")
         if a > b:
             raise GraphInputError(f"interval #{idx + 1} has left > right: ({a}, {b})")
         events.append((a, 0, idx))

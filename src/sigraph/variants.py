@@ -1,8 +1,10 @@
 """Restricted interval families: proper (no nesting) and bounded-depth.
 
-A proper family needs only the 2n endpoint bits, since the v-th right
-endpoint is the v-th 1 and the maximum of r over a label range sits at
-its last label.
+A proper family needs only the 2n endpoint bits S, since the v-th right
+endpoint is the v-th 1: it keeps no r and no range-max index. Rights
+increase with the label, so a neighborhood is two label ranges, found by
+one select0, one select1 and one rank, and a spath hop goes to the last
+label it reaches.
 The bounded-depth structure annotates every endpoint with its interval's
 containment depth, which pairs left and right endpoints within each
 depth class. The blob stores only that annotation T. In memory the
@@ -57,25 +59,10 @@ def check_proper(real: IntervalRealization) -> None:
         best_v, best_r = v, r
 
 
-class _RightsFromS:
-    """r in label order as a read-only sequence over S, whose v-th 1 is
-    r_v: an index is one select, a slice one select_many."""
-
-    __slots__ = ("_s",)
-
-    def __init__(self, s: BitVector):
-        self._s = s
-
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            return self._s.select_many(1, range(key.start + 1, key.stop + 1))
-        return self._s.select(1, key + 1)
-
-
 class ProperIntervalGraph(IntervalQueries):
     """2n + o(n)-bit structure for non-nesting realizations."""
 
-    __slots__ = ("_n", "_s", "_rlist")
+    __slots__ = ("_n", "_s")
 
     def __init__(self, real: IntervalRealization):
         check_proper(real)
@@ -84,11 +71,6 @@ class ProperIntervalGraph(IntervalQueries):
     def _build(self, s: BitVector) -> None:
         self._n = len(s) // 2
         self._s = s
-        self._rlist = _RightsFromS(s)
-
-    @classmethod
-    def from_realization(cls, real: IntervalRealization) -> "ProperIntervalGraph":
-        return cls(real)
 
     # -- r from S: the v-th right endpoint is the v-th 1 ---------------
 
@@ -98,11 +80,19 @@ class ProperIntervalGraph(IntervalQueries):
     def _rights(self) -> list[int]:
         return self._s.positions(1)
 
-    def _argmax_r(self, i: int, j: int) -> int:
-        # rights increase with the label, so the maximum sits at the border,
-        # and a neighborhood's earlier hits are the labels just before it:
-        # its one window read finds them all, with no _argmax_r call
-        return j
+    def _farthest(self, k: int, kn: int) -> int:
+        # rights increase with the label, so the last label reached ends last
+        return kn
+
+    def neighborhood(self, v: int) -> list[int]:
+        """Rights increase with the label, so the l_v - v earlier labels
+        that end before l_v are the first ones, and the K = 2v - 1 - l_v
+        earlier neighbors are the K labels just before v; the later ones
+        run to the last label starting before r_v. One select0, one
+        select1 and one rank."""
+        self._check_vertex(v)
+        l = self._s.select(0, v)
+        return [*range(l - v + 1, v), *range(v + 1, self._s.rank(0, self._s.select(1, v)) + 1)]
 
     # -- reporting and serialization ------------------------------------
 
@@ -223,12 +213,6 @@ class KProperGraph(IntervalQueries):
         else:
             self._depths = uint_array(depths, self._k)
             self._farthest = _range_max_hop(self._rmax)
-
-    @classmethod
-    def from_realization(
-        cls, real: IntervalRealization, mode: str = MODE_PROPER
-    ) -> "KProperGraph":
-        return cls(real, mode)
 
     # -- depth reporting -------------------------------------------------
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import count_calls
 from sigraph import BitVector, QueryRangeError, SerializationError
 
 # Endpoint sequence of the nine-interval worked example used throughout.
@@ -166,65 +167,123 @@ def test_serialization_rejects_garbage():
         BitVector.from_bytes(bytes(blob))
 
 
-# -- select_many ---------------------------------------------------------
+# -- select_marked -------------------------------------------------------
 
 
-def _assert_select_many(bv, b, js):
-    assert bv.select_many(b, js) == [bv.select(b, j) for j in js], (b, js)
+def _assert_marked(bv, b, lo_j, mask, calls=None):
+    """select_marked against one select per marked occurrence. With the
+    live tallies of count_calls over BitVector.select and _text, also
+    check its cost: two selects and one word pass when the words spanned
+    by its first and last marked occurrence number at most the marked
+    count, and one select per marked occurrence, with no word read,
+    otherwise."""
+    want = [bv.select(b, lo_j + i) for i, m in enumerate(mask) if m]
+    if calls is not None:
+        calls.clear()
+    assert bv.select_marked(b, lo_j, mask) == want, (b, lo_j, bytes(mask))
+    if calls is None:
+        return
+    if len(want) > 1 and (want[-1] - 1) // 64 - (want[0] - 1) // 64 + 1 <= len(want):
+        assert calls == {f"BitVector.select{b}": 2, "BitVector._text": 1}, (b, lo_j)
+    else:
+        assert calls == ({f"BitVector.select{b}": len(want)} if want else {}), (b, lo_j)
+
+
+def _random_mask(rng, size, density):
+    """size >= 1 bytes with nonzero ends, inner bytes nonzero (any of
+    1..255) at density."""
+    mask = bytearray(rng.randint(1, 255) if rng.random() < density else 0 for _ in range(size))
+    mask[0] = mask[-1] = 1
+    return mask
 
 
 @given(st.lists(st.integers(0, 1), max_size=600), st.data())
 @settings(max_examples=150, deadline=None)
-def test_select_many_is_every_select(bits, data):
+def test_select_marked_is_every_marked_select(bits, data):
     bv = BitVector(bits)
     for b in (0, 1):
         count = bv.count(b)
         if not count:
             continue
-        js = data.draw(st.lists(st.integers(1, count), max_size=40))
-        _assert_select_many(bv, b, js)
+        lo_j = data.draw(st.integers(1, count))
+        size = data.draw(st.integers(1, count - lo_j + 1))
+        ends = st.binary(min_size=1, max_size=1).filter(lambda e: e != b"\0")
+        inner = data.draw(st.binary(min_size=max(0, size - 2), max_size=max(0, size - 2)))
+        mask = data.draw(ends) + inner + data.draw(ends) if size > 1 else data.draw(ends)
+        _assert_marked(bv, b, lo_j, mask)
 
 
 @pytest.mark.parametrize("n", [63, 64, 65, 4095, 4097])
-def test_select_many_at_word_and_superblock_edges(n):
+def test_select_marked_at_word_and_superblock_edges(n, monkeypatch):
     rng = random.Random(n)
+    calls = count_calls(monkeypatch, [(BitVector, "select"), (BitVector, "_text")])
     for density in (0.02, 0.5, 0.98):
         bv = BitVector(int(rng.random() < density) for _ in range(n))
         for b in (0, 1):
             count = bv.count(b)
             if not count:
                 continue
-            _assert_select_many(bv, b, range(1, count + 1))
-            _assert_select_many(bv, b, range(count, 0, -1))
-            _assert_select_many(bv, b, range(1, count + 1, 3))
-            _assert_select_many(bv, b, [count, 1])
-            _assert_select_many(bv, b, [rng.randint(1, count) for _ in range(5)])
-            _assert_select_many(bv, b, [rng.randint(1, count) for _ in range(n // 8)])
+            _assert_marked(bv, b, 1, b"\x01" * count, calls)
+            _assert_marked(bv, b, 1, _random_mask(rng, count, 0.3), calls)
+            for _ in range(5):
+                lo_j = rng.randint(1, count)
+                size = rng.randint(1, count - lo_j + 1)
+                for mask_density in (0.0, 0.02, 0.5, 1.0):
+                    _assert_marked(bv, b, lo_j, _random_mask(rng, size, mask_density), calls)
 
 
-def test_select_many_unsorted_with_duplicates():
+def test_select_marked_all_ones_takes_the_word_pass(monkeypatch):
+    """An all-ones mask over a vector with no long gaps: its words never
+    outnumber its marks, so two selects and one word pass answer it."""
+    rng = random.Random("marked/ones")
+    bv = BitVector(int(rng.random() < 0.5) for _ in range(3 * 4096 + 17))
+    calls = count_calls(monkeypatch, [(BitVector, "select"), (BitVector, "_text")])
+    for b in (0, 1):
+        count = bv.count(b)
+        for lo_j, size in [(1, count), (1, 2), (count - 1, 2), (4000, 300), (17, count // 3)]:
+            _assert_marked(bv, b, lo_j, b"\x01" * size, calls)
+            assert calls["BitVector._text"] == 1, (b, lo_j, size)
+
+
+@pytest.mark.parametrize("k", [65, 200, 1000])
+def test_select_marked_one_in_k_selects_each_mark(k, monkeypatch):
+    """A mask marking one occurrence in k >= 65 of random bits, where k
+    occurrences of either bit span about 2k positions: its marks span
+    more words than they number, so each marked occurrence gets its own
+    select and no word is read."""
+    rng = random.Random(f"marked/{k}")
+    bv = BitVector(rng.randint(0, 1) for _ in range(4 * 4096 + 5))
+    calls = count_calls(monkeypatch, [(BitVector, "select"), (BitVector, "_text")])
+    for b in (0, 1):
+        count = bv.count(b)
+        mask = bytes(1 if i % k == 0 else 0 for i in range((count - 1) // k * k + 1))
+        _assert_marked(bv, b, 1, mask, calls)
+        assert "BitVector._text" not in calls, (b, k)
+
+
+def test_select_marked_masks_of_size_zero_and_one():
     bv = bv_from_string(S9)
     for b in (0, 1):
-        _assert_select_many(bv, b, [5, 2, 9, 2, 5, 1, 9, 9])
-        _assert_select_many(bv, b, [4, 4, 4])
-        _assert_select_many(bv, b, [7])
+        assert bv.select_marked(b, 1, b"") == []
+        assert bv.select_marked(b, 4, bytearray()) == []
+        for j in range(1, bv.count(b) + 1):
+            assert bv.select_marked(b, j, b"\x01") == [bv.select(b, j)]
+            assert bv.select_marked(b, j, bytearray(b"\xff")) == [bv.select(b, j)]
+    assert BitVector([]).select_marked(1, 1, b"") == []
 
 
-def test_select_many_empty():
-    bv = bv_from_string(S9)
-    assert bv.select_many(0, []) == []
-    assert bv.select_many(1, range(0)) == []
-    assert BitVector([]).select_many(1, []) == []
-
-
-@pytest.mark.parametrize("js", [[0], [1, 10], [3, 0, 12], range(1, 11), [10, 10]])
-def test_select_many_out_of_range_raises_as_select(js):
+@pytest.mark.parametrize(
+    "lo_j, mask",
+    [(0, b"\x01"), (10, b"\x01"), (0, b"\x01\x01"), (8, b"\x01\x00\x01"), (1, b"\x01" * 10)],
+    ids=["zeroth", "past-count", "zeroth-pair", "last-past-count", "run-past-count"],
+)
+def test_select_marked_out_of_range_raises_as_select(lo_j, mask):
     bv = bv_from_string(S9)
     for b in (0, 1):
         with pytest.raises(QueryRangeError) as want:
-            [bv.select(b, j) for j in js]
+            [bv.select(b, lo_j + i) for i, m in enumerate(mask) if m]
         with pytest.raises(QueryRangeError) as got:
-            bv.select_many(b, js)
+            bv.select_marked(b, lo_j, mask)
         assert str(got.value) == str(want.value)
 
 

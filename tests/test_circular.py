@@ -1,6 +1,7 @@
 """Circular-arc structure against the worked 7-arc example and a
 brute-force oracle on random realizations."""
 
+import math
 import random
 from array import array
 
@@ -15,6 +16,7 @@ from conftest import (
     circular_adjacent_case,
     count_calls,
 )
+from sigraph import circular
 from sigraph.bitvector import BitVector
 from sigraph.circular import (
     ArcRealization,
@@ -103,6 +105,16 @@ def test_anchor_rejects_degenerate_input():
         anchor_arcs([(1, 5), (5, 9)])
     with pytest.raises(GraphInputError, match="at least one"):
         anchor_arcs([])
+
+
+@pytest.mark.parametrize("pair", [(math.nan, 0.5), (0.5, math.nan)])
+def test_anchor_rejects_nan_coordinate(pair):
+    with pytest.raises(GraphInputError, match=r"arc #3 has a NaN"):
+        anchor_arcs([(0.2, 0.7), (0.6, 0.9), pair])
+
+
+def test_anchor_accepts_infinite_coordinates():
+    assert anchor_arcs([(-math.inf, 0.5), (0.2, math.inf)]).arcs == ((1, 3), (2, 4))
 
 
 def test_anchor_arc_is_never_reversed():
@@ -322,9 +334,6 @@ class _SelectFreeBits:
 
     def select(self, b: int, j: int):
         raise AssertionError(f"select({b}, {j}) on S")
-
-    def select_many(self, b: int, js):
-        raise AssertionError(f"select_many({b}, ...) on S")
 
 
 def _short_arcs(n: int, rng) -> ArcRealization:
@@ -614,39 +623,39 @@ def test_neighborhood_knows_its_hit_counts(n, monkeypatch):
         monkeypatch.undo()
 
 
-def _count_selects(monkeypatch):
-    """Count BitVector.select calls; also count, per select_marked or
-    select_many call whose hits span more words than there are hits, the
-    selects its per-hit path may make beyond the two for the first and
-    last hit."""
-    counts = {"select": 0, "per_hit": 0}
-    select = BitVector.select
-    select_marked = BitVector.select_marked
-    select_many = BitVector.select_many
+def _count_families(monkeypatch) -> dict:
+    """Wrap circular._family_labels, which maps one family's hits to
+    labels, and return the live tallies: its calls, and the selects its
+    per-hit path may make beyond the two for the first and last hit,
+    credited when the hits span more words of the left family vector
+    than there are hits. The labels are the hits' positions in that
+    vector, so the credit reads them off the answer."""
+    counts = {"families": 0, "per_hit": 0}
+    family_labels = circular._family_labels
 
-    def credit_per_hit(self, b, lo_j, hi_j, hits):
-        if hits > 2:
-            lo = select(self, b, lo_j)
-            hi = select(self, b, hi_j)
-            if (hi - 1) // 64 - (lo - 1) // 64 + 1 > hits:
-                counts["per_hit"] += hits - 2
+    def counting_family_labels(*args):
+        out = family_labels(*args)
+        counts["families"] += 1
+        hits = len(out)
+        if hits > 2 and (out[-1] - 1) // 64 - (out[0] - 1) // 64 + 1 > hits:
+            counts["per_hit"] += hits - 2
+        return out
+
+    monkeypatch.setattr(circular, "_family_labels", counting_family_labels)
+    return counts
+
+
+def _count_selects(monkeypatch) -> dict:
+    """Count BitVector.select calls, next to _count_families' tallies."""
+    counts = _count_families(monkeypatch)
+    counts["select"] = 0
+    select = BitVector.select
 
     def counting_select(self, b, j):
         counts["select"] += 1
         return select(self, b, j)
 
-    def counting_marked(self, b, lo_j, mask):
-        credit_per_hit(self, b, lo_j, lo_j + len(mask) - 1, len(mask) - mask.count(0))
-        return select_marked(self, b, lo_j, mask)
-
-    def counting_many(self, b, js):
-        if js:
-            credit_per_hit(self, b, min(js), max(js), len(set(js)))
-        return select_many(self, b, js)
-
     monkeypatch.setattr(BitVector, "select", counting_select)
-    monkeypatch.setattr(BitVector, "select_marked", counting_marked)
-    monkeypatch.setattr(BitVector, "select_many", counting_many)
     return counts
 
 
@@ -702,13 +711,12 @@ def _long_arcs(n: int, rng) -> ArcRealization:
 
 
 def _bound_scans(monkeypatch) -> list:
-    """Wrap select_marked and select_many so that each call appends the
-    bits it formats (BitVector._text) and asserts at most 64 of them per
-    hit; a select_marked call also asserts that its mask holds at most
-    64 bytes per hit."""
+    """Wrap select_marked so that each call appends the bits it formats
+    (BitVector._text) and asserts at most 64 of them per hit, and that
+    its mask holds at most 64 bytes per hit. A _text call outside
+    select_marked adds to the last entry, and fails when there is none."""
     text = BitVector._text
     select_marked = BitVector.select_marked
-    select_many = BitVector.select_many
     scanned = []
 
     def counting_text(self, w_lo, w_hi):
@@ -723,25 +731,18 @@ def _bound_scans(monkeypatch) -> list:
         assert scanned[-1] <= 64 * len(out), (b, lo_j, len(mask), scanned[-1])
         return out
 
-    def scanning_many(self, b, js):
-        scanned.append(0)
-        out = select_many(self, b, js)
-        assert scanned[-1] <= 64 * len(js), (b, js, scanned[-1])
-        return out
-
     monkeypatch.setattr(BitVector, "_text", counting_text)
     monkeypatch.setattr(BitVector, "select_marked", scanning_marked)
-    monkeypatch.setattr(BitVector, "select_many", scanning_many)
     return scanned
 
 
 def test_sparse_hits_are_not_scanned(monkeypatch):
     """One long anchor arc and a second long arc over short arcs that
     overlap in disjoint pairs: a late short arc's hits are ranks 1, 2
-    and its partner's, far apart, so its family lists them for one
-    select_many, which selects each of them, and builds no mask over the
-    ranks between. No call formats more than 64 bits per hit, and no
-    mask holds more than 64 bytes per hit."""
+    and its partner's, far apart, so its family lists them and selects
+    each of them, with no select_marked call, no mask over the ranks
+    between and no word pass. No select_marked call formats more than 64
+    bits per hit, and no mask holds more than 64 bytes per hit."""
     m = 300
     n = 2 + 2 * m
     arcs = [(1, 2 * n), (2, 2 * n - 1)]
@@ -759,7 +760,7 @@ def test_sparse_hits_are_not_scanned(monkeypatch):
     del scanned[:]
     assert g.neighborhood(n) == [1, 2, n - 1]
     assert counts["select"] == 4
-    assert scanned == [0, 0]
+    assert scanned == []
 
 
 def test_far_run_builds_no_long_mask(monkeypatch):
@@ -767,7 +768,7 @@ def test_far_run_builds_no_long_mask(monkeypatch):
     (the run 1..cross) and one, H, that starts last (the report window),
     with m reversed arcs between them in start order that miss v. The
     reversed family's two hits lie m + 1 ranks apart, so they are listed
-    for one select_many, and no mask spans the ranks between them."""
+    and selected one by one, and no mask spans the ranks between them."""
     m = 300
     # X ends at 3; the m misses end before v and start after it; H ends
     # after them and starts last
@@ -787,15 +788,17 @@ def test_far_run_builds_no_long_mask(monkeypatch):
 @pytest.mark.parametrize("make", [_long_arcs, _short_arcs])
 def test_marked_hits_match_oracle_within_scan_bound(make, monkeypatch):
     """Every arc of a reversed-heavy family and of a short-arc family at
-    n = 2000: the neighborhood equals the oracle's, and no select_marked
-    call formats more than 64 bits per hit."""
+    n = 2000: the neighborhood equals the oracle's, each maps both of its
+    families' hits to labels, and no select_marked call formats more than
+    64 bits per hit."""
     real = make(2000, random.Random(2000))
     g = CircularArcGraph.from_realization(real)
     oracle = OracleGraph.from_arc_positions(real.arcs)
+    counts = _count_families(monkeypatch)
     scanned = _bound_scans(monkeypatch)
     for v in range(1, g.n + 1):
         assert g.neighborhood(v) == oracle.neighborhood(v), v
-    assert len(scanned) == 2 * g.n
+    assert counts["families"] == 2 * g.n
 
 
 @pytest.mark.parametrize("code", "BHILQ")

@@ -95,6 +95,22 @@ def test_build_proper_rejects_nested_input(tmp_path, capsys):
     assert "not proper" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "kind, text",
+    [("interval", "interval 3\n0 nan\n1 2\n1.5 3\n"),
+     ("circular", "circular 3\nnan 0.5\n0.2 0.7\n0.6 0.9\n")],
+    ids=["interval", "circular"],
+)
+def test_build_rejects_nan_coordinate(kind, text, tmp_path, capsys):
+    src = tmp_path / "nan.txt"
+    src.write_text(text)
+    out = tmp_path / "nan.sig"
+    code = main(["build", "--type", kind, "--input", str(src), "--output", str(out)])
+    assert code == 2
+    assert "#1 has a NaN coordinate" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_build_circular_anchor_override(tmp_path):
     src = tmp_path / "arcs.txt"
     write_circular_text(src, [(10, 30), (25, 70), (50, 5)])

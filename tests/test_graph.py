@@ -266,17 +266,16 @@ def _nested(n, rng):
 
 
 def _zeroed(calls):
-    calls.update(select0=0, select1=0, rank=0, ranges=[], rmq=[])
+    calls.update(select0=0, select1=0, rank=0, rmq=[])
     return calls
 
 
-def _counted(monkeypatch, g):
-    """Patch the primitives g's queries reach; return the live tallies:
-    select calls by bit, rank calls, the ranges passed to _argmax_r, and
-    those passed to RangeMaxIndex.query, which a hop may call directly."""
+def _counted(monkeypatch):
+    """Patch the primitives the queries reach; return the live tallies:
+    select calls by bit, rank calls, and the ranges passed to
+    RangeMaxIndex.query."""
     calls = _zeroed({})
-    select, rank, argmax = BitVector.select, BitVector.rank, type(g)._argmax_r
-    query = RangeMaxIndex.query
+    select, rank, query = BitVector.select, BitVector.rank, RangeMaxIndex.query
 
     def counting_select(self, bit, k):
         calls[f"select{bit}"] += 1
@@ -286,17 +285,12 @@ def _counted(monkeypatch, g):
         calls["rank"] += 1
         return rank(self, bit, p)
 
-    def counting_argmax(self, i, j):
-        calls["ranges"].append((i, j))
-        return argmax(self, i, j)
-
     def counting_query(self, i, j):
         calls["rmq"].append((i, j))
         return query(self, i, j)
 
     monkeypatch.setattr(BitVector, "select", counting_select)
     monkeypatch.setattr(BitVector, "rank", counting_rank)
-    monkeypatch.setattr(type(g), "_argmax_r", counting_argmax)
     monkeypatch.setattr(RangeMaxIndex, "query", counting_query)
     return calls
 
@@ -314,13 +308,14 @@ def test_spath_makes_constant_calls_per_hop(kind, monkeypatch):
     and the range-max ranges never overlap: a walk that searched the
     whole prefix every hop would sum to far more than n. A proper-mode
     KProperGraph of depth under 256 hops to the last depth-0 label by one
-    rfind over its depths: no range-max at all, and one r read per hop."""
+    rfind over its depths: no range-max at all, and one r read per hop.
+    A proper structure keeps no r: its hop is the last label reached."""
     g, rng = _count_guard_graph(kind)
     n = g.n
-    calls = _counted(monkeypatch, g)
-    reads = _CountingReads(g._rlist)
+    calls = _counted(monkeypatch)
     if kind == "kproper":
         assert g.k < 256
+        reads = _CountingReads(g._rlist)
         monkeypatch.setattr(g, "_rlist", reads)
     paths = 0
     for _ in range(300):
@@ -328,7 +323,8 @@ def test_spath_makes_constant_calls_per_hop(kind, monkeypatch):
         if u == v:
             continue
         _zeroed(calls)
-        reads.sliced = reads.indexed = 0
+        if kind == "kproper":
+            reads.sliced = reads.indexed = 0
         path = g.spath(u, v)
         if path is None:
             continue
@@ -339,11 +335,11 @@ def test_spath_makes_constant_calls_per_hop(kind, monkeypatch):
         assert calls["select1"] <= hops + 1, (u, v)
         if kind != "proper":
             assert calls["select1"] == 0
-        assert sum(j - i + 1 for i, j in calls["ranges"]) <= n, (u, v)
         assert sum(j - i + 1 for i, j in calls["rmq"]) <= n, (u, v)
         assert len(calls["rmq"]) <= hops, (u, v)
+        if kind in ("kproper", "proper"):
+            assert calls["rmq"] == [], (u, v)
         if kind == "kproper":
-            assert calls["ranges"] == [] == calls["rmq"], (u, v)
             assert reads.sliced == 0 and reads.indexed <= hops + 1, (u, v)
     assert paths >= 100
 
@@ -380,21 +376,21 @@ def _check_neighborhood_counts(g, v, calls, reads):
     assert k == 2 * v - 1 - l, v
     missed = sum(1 for u in earlier if u < v - 2 * k)
     assert reads.sliced <= 2 * k, v
-    assert len(calls["ranges"]) <= max(0, 2 * missed - 1), (v, missed)
-    assert reads.indexed <= len(calls["ranges"]) + 1, v
+    assert len(calls["rmq"]) <= max(0, 2 * missed - 1), (v, missed)
+    assert reads.indexed <= len(calls["rmq"]) + 1, v
     return hood, missed
 
 
-@pytest.mark.parametrize("kind", sorted(STRUCTURES))
+@pytest.mark.parametrize("kind", sorted(set(STRUCTURES) - {"proper"}))
 def test_neighborhood_searches_only_earlier_labels(kind, monkeypatch):
     """Later neighbors form one label range; the earlier ones are read in
     one window of at most 2K labels, and the range-max recursion runs only
     for the m the window missed: at most 2m - 1 calls, none when the
     window holds them all, and none for a vertex with no earlier
-    neighbor. A proper family's earlier neighbors are the K labels just
-    before v, so it makes no range-max call at all."""
+    neighbor. The proper structure reads no r at all
+    (test_proper_neighborhood_reads_no_r)."""
     g, rng = _count_guard_graph(kind)
-    calls = _counted(monkeypatch, g)
+    calls = _counted(monkeypatch)
     reads = _CountingReads(g._rlist)
     monkeypatch.setattr(g, "_rlist", reads)
     lonely = 0
@@ -402,10 +398,29 @@ def test_neighborhood_searches_only_earlier_labels(kind, monkeypatch):
         hood, _ = _check_neighborhood_counts(g, v, calls, reads)
         if not any(u < v for u in hood):
             lonely += 1
-            assert calls["ranges"] == [] and reads.sliced == 0, v
-        if kind == "proper":
-            assert calls["ranges"] == [], v
+            assert calls["rmq"] == [] and reads.sliced == 0, v
     assert lonely >= 1
+
+
+def test_proper_neighborhood_reads_no_r(monkeypatch):
+    """A proper family's K = 2v - 1 - l_v earlier neighbors are the K
+    labels just before v, and its later ones run to the last label
+    starting before r_v: every neighborhood equals the oracle's from
+    exactly one select0, one select1 and one rank, with no range-max call
+    and no pass over S's words."""
+    real = random_proper_realization(2000, random.Random("proper/hood"))
+    g = ProperIntervalGraph(real)
+    o = OracleGraph.from_intervals(real)
+    want = [o.neighborhood(v) for v in range(1, g.n + 1)]
+    calls = count_calls(
+        monkeypatch,
+        [(BitVector, "select"), (BitVector, "rank"), (BitVector, "_text"),
+         (RangeMaxIndex, "query")],
+    )
+    for v in range(1, g.n + 1):
+        calls.clear()
+        assert g.neighborhood(v) == want[v - 1], v
+        assert calls == {"BitVector.select0": 1, "BitVector.select1": 1, "BitVector.rank": 1}, v
 
 
 def _long_over_short(n):
@@ -441,7 +456,7 @@ def test_neighborhood_fallback_matches_oracle(kind, monkeypatch):
     for real in (_long_over_short(300), _deep_nest(12, 200)):
         g = STRUCTURES[kind](real)
         o = OracleGraph.from_intervals(real)
-        calls = _counted(monkeypatch, g)
+        calls = _counted(monkeypatch)
         reads = _CountingReads(g._rlist)
         monkeypatch.setattr(g, "_rlist", reads)
         fallbacks = 0
@@ -466,22 +481,25 @@ def test_endpoint_bits_are_the_realization_s(kind):
 
 
 def test_query_hooks_live_in_interval_queries():
-    """S and r are read in IntervalQueries alone; only the proper
-    structure, which derives r from S, overrides the r hooks, and only
-    the depth-annotated one, which knows where the prefix maxima of r
-    lie, overrides the spath hop."""
-    assert "_farthest" in vars(IntervalQueries)
-    for cls in (SuccinctIntervalGraph, ProperIntervalGraph, KProperGraph):
+    """S and r are read in IntervalQueries alone. The proper structure,
+    which keeps no r, derives r from S and answers its neighborhoods and
+    spath hops from S; the depth-annotated one, which knows where the
+    prefix maxima of r lie, overrides only the spath hop. No class keeps
+    an argmax hook, and every class is built by the one from_realization."""
+    assert {"_farthest", "from_realization"} <= set(vars(IntervalQueries))
+    hooks = {"_r", "_rights", "_argmax_r", "_farthest", "neighborhood"}
+    owns = {
+        SuccinctIntervalGraph: set(),
+        ProperIntervalGraph: {"_r", "_rights", "_farthest", "neighborhood"},
+        KProperGraph: {"_farthest"},
+    }
+    assert not hasattr(IntervalQueries, "_argmax_r")
+    for cls, want in owns.items():
         assert issubclass(cls, IntervalQueries)
         own = set(vars(cls))
-        shared = {"endpoint_bits", "space_bits"}
+        shared = {"endpoint_bits", "space_bits", "from_realization"}
         assert not own & shared, cls
-        r_hooks = own & {"_r", "_rights", "_argmax_r"}
-        if cls is ProperIntervalGraph:
-            assert r_hooks == {"_r", "_rights", "_argmax_r"}
-        else:
-            assert not r_hooks, cls
-        assert ("_farthest" in own) == (cls is KProperGraph), cls
+        assert own & hooks == want, cls
 
 
 def _tower_and_chain(depth, chain):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -61,6 +62,16 @@ class TestNormalize:
             normalize([])
         with pytest.raises(GraphInputError):
             normalize([(3, 1)])
+
+    @pytest.mark.parametrize("pair", [(0, math.nan), (math.nan, 2), (math.nan, math.nan)])
+    def test_nan_coordinate_is_rejected(self, pair):
+        # NaN is unordered: it would sort anywhere and cut intervals apart
+        with pytest.raises(GraphInputError, match=r"interval #2 has a NaN"):
+            normalize([(1, 2), pair, (1.5, 3)])
+
+    def test_infinite_coordinates_are_ordered(self):
+        real = normalize([(0, math.inf), (1, 2), (-math.inf, 1.5)])
+        assert real.intervals == ((1, 4), (2, 6), (3, 5))
 
     @given(
         st.lists(

@@ -95,11 +95,14 @@ def test_shared_degree_bug_is_reported_on_every_linear_kind(monkeypatch):
 
 
 def test_shared_neighborhood_bug_is_reported_on_every_linear_kind(monkeypatch):
-    hood = IntervalQueries.neighborhood
-    monkeypatch.setattr(
-        IntervalQueries, "neighborhood",
-        lambda self, v: hood(self, v)[: -1 if v == 1 else None],
-    )
+    # the proper structure answers neighborhoods from S alone, so it gets
+    # the same bug in its own neighborhood
+    for cls in (IntervalQueries, ProperIntervalGraph):
+        hood = cls.neighborhood
+        monkeypatch.setattr(
+            cls, "neighborhood",
+            lambda self, v, hood=hood: hood(self, v)[: -1 if v == 1 else None],
+        )
     for kind, g, real in _linear_cases():
         assert any(s.startswith("neighborhood(1)") for s in verify(g, real)), kind
 
