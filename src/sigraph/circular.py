@@ -91,6 +91,10 @@ _PARITY = bytes([_NL & 1, _NR & 1, _RL & 1, _RR & 1]) + bytes(252)
 _REVERSED = bytes([_NL >> 1, _NR >> 1, _RL >> 1, _RR >> 1]) + bytes(252)
 _LEFTS = bytes([_NL, _RL])
 _RIGHTS = bytes([_NR, _RR])
+# bit text to bytes: S's text to each position's normal symbol, a
+# family vector's text to 0/1 flags
+_SIDE = bytes.maketrans(b"01", bytes([_NL, _NR]))
+_BIT = bytes.maketrans(b"01", b"\x00\x01")
 
 # the most family ranks a neighborhood's hit mask spans per hit; a
 # sparser family lists its ranks instead
@@ -270,15 +274,19 @@ class CircularArcGraph:
     def normal_count(self) -> int:
         return self._q
 
-    def _symbols(self) -> list[int]:
-        """S' as a list, from one sweep over S and both family vectors."""
-        lk = iter(self._lk.bit_string())
-        rk = iter(self._rk.bit_string())
-        return [
-            (_RL if next(lk) == "1" else _NL) if bit == "0"
-            else (_RR if next(rk) == "1" else _NR)
-            for bit in self._s.bit_string()
-        ]
+    def _symbols(self) -> bytes:
+        """S' as bytes, without a pass per position in Python: S's parity
+        from one translate of its text, then the reversed family's symbol
+        at its starts, which compress picks from S's zeros by the left
+        family vector, and at its ends, which _rpp lists."""
+        sym = bytearray(1) + self._s.bit_string().encode("ascii").translate(_SIDE)
+        flags = self._lk.bit_string().encode("ascii").translate(_BIT)
+        for p in compress(self._s.positions(0), flags):
+            sym[p] = _RL
+        for p in self._rpp:
+            sym[p] = _RR
+        del sym[0]      # positions are 1-based
+        return bytes(sym)
 
     @property
     def endpoint_symbols(self) -> AlphabetSequence:

@@ -58,6 +58,8 @@ class StatsReport:
     total_bits: int
     bits_per_vertex: float
     build_seconds: float
+    save_seconds: float
+    load_seconds: float
     heap_bits: int
     heap_bits_per_vertex: float
     components: dict = field(default_factory=dict)
@@ -252,6 +254,14 @@ def cmd_bench(args) -> int:
     t0 = perf_counter()
     g = build(real)
     build_s = perf_counter() - t0
+    t0 = perf_counter()
+    blob = g.to_bytes()
+    save_s = perf_counter() - t0
+    t0 = perf_counter()
+    loaded = type(g).from_bytes(blob)     # validated, as every load is
+    load_s = perf_counter() - t0
+    if loaded.to_bytes() != blob:
+        raise RuntimeError(f"{args.type} blob does not re-encode byte-identically")
     heap_bits = 8 * _heap_bytes(g)
     components = g.space_report()
     total = sum(components.values())
@@ -280,6 +290,8 @@ def cmd_bench(args) -> int:
         total_bits=total,
         bits_per_vertex=round(total / n, 3),
         build_seconds=round(build_s, 4),
+        save_seconds=round(save_s, 4),
+        load_seconds=round(load_s, 4),
         heap_bits=heap_bits,
         heap_bits_per_vertex=round(heap_bits / n, 3),
         components=components,
@@ -291,7 +303,8 @@ def cmd_bench(args) -> int:
         return 0
     lines = [
         f"{rep.kind} structure, n={rep.n}, edges={m}",
-        f"build time: {rep.build_seconds}s",
+        f"build time: {rep.build_seconds}s, save {rep.save_seconds}s, "
+        f"validated load {rep.load_seconds}s",
         f"total bits: {rep.total_bits} ({rep.bits_per_vertex} per vertex)",
         f"heap bits: {rep.heap_bits} ({rep.heap_bits_per_vertex} per vertex)",
         "components:",

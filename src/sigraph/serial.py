@@ -10,9 +10,16 @@ byte-identical.
 from __future__ import annotations
 
 import struct
+import sys
 from array import array
+from math import gcd
 
 from .errors import SerializationError
+
+
+# lane typecodes, narrowest first; the kernels read lanes little-endian
+_LANES = "BHILQ"
+_SWAP = sys.byteorder == "big"
 
 
 def width_for(max_value: int) -> int:
@@ -49,46 +56,111 @@ def check_block_size(stored: int, derived: int) -> None:
         raise SerializationError(f"range index block size {stored} must be {derived}")
 
 
-def pack_uints(values, width: int) -> bytes:
-    """Bit-pack non-negative ints of the given width, LSB first."""
-    out = bytearray()
-    acc = 0
-    nbits = 0
+def _layout(width: int) -> tuple[int, int, str]:
+    """(g, gbytes, typecode) of the broadword kernels for w-bit fields:
+    g = 8 / gcd(w, 8) fields fill gbytes = g * w / 8 whole bytes, and
+    each field gets a lane of the narrowest 1-, 2-, 4- or 8-byte
+    typecode that holds it."""
+    if not 1 <= width <= 64:
+        raise SerializationError(f"field width {width} outside [1, 64]")
+    g = 8 // gcd(width, 8)
+    return g, g * width // 8, next(c for c in _LANES if 8 * array(c).itemsize >= width)
+
+
+def _lane_mask(pattern: int, lane_bytes: int, lanes: int) -> int:
+    """pattern repeated in each of lanes consecutive lane_bytes-byte lanes."""
+    return int.from_bytes(pattern.to_bytes(lane_bytes, "little") * lanes, "little")
+
+
+def _misfit(values, width: int) -> SerializationError:
+    """The error naming the first of values outside [0, 2**width)."""
     limit = 1 << width
-    for v in values:
-        if not 0 <= v < limit:
-            raise SerializationError(f"value {v} does not fit in {width} bits")
-        acc |= v << nbits
-        nbits += width
-        while nbits >= 8:
-            out.append(acc & 0xFF)
-            acc >>= 8
-            nbits -= 8
-    if nbits:
-        out.append(acc)
-    return bytes(out)
+    bad = next((v for v in values if not (isinstance(v, int) and 0 <= v < limit)), None)
+    return SerializationError(f"value {bad!r} does not fit in {width} bits")
+
+
+def pack_uints(values, width: int) -> bytes:
+    """Bit-pack non-negative ints of the given width, LSB first.
+
+    Broadword, with no per-value bytecode: the values go into an array
+    of lanes, read as one int; g mask-and-shift steps move the g fields
+    of each group of lanes next to each other, and gbytes strided slice
+    assignments gather each group's bytes. Any value outside
+    [0, 2**width) raises SerializationError."""
+    g, gbytes, code = _layout(width)
+    try:
+        if isinstance(values, (bytes, bytearray)):
+            values = array("B", values)     # array(code, bytes) reads raw lanes
+        elif code == "B" and isinstance(values, list):
+            values = bytes(values)          # a third of array("B", list)'s time
+        lanes = array(code, values)
+    except (OverflowError, TypeError, ValueError):
+        raise _misfit(values, width) from None
+    count = len(lanes)
+    groups = -(-count // g)
+    lane = lanes.itemsize
+    stride = g * lane
+    lanes.frombytes(bytes((groups * g - count) * lane))
+    if _SWAP:
+        lanes.byteswap()
+    if 8 * lane == width:
+        return lanes.tobytes()
+    x = int.from_bytes(lanes, "little")
+    if x & _lane_mask(-1 << width & (1 << 8 * lane) - 1, lane, groups * g):
+        if _SWAP:
+            lanes.byteswap()
+        raise _misfit(lanes, width)
+    if g > 1:
+        mask = _lane_mask((1 << width) - 1, stride, groups)
+        fields = x & mask
+        for j in range(1, g):
+            fields |= (x >> 8 * lane * j & mask) << width * j
+        x = fields
+    spread = x.to_bytes(groups * stride, "little")
+    if gbytes != stride:
+        out = bytearray(groups * gbytes)
+        for k in range(gbytes):
+            out[k::gbytes] = spread[k::stride]
+        spread = out
+    return bytes(spread[:(count * width + 7) // 8])
 
 
 def unpack_uints(data: bytes, count: int, width: int) -> list[int]:
+    """The count width-bit ints that pack_uints wrote to data.
+
+    The exact inverse of pack_uints: gbytes strided slice assignments
+    spread each group's bytes to the start of its g lanes, and g
+    mask-and-shift steps over the block read as one int move each field
+    into its own lane. The block length is checked before anything sized
+    by count is allocated, and nonzero padding bits are rejected."""
     expected = (count * width + 7) // 8
     if len(data) != expected:
         raise SerializationError("packed array length mismatch")
-    out = []
-    acc = 0
-    nbits = 0
-    pos = 0
-    mask = (1 << width) - 1
-    for _ in range(count):
-        while nbits < width:
-            acc |= data[pos] << nbits
-            pos += 1
-            nbits += 8
-        out.append(acc & mask)
-        acc >>= width
-        nbits -= width
-    if acc:
+    if int.from_bytes(data, "little") >> count * width:
         raise SerializationError("nonzero padding in packed array")
-    return out
+    g, gbytes, code = _layout(width)
+    groups = -(-count // g)
+    lanes = array(code)
+    lane = lanes.itemsize
+    stride = g * lane
+    spread = data
+    if gbytes != stride:
+        src = bytes(data) + bytes(groups * gbytes - expected)
+        spread = bytearray(groups * stride)
+        for k in range(gbytes):
+            spread[k::stride] = src[k::gbytes]
+    if g > 1:
+        x = int.from_bytes(spread, "little")
+        mask = _lane_mask((1 << width) - 1, stride, groups)
+        fields = x & mask
+        for j in range(1, g):
+            fields |= (x >> width * j & mask) << 8 * lane * j
+        spread = fields.to_bytes(groups * stride, "little")
+    lanes.frombytes(spread)
+    if _SWAP:
+        lanes.byteswap()
+    del lanes[count:]
+    return lanes.tolist()
 
 
 class Writer:

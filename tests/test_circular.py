@@ -48,6 +48,18 @@ def test_endpoint_symbols():
     assert g.normal_count == 5
 
 
+def test_symbols_from_the_vectors_match_the_arcs():
+    """S' rebuilt from S, the family vectors and _rpp equals the S' the
+    arcs give, on FIG2 and on random realizations with n = 1..300."""
+    reals = [ArcRealization(FIG2_ARCS)]
+    rng = random.Random(41)
+    reals += [random_arc_realization(n, rng, require_reversed=n % 2 == 0)
+              for n in range(1, 301)]
+    for real in reals:
+        g = CircularArcGraph(real)
+        assert g._symbols() == bytes(circular._arc_symbols(real.arcs)), real.n
+
+
 def test_right_lists_and_degree_table():
     g = fig2_graph()
     assert g._rp == [3, 7, 8, 14, 12]

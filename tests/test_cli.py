@@ -442,6 +442,32 @@ def test_bench_reports_heap_bits(kind, capsys):
     assert f"heap bits: {rep['heap_bits']} ({rep['heap_bits_per_vertex']} per vertex)" in out
 
 
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_bench_reports_save_and_load_seconds(kind, capsys):
+    """bench times a save and a validated load of the structure's own
+    blob next to its build, in both the JSON and the text report."""
+    args = ["bench", "--type", kind, "--n", "300", "--queries", "5", "--seed", "7"]
+    assert main(args + ["--json"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    for phase in ("build", "save", "load"):
+        assert rep[f"{phase}_seconds"] >= 0
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert any(line.startswith("build time: ") and ", save " in line
+               and ", validated load " in line for line in out.splitlines())
+
+
+def test_bench_fails_when_the_blob_does_not_round_trip(monkeypatch, capsys):
+    class Drifted:
+        def to_bytes(self):
+            return b"other"
+
+    monkeypatch.setattr(SuccinctIntervalGraph, "from_bytes",
+                        classmethod(lambda cls, data: Drifted()))
+    assert main(["bench", "--n", "50", "--queries", "0"]) == 1
+    assert "re-encode" in capsys.readouterr().err
+
+
 def test_bench_rejects_negative_queries(capsys):
     assert main(["bench", "--n", "50", "--queries", "-2"]) == 2
     assert capsys.readouterr().out == ""
