@@ -244,30 +244,20 @@ class BitVector:
         if size <= 1:
             return [self.select(b, lo_j)] if size else []
         hi_j = lo_j + size - 1
-        p_lo, p_hi, between = self._select_span(b, lo_j, hi_j, size - mask.count(0))
-        if between is None:
-            inner = compress(range(lo_j + 1, hi_j), mask[1:-1])
-            return [p_lo, *[self.select(b, j) for j in inner], p_hi]
-        return list(compress(between, mask))
-
-    def _select_span(self, b: int, lo_j: int, hi_j: int, wanted: int):
-        """(select(b, lo_j), select(b, hi_j), between), lo_j <= hi_j: two
-        selects (one when they are equal). between iterates over the
-        positions of occurrences lo_j..hi_j from one pass over the words
-        the two span, when those number at most wanted; it is None
-        otherwise, and no word is read."""
         p_lo = self.select(b, lo_j)
-        p_hi = p_lo if hi_j == lo_j else self.select(b, hi_j)
+        p_hi = self.select(b, hi_j)
         w_lo = (p_lo - 1) >> 6
         w_hi = ((p_hi - 1) >> 6) + 1
-        if w_hi - w_lo > wanted:
-            return p_lo, p_hi, None
+        if w_hi - w_lo > size - mask.count(0):
+            inner = compress(range(lo_j + 1, hi_j), mask[1:-1])
+            return [p_lo, *[self.select(b, j) for j in inner], p_hi]
+        # the positions of occurrences lo_j..hi_j, from the words they span
         base = w_lo * 64 + 1
         flags = (
             self._text(w_lo, w_hi)[p_lo - base:p_hi - base + 1]
             .encode("ascii").translate(_IS_ONE if b else _IS_ZERO)
         )
-        return p_lo, p_hi, compress(range(p_lo, p_hi + 1), flags)
+        return list(compress(compress(range(p_lo, p_hi + 1), flags), mask))
 
     def positions(self, b: int) -> list[int]:
         """1-based positions of every occurrence of bit b, in increasing

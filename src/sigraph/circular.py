@@ -19,9 +19,8 @@ Every per-arc array is a packed C array. Each bitvector keeps its words
 and its directory in arrays, and a build makes all three from S' as
 bytes, one C-level translate each. The right-endpoint lists, _rp of
 the normal family and _rpp of the reversed one, are packed unsigned
-arrays of the narrowest typecode that holds 2n; each compares equal to
-the list of its values, and its range-max index reads it in place. The
-degree table is packed the same way.
+arrays of the narrowest typecode that holds 2n, and each range-max index
+reads its list in place. The degree table is packed the same way.
 
 Adjacency and spath never select on S. Labels follow start order, so a
 right endpoint r lies past l_v exactly when S.rank(0, r) >= v. An
@@ -72,8 +71,9 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .bitvector import BitVector
-from .errors import GraphInputError, QueryRangeError, SerializationError
-from .graph import search_above
+from .errors import GraphInputError, SerializationError
+from .graph import Structure, search_above
+from .intervals import check_endpoints
 from .rmq import RangeMaxIndex, default_block_size
 from .serial import Reader, Writer, check_block_size, pack_uints, uint_array
 from .serial import unpack_uints, width_for
@@ -119,23 +119,10 @@ class ArcRealization:
     arcs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        n = len(self.arcs)
-        if n == 0:
-            raise GraphInputError("realization needs at least one arc")
-        endpoints = []
-        prev_l = 0
         for l, r in self.arcs:
             if l == r:
                 raise GraphInputError("arc start and end must differ")
-            if l <= prev_l:
-                raise GraphInputError("arcs must be listed in increasing start order")
-            prev_l = l
-            endpoints.append(l)
-            endpoints.append(r)
-        if sorted(endpoints) != list(range(1, 2 * n + 1)):
-            raise GraphInputError(
-                f"endpoints must use each value in 1..{2 * n} exactly once"
-            )
+        check_endpoints(self.arcs, "arc")
         if self.arcs[0][0] != 1:
             raise GraphInputError("anchor arc must start at position 1")
 
@@ -209,7 +196,7 @@ def random_arc_realization(
     return real
 
 
-class CircularArcGraph:
+class CircularArcGraph(Structure):
     """Succinct circular-arc structure with constant-depth decode paths,
     built from its realization."""
 
@@ -251,10 +238,6 @@ class CircularArcGraph:
         self._rmax_r = RangeMaxIndex(rpp, c)
         self._degrees = _arc_degrees(real)
 
-    @classmethod
-    def from_realization(cls, real: ArcRealization) -> "CircularArcGraph":
-        return cls(real)
-
     # -- S' operations over the factored vectors -------------------------
 
     # Left endpoints in position order carry labels 1..n, so a family
@@ -265,10 +248,6 @@ class CircularArcGraph:
         return self._lk.rank(0, self._s.rank(0, p))
 
     # -- decoding --------------------------------------------------------
-
-    @property
-    def n(self) -> int:
-        return self._n
 
     @property
     def normal_count(self) -> int:
@@ -292,10 +271,6 @@ class CircularArcGraph:
     def endpoint_symbols(self) -> AlphabetSequence:
         """The four-symbol endpoint sequence, rebuilt on demand."""
         return AlphabetSequence(self._symbols(), sigma=4)
-
-    def _check_vertex(self, v: int) -> None:
-        if not 1 <= v <= self._n:
-            raise QueryRangeError(f"vertex {v} outside [1, {self._n}]")
 
     def _right(self, v: int) -> tuple[int, bool, int]:
         """(r_v, reversed, x), x being v's rank in its family: one access
@@ -520,13 +495,6 @@ class CircularArcGraph:
             "rmax_reversed_directory": self._rmax_r.space_bits(),
             "degree_table": self._n * width_for(max(self._n - 1, 1)),
         }
-
-    def space_bits(self) -> int:
-        return sum(self.space_report().values())
-
-    def __reduce__(self):
-        # pickle and deepcopy go through the blob and the validating loader
-        return type(self).from_bytes, (self.to_bytes(),)
 
     def to_bytes(self) -> bytes:
         # the flag byte is always 0; from_bytes rejects the 1 that marked

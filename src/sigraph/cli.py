@@ -12,7 +12,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from time import perf_counter
 from types import BuiltinFunctionType, FunctionType, MethodType, ModuleType
@@ -51,22 +50,6 @@ _LOADERS = {
 }
 
 
-@dataclass
-class StatsReport:
-    kind: str
-    n: int
-    total_bits: int
-    bits_per_vertex: float
-    build_seconds: float
-    save_seconds: float
-    load_seconds: float
-    heap_bits: int
-    heap_bits_per_vertex: float
-    components: dict = field(default_factory=dict)
-    baselines: dict = field(default_factory=dict)
-    queries: dict = field(default_factory=dict)
-
-
 # shared code, not data a structure holds: the heap walk stops there
 _NOT_OWNED = (type, ModuleType, FunctionType, BuiltinFunctionType, MethodType)
 
@@ -97,7 +80,11 @@ def load_structure(path):
 
 
 def _read_realization(path: str, want: str, anchor=None):
-    kind, pairs = parse_realization_text(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise GraphInputError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+    kind, pairs = parse_realization_text(text)
     if want == "circular":
         if kind != "circular":
             raise GraphInputError(f"{path}: expected a circular realization, got {kind}")
@@ -114,7 +101,11 @@ def _emit(args, text: str, payload) -> None:
 def _seed(args) -> int:
     if args.seed is not None:
         return args.seed
-    return int(os.environ.get("SIG_SEED", "1"))
+    raw = os.environ.get("SIG_SEED", "1")
+    try:
+        return int(raw)
+    except ValueError:
+        raise GraphInputError(f"SIG_SEED must be an integer, got {raw!r}") from None
 
 
 # -- commands ------------------------------------------------------------
@@ -284,29 +275,29 @@ def cmd_bench(args) -> int:
                   [(v,) for v in verts[: min(q, 20)]], queries, ("nbr", len))
     _time_queries("spath", g.spath, pairs[: min(q, 20)], queries,
                   ("hop", lambda path: len(path) - 1 if path else 0))
-    rep = StatsReport(
-        kind=args.type,
-        n=n,
-        total_bits=total,
-        bits_per_vertex=round(total / n, 3),
-        build_seconds=round(build_s, 4),
-        save_seconds=round(save_s, 4),
-        load_seconds=round(load_s, 4),
-        heap_bits=heap_bits,
-        heap_bits_per_vertex=round(heap_bits / n, 3),
-        components=components,
-        baselines=baselines,
-        queries=queries,
-    )
+    rep = {
+        "kind": args.type,
+        "n": n,
+        "total_bits": total,
+        "bits_per_vertex": round(total / n, 3),
+        "build_seconds": round(build_s, 4),
+        "save_seconds": round(save_s, 4),
+        "load_seconds": round(load_s, 4),
+        "heap_bits": heap_bits,
+        "heap_bits_per_vertex": round(heap_bits / n, 3),
+        "components": components,
+        "baselines": baselines,
+        "queries": queries,
+    }
     if args.json:
-        print(json.dumps(asdict(rep), sort_keys=True))
+        print(json.dumps(rep, sort_keys=True))
         return 0
     lines = [
-        f"{rep.kind} structure, n={rep.n}, edges={m}",
-        f"build time: {rep.build_seconds}s, save {rep.save_seconds}s, "
-        f"validated load {rep.load_seconds}s",
-        f"total bits: {rep.total_bits} ({rep.bits_per_vertex} per vertex)",
-        f"heap bits: {rep.heap_bits} ({rep.heap_bits_per_vertex} per vertex)",
+        f"{args.type} structure, n={n}, edges={m}",
+        f"build time: {rep['build_seconds']}s, save {rep['save_seconds']}s, "
+        f"validated load {rep['load_seconds']}s",
+        f"total bits: {total} ({rep['bits_per_vertex']} per vertex)",
+        f"heap bits: {heap_bits} ({rep['heap_bits_per_vertex']} per vertex)",
         "components:",
     ]
     for name, bits in sorted(components.items(), key=lambda kv: -kv[1]):

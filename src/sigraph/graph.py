@@ -107,32 +107,25 @@ def search_above(pick_max, values, lo: int, hi: int, threshold: int, missing: in
     return found
 
 
-class IntervalQueries:
-    """Query layer shared by every linear-interval representation.
-
-    Every query reads the endpoint sequence S and r. The hooks here read
-    r from _rlist, the packed array of r in label order, and search it
-    on its range-max index _rmax; a class that derives r from S keeps
-    neither, and overrides _r, _rights, _farthest and neighborhood.
-    Concrete classes provide space_report(), to_bytes() and from_bytes(),
-    which pickling and copying go through; from_realization is the
-    constructor, for every class.
-    """
+class Structure:
+    """What all five structures share, linear and circular alike: the
+    vertex count n and its label check, the space total over
+    space_report(), pickling and copying through to_bytes() and the
+    validating from_bytes(), which every concrete class provides, and
+    from_realization, the one constructor, which passes its arguments on
+    to the class."""
 
     __slots__ = ()
 
     _n: int
-    _s: BitVector
-    _rlist: Sequence[int]
-    _rmax: RangeMaxIndex
 
     @property
     def n(self) -> int:
         return self._n
 
-    @property
-    def endpoint_bits(self) -> BitVector:
-        return self._s
+    def _check_vertex(self, v: int) -> None:
+        if not 1 <= v <= self._n:
+            raise QueryRangeError(f"vertex {v} outside [1, {self._n}]")
 
     def space_bits(self) -> int:
         return sum(self.space_report().values())
@@ -143,8 +136,28 @@ class IntervalQueries:
         return type(self).from_bytes, (self.to_bytes(),)
 
     @classmethod
-    def from_realization(cls, real: IntervalRealization, *args, **kwargs):
+    def from_realization(cls, real, *args, **kwargs):
         return cls(real, *args, **kwargs)
+
+
+class IntervalQueries(Structure):
+    """Query layer shared by every linear-interval representation.
+
+    Every query reads the endpoint sequence S and r. The hooks here read
+    r from _rlist, the packed array of r in label order, and search it
+    on its range-max index _rmax; a class that derives r from S keeps
+    neither, and overrides _r, _rights, _farthest and neighborhood.
+    """
+
+    __slots__ = ()
+
+    _s: BitVector
+    _rlist: Sequence[int]
+    _rmax: RangeMaxIndex
+
+    @property
+    def endpoint_bits(self) -> BitVector:
+        return self._s
 
     # -- hooks -----------------------------------------------------------
 
@@ -165,10 +178,6 @@ class IntervalQueries:
         array as _rlist, and index that array in place as _rmax."""
         self._rlist = packed = uint_array(rights, 2 * self._n)
         self._rmax = RangeMaxIndex(packed, default_block_size(self._n))
-
-    def _check_vertex(self, v: int) -> None:
-        if not 1 <= v <= self._n:
-            raise QueryRangeError(f"vertex {v} outside [1, {self._n}]")
 
     def interval_of(self, v: int) -> tuple[int, int]:
         self._check_vertex(v)

@@ -16,6 +16,28 @@ from .errors import GraphInputError
 _INT_RE = re.compile(r"^[+-]?\d+$")
 
 
+def check_endpoints(pairs, noun: str) -> None:
+    """The checks every realization makes of its (start, end) pairs, each
+    pair a noun: there is at least one, the starts increase, and the
+    endpoints use each value in 1..2n exactly once. Interval and arc
+    realizations test each pair's own shape before calling this."""
+    n = len(pairs)
+    if n == 0:
+        raise GraphInputError(f"realization needs at least one {noun}")
+    endpoints = []
+    prev_l = 0
+    for l, r in pairs:
+        if l <= prev_l:
+            raise GraphInputError(f"{noun}s must be listed in increasing start order")
+        prev_l = l
+        endpoints.append(l)
+        endpoints.append(r)
+    if sorted(endpoints) != list(range(1, 2 * n + 1)):
+        raise GraphInputError(
+            f"endpoints must use each value in 1..{2 * n} exactly once"
+        )
+
+
 @dataclass(frozen=True)
 class IntervalRealization:
     """n closed intervals over {1..2n}, labeled by increasing left endpoint."""
@@ -23,25 +45,10 @@ class IntervalRealization:
     intervals: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        n = len(self.intervals)
-        if n == 0:
-            raise GraphInputError("realization needs at least one interval")
-        endpoints = []
-        prev_l = 0
         for l, r in self.intervals:
             if l >= r:
                 raise GraphInputError(f"interval [{l}, {r}] has left >= right")
-            if l <= prev_l:
-                raise GraphInputError(
-                    "intervals must be listed in increasing left-endpoint order"
-                )
-            prev_l = l
-            endpoints.append(l)
-            endpoints.append(r)
-        if sorted(endpoints) != list(range(1, 2 * n + 1)):
-            raise GraphInputError(
-                f"endpoints must use each value in 1..{2 * n} exactly once"
-            )
+        check_endpoints(self.intervals, "interval")
 
     @property
     def n(self) -> int:

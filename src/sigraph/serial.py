@@ -27,27 +27,10 @@ def width_for(max_value: int) -> int:
     return max(1, max_value.bit_length())
 
 
-class UIntArray(array):
-    """A packed unsigned array that equals the list of its values, as the
-    list it replaces did. It adds no slot, so it holds nothing beyond the
-    array; indexing and slicing are the array's own."""
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        if isinstance(other, list):
-            return self.tolist() == other
-        return array.__eq__(self, other)
-
-    def __ne__(self, other):
-        # array's own != would not consult __eq__ above
-        return not self == other
-
-
-def uint_array(values, max_value: int) -> UIntArray:
+def uint_array(values, max_value: int) -> array:
     """values as an array of the narrowest unsigned typecode holding max_value."""
     code = next(c for c in "BHILQ" if max_value < 1 << 8 * array(c).itemsize)
-    return UIntArray(code, values)
+    return array(code, values)
 
 
 def check_block_size(stored: int, derived: int) -> None:

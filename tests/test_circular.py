@@ -62,8 +62,8 @@ def test_symbols_from_the_vectors_match_the_arcs():
 
 def test_right_lists_and_degree_table():
     g = fig2_graph()
-    assert g._rp == [3, 7, 8, 14, 12]
-    assert g._rpp == [2, 10]
+    assert g._rp.tolist() == [3, 7, 8, 14, 12]
+    assert g._rpp.tolist() == [2, 10]
     assert list(g._degrees) == [len(FIG2_ADJACENCY[v]) for v in range(1, 8)]
 
 

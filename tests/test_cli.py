@@ -164,6 +164,19 @@ def test_build_type_header_mismatch(tmp_path):
     assert main(["build", "--input", str(src), "--output", str(tmp_path / "x.sig")]) == 2
 
 
+def test_undecodable_input_is_input_error(tmp_path, capsys):
+    """A realization file that is not UTF-8 text is an input error that
+    names the file, for build and verify alike."""
+    src = tmp_path / "latin1.txt"
+    src.write_bytes(b"interval 1\n1 2 # caf\xe9\n")
+    out = tmp_path / "x.sig"
+    assert main(["build", "--input", str(src), "--output", str(out)]) == 2
+    assert str(src) in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["verify", "--input", str(src)]) == 2
+    assert str(src) in capsys.readouterr().err
+
+
 # -- query ---------------------------------------------------------------
 
 
@@ -344,7 +357,20 @@ def test_verify_proper_type_rejects_improper_input(tmp_path, capsys):
 # -- bench ---------------------------------------------------------------
 
 
+BENCH_KEYS = {
+    "kind", "n", "total_bits", "bits_per_vertex", "build_seconds", "save_seconds",
+    "load_seconds", "heap_bits", "heap_bits_per_vertex", "components", "baselines",
+    "queries",
+}
+
+
 def test_bench_json_fields(capsys):
+    for kind in sorted(_KINDS):
+        assert main(["bench", "--type", kind, "--n", "60", "--queries", "5",
+                     "--seed", "5", "--json"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert set(rep) == BENCH_KEYS, kind
+        assert rep["kind"] == kind
     assert main(["bench", "--n", "300", "--queries", "20", "--seed", "5", "--json"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["kind"] == "interval"
@@ -496,3 +522,17 @@ def test_env_seed_is_honored(tmp_path, capsys, monkeypatch):
     assert main(["bench", "--n", "50", "--queries", "5", "--json"]) == 0
     rep_b = json.loads(capsys.readouterr().out)
     assert rep_a["baselines"]["edges"] != rep_b["baselines"]["edges"]
+
+
+def test_env_seed_must_be_an_integer(capsys, monkeypatch):
+    """A SIG_SEED that is no integer is an input error naming it, not an
+    internal error."""
+    monkeypatch.setenv("SIG_SEED", "abc")
+    assert main(["verify", "--random", "5"]) == 2
+    err = capsys.readouterr().err
+    assert "SIG_SEED" in err and "internal error" not in err
+    assert main(["bench", "--n", "50", "--queries", "5"]) == 2
+    assert "SIG_SEED" in capsys.readouterr().err
+    # an explicit --seed does not read the variable
+    assert main(["verify", "--random", "5", "--seed", "3"]) == 0
+    capsys.readouterr()

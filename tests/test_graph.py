@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from conftest import FIG1_INTERVALS, FIG1_S, count_calls, fig1_realization
 from sigraph.bitvector import BitVector
+from sigraph.circular import CircularArcGraph
 from sigraph.errors import GraphInputError, QueryRangeError
-from sigraph.graph import IntervalQueries, SuccinctIntervalGraph
+from sigraph.graph import IntervalQueries, Structure, SuccinctIntervalGraph
 from sigraph.intervals import (
     IntervalRealization,
     normalize,
@@ -50,7 +51,7 @@ class TestBuild:
             IntervalRealization(((1, 2), (3, 4)))
         )
         assert two.endpoint_bits.bit_string() == "0101"
-        assert two._rlist == [2, 4]
+        assert two._rlist.tolist() == [2, 4]
 
     def test_rebuild_realization(self, fig1):
         assert fig1.realization().intervals == FIG1_INTERVALS
@@ -485,8 +486,13 @@ def test_query_hooks_live_in_interval_queries():
     which keeps no r, derives r from S and answers its neighborhoods and
     spath hops from S; the depth-annotated one, which knows where the
     prefix maxima of r lie, overrides only the spath hop. No class keeps
-    an argmax hook, and every class is built by the one from_realization."""
-    assert {"_farthest", "from_realization"} <= set(vars(IntervalQueries))
+    an argmax hook. What all five structures share, the circular one
+    included, lives in Structure alone, and every class is built by the
+    one from_realization."""
+    base = {"n", "_check_vertex", "space_bits", "__reduce__", "from_realization"}
+    assert base <= set(vars(Structure))
+    assert "_farthest" in vars(IntervalQueries)
+    assert not set(vars(IntervalQueries)) & base
     hooks = {"_r", "_rights", "_argmax_r", "_farthest", "neighborhood"}
     owns = {
         SuccinctIntervalGraph: set(),
@@ -497,9 +503,10 @@ def test_query_hooks_live_in_interval_queries():
     for cls, want in owns.items():
         assert issubclass(cls, IntervalQueries)
         own = set(vars(cls))
-        shared = {"endpoint_bits", "space_bits", "from_realization"}
-        assert not own & shared, cls
+        assert not own & (base | {"endpoint_bits"}), cls
         assert own & hooks == want, cls
+    assert issubclass(CircularArcGraph, Structure)
+    assert not set(vars(CircularArcGraph)) & base
 
 
 def _tower_and_chain(depth, chain):

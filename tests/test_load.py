@@ -23,7 +23,7 @@ from sigraph.circular import (
     random_arc_realization,
 )
 from sigraph.errors import GraphInputError, SerializationError
-from sigraph.graph import IntervalQueries, SuccinctIntervalGraph
+from sigraph.graph import Structure, SuccinctIntervalGraph
 from sigraph.intervals import (
     IntervalRealization,
     random_proper_realization,
@@ -184,16 +184,13 @@ BUILDS = {
 def test_constructors_take_the_realization_alone():
     """No constructor or from_realization takes a block size, raw S, r
     or T, or an alphabet size: only the realization and a depth mode.
-    The linear kinds share IntervalQueries.from_realization, which
-    passes its arguments on to the constructor, so it refuses every
-    other argument as the constructor does."""
+    Every kind, the circular one included, shares Structure's
+    from_realization, which passes its arguments on to the constructor,
+    so it refuses every other argument as the constructor does."""
     for kind, (cls, draw, args) in BUILDS.items():
         want = ["real", "mode"] if args else ["real"]
         assert list(inspect.signature(cls).parameters) == want, cls
-        if issubclass(cls, IntervalQueries):
-            assert cls.from_realization.__func__ is IntervalQueries.from_realization.__func__
-        else:
-            assert list(inspect.signature(cls.from_realization).parameters) == want, cls
+        assert cls.from_realization.__func__ is Structure.from_realization.__func__, cls
         real = draw(5, random.Random(kind))
         for extra, named in (((64,), {}), ((), {"block_size": 64}), ((), {"sigma": 4})):
             with pytest.raises(TypeError):
