@@ -57,9 +57,11 @@ range-max report knows its hit count beforehand: a normal arc's
 earlier normal hits are its earlier normal arcs less the normal rights
 before its start (two ranks), and the other family's report holds the
 degree less the hits already known. So a report reads one window of at
-most 2 * count values, word-parallel when it holds at least 64
-(flags_above), plus at most 2m - 1 range-max calls for the m hits that
-window missed: O(degree) time in all.
+most 64 * count values ending at its range's top, the same 64 ranks per
+hit that bound a mask, word-parallel when it holds at least 64
+(flags_above). Only hits sparser than that, lying before the window,
+cost range-max calls: at most 2m - 1 for the m hits it missed, which
+random arcs almost never leave. O(degree) time in all.
 """
 
 from __future__ import annotations
@@ -96,8 +98,9 @@ _RIGHTS = bytes([_NR, _RR])
 _SIDE = bytes.maketrans(b"01", bytes([_NL, _NR]))
 _BIT = bytes.maketrans(b"01", b"\x00\x01")
 
-# the most family ranks a neighborhood's hit mask spans per hit; a
-# sparser family lists its ranks instead
+# the most family ranks a neighborhood spans per hit: a range-max
+# report's window reads at most this many per hit, and a family whose
+# hit mask would span more lists its ranks instead
 _MASK_SPAN = 64
 
 # flags_above: the shortest window compared word-parallel, and a field's
@@ -555,14 +558,16 @@ class CircularArcGraph(Structure):
 def _report(pick_max, values, lo: int, hi: int, threshold: int, count: int):
     """A family's range-max report over ranks lo..hi, which holds count
     ranks x with values[x - 1] > threshold: (a, flags, found). flags has
-    one byte per rank of the window a..hi, the at most 2 * count ranks
-    ending at hi, 1 at a hit; found holds the hits the window missed,
-    which lie before it, from search_above. So a report reads at most
-    2 * count values and makes at most max(0, 2m - 1) range-max calls
-    for the m hits in found; a count of 0 reads nothing."""
+    one byte per rank of the window a..hi, the at most _MASK_SPAN * count
+    ranks ending at hi, 1 at a hit; found holds the hits the window
+    missed, which lie before it, from search_above. So a report reads at
+    most _MASK_SPAN * count values, word-parallel from 64 on, and makes
+    at most max(0, 2m - 1) range-max calls for the m hits in found, none
+    unless the hits are sparser than one per _MASK_SPAN ranks; a count
+    of 0 reads nothing."""
     if count <= 0:
         return 0, b"", ()
-    a = max(lo, hi - 2 * count + 1)
+    a = max(lo, hi - _MASK_SPAN * count + 1)
     flags = flags_above(values, a, hi, threshold)
     missing = count - flags.count(1)
     if missing > 0 and lo < a:

@@ -81,7 +81,7 @@ def load_structure(path):
 
 def _read_realization(path: str, want: str, anchor=None):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as e:
         raise GraphInputError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
     kind, pairs = parse_realization_text(text)

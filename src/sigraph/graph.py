@@ -67,10 +67,12 @@ def report_above(pick_max, values, lo: int, hi: int, threshold: int, count: int,
     missed lie before it, and search_above finds them on the range-max
     index pick_max. So the cost is one scan of at most 2 * count values
     plus at most max(0, 2m - 1) range-max calls; a count of 0 reads
-    nothing. A circular neighborhood takes the same window and the same
-    recursion, but flags its window's hits in bytes and marks every hit
-    in a byte mask over its family's ranks (a family sparser than one hit
-    per 64 ranks lists its ranks instead), so only search_above is shared.
+    nothing. A circular neighborhood takes a window of 64 ranks per hit
+    instead, flagged in bytes word-parallel (circular.flags_above), so
+    its recursion runs only for hits sparser than that; it marks every
+    hit in a byte mask over its family's ranks (a family sparser than
+    one hit per 64 ranks lists its ranks instead), so only search_above
+    is shared.
     """
     if count <= 0:
         return

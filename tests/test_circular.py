@@ -27,6 +27,7 @@ from sigraph.circular import (
 )
 from sigraph.errors import GraphInputError, QueryRangeError, SerializationError
 from sigraph.oracle import OracleGraph
+from sigraph.rmq import RangeMaxIndex
 from sigraph.wavelet import PointGrid
 
 
@@ -558,8 +559,8 @@ def _family_reports(real: ArcRealization, oracle: OracleGraph):
     """Per arc, from the realization and the oracle alone: its oracle
     neighborhood, the hit count of each family's range-max report with
     that report's range (family ranks), and the hits the window of at
-    most 2 * count ranks ending at the range's top misses. Ranks number
-    each family's arcs in label order."""
+    most _MASK_SPAN * count ranks ending at the range's top misses. Ranks
+    number each family's arcs in label order."""
     arcs = real.arcs
     rank, starts = {}, ([], [])     # starts[False]: normal, [True]: reversed
     for u, (l, r) in enumerate(arcs, start=1):
@@ -580,11 +581,25 @@ def _family_reports(real: ArcRealization, oracle: OracleGraph):
         reports = {}
         for fam, (lo, hi) in ranges.items():
             hits = [x for f, x in map(rank.get, hood) if f == fam and lo <= x <= hi]
-            top = max(lo, hi - 2 * len(hits) + 1)
+            top = max(lo, hi - circular._MASK_SPAN * len(hits) + 1)
             missed = sum(1 for x in hits if x < top)
             reports[fam] = (lo, hi, len(hits), missed)
         out[v] = (hood, reports)
     return out
+
+
+def _first_hit_report(n: int) -> ArcRealization:
+    """n arcs: the anchor (1, 2), then the ends of n - 3 reversed arcs
+    that miss v, then the normal arc v, then a reversed arc H that ends
+    just after v starts and starts just after v ends, then the misses'
+    starts. Every reversed arc starts after v ends, so v's reversed
+    report covers all of them; its one hit, H, is rank 1 of n - 2, which
+    the window of _MASK_SPAN ranks ending at the last rank misses once
+    n > _MASK_SPAN + 2."""
+    m = n - 3
+    arcs = [(1, 2), (m + 3, m + 4), (m + 6, m + 5)]
+    arcs += [(m + 6 + i, 2 + i) for i in range(1, m + 1)]
+    return ArcRealization(tuple(arcs))
 
 
 @pytest.mark.parametrize("n", [200, 2000])
@@ -594,8 +609,20 @@ def test_neighborhood_knows_its_hit_counts(n, monkeypatch):
     rights before l, two ranks, and the other family's report holds
     degree less the hits already known. With them each report reads one
     window and makes at most max(0, 2m - 1) range-max calls for the m
-    hits the window misses; checked on the built and the reloaded graph."""
-    real = random_arc_realization(n, random.Random(n))
+    hits the window misses; checked on the built and the reloaded graph
+    of random arcs and of arcs whose one report hit lies far before the
+    window, so the range-max recursion runs."""
+    fallbacks = 0
+    for real in (random_arc_realization(n, random.Random(n)), _first_hit_report(n)):
+        fallbacks += _check_hit_counts(real, monkeypatch)
+    assert fallbacks > 0
+
+
+def _check_hit_counts(real: ArcRealization, monkeypatch) -> int:
+    """test_neighborhood_knows_its_hit_counts on one realization: the
+    number of family reports whose window missed a hit."""
+    n = len(real.arcs)
+    fallbacks = 0
     expected = _family_reports(real, OracleGraph.from_arc_positions(real.arcs))
     built = CircularArcGraph.from_realization(real)
     for g in (built, CircularArcGraph.from_bytes(built.to_bytes())):
@@ -606,7 +633,6 @@ def test_neighborhood_knows_its_hit_counts(n, monkeypatch):
                 index, "query",
                 lambda i, j, query=index.query, log=calls[fam]: log.append((i, j)) or query(i, j),
             )
-        fallbacks = 0
         for v in range(1, n + 1):
             hood, reports = expected[v]
             l, r = g.arc_of(v)
@@ -631,8 +657,23 @@ def test_neighborhood_knows_its_hit_counts(n, monkeypatch):
                 assert len(log) <= max(0, 2 * missed - 1), (v, fam, missed)
                 assert all(lo <= i <= j <= hi for i, j in log), (v, fam)
                 fallbacks += missed > 0
-        assert fallbacks > 0
         monkeypatch.undo()
+    return fallbacks
+
+
+def test_neighborhoods_rarely_search_the_range_max_index(monkeypatch):
+    """A report's window spans _MASK_SPAN ranks per hit, so random arcs
+    seldom leave a hit before it: every neighborhood at n = 2000 equals
+    the oracle's, and all of them together make at most n / 100
+    range-max calls."""
+    n = 2000
+    real = random_arc_realization(n, random.Random(2000))
+    g = CircularArcGraph.from_realization(real)
+    oracle = OracleGraph.from_arc_positions(real.arcs)
+    calls = count_calls(monkeypatch, [(RangeMaxIndex, "query")])
+    for v in range(1, n + 1):
+        assert g.neighborhood(v) == oracle.neighborhood(v), v
+    assert calls.get("RangeMaxIndex.query", 0) <= n / 100
 
 
 def _count_families(monkeypatch) -> dict:

@@ -177,6 +177,22 @@ def test_undecodable_input_is_input_error(tmp_path, capsys):
     assert str(src) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["interval", "circular"])
+def test_byte_order_mark_is_ignored(kind, tmp_path):
+    """A realization file saved with a UTF-8 byte-order mark builds the
+    same blob as the file without it, and verifies."""
+    text = "interval 3\n1 3\n2 5\n4 6\n" if kind == "interval" else "circular 2\n1 3\n4 2\n"
+    blobs = []
+    for name, data in (("plain", text.encode()), ("bom", b"\xef\xbb\xbf" + text.encode())):
+        src = tmp_path / f"{name}.txt"
+        src.write_bytes(data)
+        out = tmp_path / f"{name}.sig"
+        assert main(["build", "--type", kind, "--input", str(src), "--output", str(out)]) == 0
+        blobs.append(out.read_bytes())
+        assert main(["verify", "--type", kind, "--input", str(src)]) == 0
+    assert blobs[0] == blobs[1]
+
+
 # -- query ---------------------------------------------------------------
 
 

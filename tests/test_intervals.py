@@ -36,6 +36,12 @@ class TestRealization:
             IntervalRealization(((1, 5), (2, 4)))  # value gap: missing 3? no, 6
         with pytest.raises(GraphInputError):
             IntervalRealization(((1, 2), (3, 5)))  # endpoint 4 unused
+        for intervals in (
+            ((1, 3), (2, 3), (4, 6)),   # 3 twice, 5 unused
+            ((1, 2.5), (3, 4)),         # not an integer, 2 unused
+        ):
+            with pytest.raises(GraphInputError, match="exactly once"):
+                IntervalRealization(intervals)
 
 
 class TestNormalize:
