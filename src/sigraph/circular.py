@@ -12,8 +12,12 @@ the parity vector S marking right endpoints, a family vector over left
 endpoints in label order, and a family vector over right endpoints in
 position order. Every S' rank or select is then one or two plain
 bitvector operations. On top sit the right-endpoint lists with range-max
-indexes for reporting and paths, and a degree table counted in one sweep,
-so degree is one read.
+indexes for reporting and paths, and a degree table, so degree is one
+read. A build and a load both count the table in one sweep over S' with
+two position counters, reversed gaps opened and normal arcs ended. Each
+keeps its marks as one int per block of positions and a Fenwick tree
+over the block counts, so a prefix count is one popcount plus a few
+tree steps: O(n log n) in all.
 
 Every per-arc array is a packed C array. Each bitvector keeps its words
 and its directory in arrays, and a build makes all three from S' as
@@ -70,7 +74,7 @@ import random
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, islice
 
 from .bitvector import BitVector
 from .errors import GraphInputError, SerializationError
@@ -112,6 +116,10 @@ _TOP_FLAG = bytes(128) + b"\x01" + bytes(127)
 
 # array slices hold native-order fields; the word compare reads them little-endian
 _SWAP = sys.byteorder == "big"
+
+# _arc_degrees: positions per block of its two counters, as a shift. One
+# popcount reads a block; the block trees stay a few levels deep
+_BLOCK_SHIFT = 12
 
 
 @dataclass(frozen=True)
@@ -239,7 +247,7 @@ class CircularArcGraph(Structure):
         c = default_block_size(self._q)
         self._rmax_n = RangeMaxIndex(rp, c)
         self._rmax_r = RangeMaxIndex(rpp, c)
-        self._degrees = _arc_degrees(real)
+        self._degrees = _arc_degrees(arcs, symbols)
 
     # -- S' operations over the factored vectors -------------------------
 
@@ -664,60 +672,74 @@ def _arc_symbols(arcs) -> list[int]:
     return symbols
 
 
-def _arc_degrees(real: ArcRealization) -> array:
-    """Every arc's degree, from one sweep over the 2n positions, as an
-    array of the narrowest unsigned typecode that holds n - 1.
+def _arc_degrees(arcs, symbols) -> array:
+    """Every arc's degree, from one sweep over the 2n symbols of S', as
+    an array of the narrowest unsigned typecode that holds n - 1.
 
     Reversed arcs pairwise intersect. A normal arc [l, r] meets the
     normal arcs that start before r less those that end before l. A
     normal arc and a reversed arc (l', r') miss each other exactly when
-    the normal arc nests inside the gap [r', l']; two Fenwick trees over
-    positions count those nestings, one from each family's side.
+    the normal arc nests inside the gap [r', l']. Two position counters
+    count those nestings, one from each family's side: gaps marks l' of
+    every reversed gap opened, closed marks l of every normal arc ended.
+    Each is a two-level counter: one int of marks per block of
+    2**_BLOCK_SHIFT positions, and a Fenwick tree over the blocks' counts.
+    A mark sets one bit and adds one along the block tree; a prefix count
+    is one popcount of the masked block plus the block tree's prefix
+    over the blocks before it. So each of the 2n steps costs
+    O(log(n / 2**_BLOCK_SHIFT)) Python steps and one C operation over at
+    most 2**_BLOCK_SHIFT bits: O(n log n) in all.
     """
-    arcs = real.arcs
     n = len(arcs)
     m = 2 * n
-    owner = [0] * (m + 1)       # v at the start of arc v, -v at its end
-    for v, (l, r) in enumerate(arcs, start=1):
-        owner[l] = v
-        owner[r] = -v
-    nrev = sum(1 for l, r in arcs if l > r)
+    partner = [0] * (m + 1)     # each endpoint's other endpoint
+    for l, r in arcs:
+        partner[l] = r
+        partner[r] = l
+    nrev = symbols.count(_RL)
     q = n - nrev
-    gaps = [0] * (m + 1)        # +1 at l' for every reversed gap opened so far
-    closed = [0] * (m + 1)      # +1 at l for every normal arc ended so far
-
-    def add(tree, i):
-        while i <= m:
-            tree[i] += 1
-            i += i & -i
-
-    def prefix(tree, i):
-        c = 0
-        while i:
-            c += tree[i]
-            i &= i - 1
-        return c
-
-    deg = [0] * n
+    shift = _BLOCK_SHIFT
+    low = (1 << shift) - 1
+    blocks = (m >> shift) + 1
+    gap_bits = [0] * blocks     # gaps: a bit at l' per reversed gap opened
+    gap_tree = [0] * (blocks + 1)
+    closed_bits = [0] * blocks  # closed: a bit at l per normal arc ended
+    closed_tree = [0] * (blocks + 1)
+    deg = [0] * (m + 1)         # by start position
     lefts = rights = opened = 0     # normal starts, normal ends, reversed gaps
-    for p in range(1, m + 1):
-        v = owner[p]
-        if v > 0:
-            l, r = arcs[v - 1]
-            if l < r:
-                # normals ending before l miss v; so do the gaps around v
-                deg[v - 1] += nrev - (opened - prefix(gaps, r)) - rights
-                lefts += 1
-            else:
-                # the gap [r, l] closes here: normals inside it miss v
-                deg[v - 1] += q - (rights - prefix(closed, r)) + nrev - 1
+    for p, sym, o in zip(range(1, m + 1), symbols, islice(partner, 1, None)):
+        if sym == _NL:
+            # normals ending before p miss this arc; so do the gaps around it
+            b = o >> shift
+            c = (gap_bits[b] & ((2 << (o & low)) - 1)).bit_count()
+            while b:
+                c += gap_tree[b]
+                b &= b - 1
+            deg[p] = nrev - (opened - c) - rights
+            lefts += 1
+        elif sym == _NR:
+            deg[o] += lefts - 1
+            b = o >> shift
+            closed_bits[b] |= 1 << (o & low)
+            b += 1
+            while b <= blocks:
+                closed_tree[b] += 1
+                b += b & -b
+            rights += 1
+        elif sym == _RL:
+            # the gap [o, p] closes here: normals inside it miss this arc
+            b = o >> shift
+            c = (closed_bits[b] & ((2 << (o & low)) - 1)).bit_count()
+            while b:
+                c += closed_tree[b]
+                b &= b - 1
+            deg[p] = q - (rights - c) + nrev - 1
         else:
-            l, r = arcs[-v - 1]
-            if l < r:
-                deg[-v - 1] += lefts - 1
-                add(closed, l)
-                rights += 1
-            else:
-                add(gaps, l)
-                opened += 1
-    return uint_array(deg, n - 1)
+            b = o >> shift
+            gap_bits[b] |= 1 << (o & low)
+            b += 1
+            while b <= blocks:
+                gap_tree[b] += 1
+                b += b & -b
+            opened += 1
+    return uint_array([deg[l] for l, _ in arcs], n - 1)

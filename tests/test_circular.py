@@ -410,18 +410,42 @@ def test_adjacent_and_spath_never_select_on_s(make):
     assert [guarded.spath(u, v) for u, v in pairs] == [plain.spath(u, v) for u, v in pairs]
 
 
-def test_degree_table_matches_oracle():
+def _nested_normals(n: int) -> ArcRealization:
+    return ArcRealization(tuple((i, 2 * n + 1 - i) for i in range(1, n + 1)))
+
+
+def _disjoint_chain(n: int) -> ArcRealization:
+    return ArcRealization(tuple((2 * i - 1, 2 * i) for i in range(1, n + 1)))
+
+
+def _nested_gaps(n: int) -> ArcRealization:
+    """The anchor (1, 2), then reversed arcs whose gaps nest, with a
+    chain of normal arcs inside the innermost gap: every normal arc but
+    the anchor nests inside every gap."""
+    h = (n - 1) // 2                  # normal arcs after the anchor
+    k = n - 1 - h                     # reversed arcs
+    mid = 3 + k                       # the chain starts past the gaps' ends
+    arcs = [(1, 2)]
+    arcs += [(mid + 2 * j, mid + 2 * j + 1) for j in range(h)]
+    arcs += [(2 * n + 1 - i, 2 + i) for i in range(k, 0, -1)]
+    return ArcRealization(tuple(arcs))
+
+
+def _assert_oracle_degrees(real: ArcRealization) -> None:
     """The table, computed at build and at load, gives every vertex its
     oracle degree."""
+    oracle = OracleGraph.from_arc_positions(real.arcs)
+    want = [oracle.degree(v) for v in range(1, real.n + 1)]
+    g = CircularArcGraph.from_realization(real)
+    h = CircularArcGraph.from_bytes(g.to_bytes())
+    for built in (g, h):
+        assert [built.degree(v) for v in range(1, real.n + 1)] == want, real.n
+
+
+def test_degree_table_matches_oracle():
     rng = random.Random(9)
     for n in range(1, 26):
-        real = random_arc_realization(n, rng, require_reversed=False)
-        oracle = OracleGraph.from_arc_positions(real.arcs)
-        want = [oracle.degree(v) for v in range(1, n + 1)]
-        g = CircularArcGraph.from_realization(real)
-        h = CircularArcGraph.from_bytes(g.to_bytes())
-        for built in (g, h):
-            assert [built.degree(v) for v in range(1, n + 1)] == want, n
+        _assert_oracle_degrees(random_arc_realization(n, rng, require_reversed=False))
 
 
 @pytest.mark.parametrize("n", [200, 2000])
@@ -438,6 +462,49 @@ def test_degree_makes_no_primitive_calls(n, monkeypatch):
         degrees = [built.degree(v) for v in range(1, n + 1)]
         assert calls == {}
         assert degrees == list(g._degrees)
+
+
+@pytest.mark.parametrize("shift", [1, 3])
+def test_degree_table_across_block_edges(shift, monkeypatch):
+    """With blocks of 2 and 8 positions, marks and prefix counts fall on
+    every block edge: the table, built and loaded, matches the oracle on
+    random arcs and on the families with the most nestings."""
+    monkeypatch.setattr(circular, "_BLOCK_SHIFT", shift)
+    rng = random.Random(60 + shift)
+    for n in range(1, 61):
+        _assert_oracle_degrees(random_arc_realization(n, rng, require_reversed=n % 2 == 0))
+    for n in (2, 5, 64):
+        for family in (_nested_normals, _disjoint_chain, _nested_gaps):
+            _assert_oracle_degrees(family(n))
+
+
+@pytest.mark.parametrize("n", [2048, 2049])
+def test_degree_table_crosses_a_block(n):
+    """2n = 4096 and 4098 positions reach past the first block of 4096."""
+    assert 2 * n >= 1 << circular._BLOCK_SHIFT
+    _assert_oracle_degrees(random_arc_realization(n, random.Random(n)))
+
+
+def test_degree_table_reuses_the_callers_s_prime(monkeypatch):
+    """Counting the table makes no bit vector rank, select or access, and
+    a build and a load each run _arc_symbols once: the sweep reads the
+    S' its caller holds."""
+    real = random_arc_realization(300, random.Random(23))
+    symbols = circular._arc_symbols(real.arcs)
+    calls = count_calls(
+        monkeypatch,
+        [(BitVector, name) for name in ("select", "rank", "access")]
+        + [(circular, "_arc_symbols")],
+    )
+    table = circular._arc_degrees(real.arcs, symbols)
+    assert calls == {}
+    g = CircularArcGraph(real)
+    assert calls == {"sigraph.circular._arc_symbols": 1}
+    blob = g.to_bytes()
+    calls.clear()
+    h = CircularArcGraph.from_bytes(blob)
+    assert calls == {"sigraph.circular._arc_symbols": 1}
+    assert g._degrees == h._degrees == table
 
 
 # -- serialization -------------------------------------------------------
