@@ -1,17 +1,28 @@
 """Combinatorial algorithms running directly on the succinct structures.
 
-Each algorithm reads the endpoints once, in one sweep: the left
-endpoints are the 0 positions of S and the hook _rights lists every
-r_v in label order, so the same code serves the plain, proper and
-k-proper representations. Everything runs in O(n) time, except
-greedy_coloring, which keeps two heaps and runs in O(n log n).
+Each algorithm reads the endpoints once: the left endpoints are the 0
+positions of S and the hook _rights lists every r_v in label order, so
+the same code serves the plain, proper and k-proper representations.
+None of them makes a rank, select, range-max or neighborhood call.
+
+Three are whole-sequence C-level passes with no per-position Python
+step: build_d_sequence translates S's text to +1/-1 steps and runs one
+accumulate; max_clique reads the cut off d and compresses the labels
+that start by it against their rights; mvc compresses the labels
+through a mask cleared at the independent set. Only mis and
+greedy_coloring keep a Python sweep. Everything runs in O(n) time,
+except greedy_coloring, which keeps two heaps and runs in O(n log n).
 """
 
 from __future__ import annotations
 
 import heapq
+from array import array
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, compress, count, islice
+
+# S's text as steps of the open-interval count: '0' opens, '1' closes
+_STEPS = bytes.maketrans(b"01", b"\x01\xff")
 
 
 @dataclass(frozen=True)
@@ -44,7 +55,8 @@ def _intervals(g):
 def build_d_sequence(g) -> list[int]:
     """Open-interval count after each endpoint position; peaks give the
     clique number and d_{2n} returns to 0."""
-    return list(accumulate(1 if ch == "0" else -1 for ch in g.endpoint_bits.bit_string()))
+    steps = array("b", g.endpoint_bits.bit_string().encode("ascii").translate(_STEPS))
+    return list(accumulate(steps))
 
 
 def dfs_order(g) -> list[int]:
@@ -71,7 +83,7 @@ def mis(g) -> list[int]:
     the pending one is committed there."""
     out = []
     best_v = best_r = 0
-    for v, (l, r) in enumerate(_intervals(g), start=1):
+    for v, l, r in zip(count(1), g.endpoint_bits.positions(0), g._rights()):
         if best_v and l > best_r:
             out.append(best_v)
             best_v = 0
@@ -83,14 +95,21 @@ def mis(g) -> list[int]:
 
 def mvc(g) -> list[int]:
     """Minimum vertex cover: complement of the independent set."""
-    inside = set(mis(g))
-    return [v for v in range(1, g.n + 1) if v not in inside]
+    outside = bytearray(b"\x01") * g.n
+    for v in mis(g):
+        outside[v - 1] = 0
+    return list(compress(range(1, g.n + 1), outside))
 
 
 def max_clique(g) -> CliqueWitness:
+    """The intervals open at the first peak of d. Up to that cut S holds
+    cut endpoints of which d[cut - 1] more are lefts than rights, so the
+    labels 1..m starting at or before it number m = (cut + d[cut - 1]) / 2;
+    the members are those of them whose right lies past the cut."""
     d = build_d_sequence(g)
     cut = d.index(max(d)) + 1
-    members = [v for v, (l, r) in enumerate(_intervals(g), start=1) if l <= cut < r]
+    m = (cut + d[cut - 1]) // 2
+    members = compress(range(1, m + 1), map(cut.__lt__, islice(g._rights(), m)))
     return CliqueWitness(cut, tuple(members))
 
 

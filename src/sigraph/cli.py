@@ -289,6 +289,13 @@ def cmd_bench(args) -> int:
         "baselines": baselines,
         "queries": queries,
     }
+    if not isinstance(g, CircularArcGraph):
+        rep["algorithms"] = timed = {}
+        for name in ("mis", "mvc", "max_clique", "greedy_coloring"):
+            run = getattr(algorithms, name)
+            t0 = perf_counter()
+            run(g)
+            timed[name] = round(perf_counter() - t0, 6)
     if args.json:
         print(json.dumps(rep, sort_keys=True))
         return 0
@@ -312,6 +319,9 @@ def cmd_bench(args) -> int:
             if f"us_per_{unit}" in stats:
                 line += f", {stats[f'us_per_{unit}']} us per {unit}"
         lines.append(line)
+    if "algorithms" in rep:
+        lines.append("algorithms: " + ", ".join(
+            f"{name} {secs}s" for name, secs in rep["algorithms"].items()))
     print("\n".join(lines))
     return 0
 

@@ -74,6 +74,12 @@ def _check_algorithms(g, real, oracle: OracleGraph, issues: list[str]) -> None:
         issues.append(f"clique size {clique.size} != peak open count {max(d)}")
     if not oracle.is_clique(clique.members):
         issues.append(f"clique members {clique.members} are not pairwise adjacent")
+    cut = clique.cut
+    if not 1 <= cut <= len(d) or d[cut - 1] != clique.size:
+        issues.append(f"clique cut {cut} does not hold {clique.size} open intervals")
+    astray = [v for v in clique.members if not real.left(v) <= cut < real.right(v)]
+    if astray:
+        issues.append(f"clique members {astray} are not open at cut {cut}")
     ind = algorithms.mis(g)
     if not oracle.is_independent(ind):
         issues.append(f"mis {ind} is not independent")

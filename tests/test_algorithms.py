@@ -172,6 +172,27 @@ def _brute_mis(real, o) -> list[int]:
     return out
 
 
+def _expected_outputs(real):
+    """d, the first-peak clique and the cover, from the realization alone."""
+    n = real.n
+    d = [0] * (2 * n)
+    for l, r in real.intervals:
+        for p in range(l, r):
+            d[p - 1] += 1
+    cut = d.index(max(d)) + 1
+    members = tuple(v for v in range(1, n + 1) if real.left(v) <= cut < real.right(v))
+    ind = set(_brute_mis(real, OracleGraph.from_intervals(real)))
+    return d, cut, members, [v for v in range(1, n + 1) if v not in ind]
+
+
+def _assert_exact(g, real):
+    d, cut, members, cover = _expected_outputs(real)
+    assert build_d_sequence(g) == d
+    w = max_clique(g)
+    assert (w.cut, w.members) == (cut, members)
+    assert mvc(g) == cover
+
+
 @pytest.mark.parametrize("kind", sorted(STRUCTURES))
 def test_exact_outputs_on_every_structure(kind):
     rng = random.Random(f"exact/{kind}")
@@ -179,34 +200,70 @@ def test_exact_outputs_on_every_structure(kind):
         real = _realization(kind, rng.randint(1, 60), rng)
         g = STRUCTURES[kind](real)
         o = OracleGraph.from_intervals(real)
-        n = real.n
         assert greedy_coloring(g).colors == _brute_coloring(o)
-        ind = mis(g)
-        assert ind == _brute_mis(real, o)
-        assert mvc(g) == [v for v in range(1, n + 1) if v not in ind]
-        d = [sum(1 for l, r in real.intervals if l <= p < r) for p in range(1, 2 * n + 1)]
-        assert build_d_sequence(g) == d
-        w = max_clique(g)
-        assert w.cut == d.index(max(d)) + 1
-        assert w.members == tuple(
-            v for v in range(1, n + 1) if real.left(v) <= w.cut < real.right(v)
-        )
+        assert mis(g) == _brute_mis(real, o)
+        _assert_exact(g, real)
 
 
 @pytest.mark.parametrize("kind", sorted(STRUCTURES))
 def test_algorithms_make_no_per_vertex_queries(kind, monkeypatch):
-    """At n = 2000 the algorithms call no neighborhood and almost no
+    """At n = 2000 each algorithm, on its own, calls no neighborhood,
     rank, select or range query; a per-vertex decode would make
     thousands."""
     g = STRUCTURES[kind](_realization(kind, 2000, random.Random(11)))
     calls = count_calls(monkeypatch, (
         (IntervalQueries, "neighborhood"),
+        (type(g), "neighborhood"),
         (BitVector, "rank"),
         (BitVector, "select"),
         (RangeMaxIndex, "query"),
         (RangeMinIndex, "query"),
     ))
     for algorithm in (mis, mvc, max_clique, build_d_sequence, greedy_coloring):
+        calls.clear()
         algorithm(g)
-    assert "IntervalQueries.neighborhood" not in calls
-    assert sum(calls.values()) < 10
+        assert calls == {}, algorithm.__name__
+
+
+@pytest.mark.parametrize("kind", sorted(STRUCTURES))
+def test_exact_outputs_on_multi_word_s(kind):
+    """n = 2000: S spans 63 words, so the d steps and the clique's label
+    prefix cross many word edges."""
+    real = _realization(kind, 2000, random.Random(f"multiword/{kind}"))
+    _assert_exact(STRUCTURES[kind](real), real)
+
+
+def _nested(n):
+    return tuple((i, 2 * n + 1 - i) for i in range(1, n + 1))
+
+
+def _late_peak(n):
+    """A chain of n - 2 disjoint intervals, then two nested ones: the
+    peak, 2, is reached only at the last left endpoint, 2n - 2."""
+    chain = tuple((2 * i + 1, 2 * i + 2) for i in range(n - 2))
+    m = 2 * (n - 2)
+    return chain + ((m + 1, m + 4), (m + 2, m + 3))
+
+
+# shape: (intervals, cut, members, proper?)
+EDGE_SHAPES = {
+    "single": (((1, 2),), 1, (1,), True),
+    "chain": (tuple((2 * i + 1, 2 * i + 2) for i in range(70)), 1, (1,), True),
+    "nested": (_nested(70), 70, tuple(range(1, 71)), False),
+    "late-peak": (_late_peak(70), 138, (69, 70), False),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(EDGE_SHAPES))
+def test_clique_edge_shapes(shape):
+    intervals, cut, members, proper = EDGE_SHAPES[shape]
+    real = IntervalRealization(intervals)
+    for kind, build in STRUCTURES.items():
+        if kind == "proper" and not proper:
+            continue
+        g = build(real)
+        w = max_clique(g)
+        assert (w.cut, w.members) == (cut, members), kind
+        if shape == "single":
+            assert build_d_sequence(g) == [1, 0]
+        _assert_exact(g, real)

@@ -378,6 +378,7 @@ BENCH_KEYS = {
     "load_seconds", "heap_bits", "heap_bits_per_vertex", "components", "baselines",
     "queries",
 }
+BENCH_ALGORITHMS = {"mis", "mvc", "max_clique", "greedy_coloring"}
 
 
 def test_bench_json_fields(capsys):
@@ -385,7 +386,13 @@ def test_bench_json_fields(capsys):
         assert main(["bench", "--type", kind, "--n", "60", "--queries", "5",
                      "--seed", "5", "--json"]) == 0
         rep = json.loads(capsys.readouterr().out)
-        assert set(rep) == BENCH_KEYS, kind
+        if kind == "circular":
+            assert set(rep) == BENCH_KEYS, kind
+        else:
+            # linear kinds also time the algorithms, one run each
+            assert set(rep) == BENCH_KEYS | {"algorithms"}, kind
+            assert set(rep["algorithms"]) == BENCH_ALGORITHMS, kind
+            assert all(secs >= 0 for secs in rep["algorithms"].values()), kind
         assert rep["kind"] == kind
     assert main(["bench", "--n", "300", "--queries", "20", "--seed", "5", "--json"]) == 0
     rep = json.loads(capsys.readouterr().out)
@@ -415,6 +422,9 @@ def test_bench_text_report(capsys):
     lines = out.splitlines()
     assert any(x.startswith("neighborhood:") and "us per nbr" in x for x in lines)
     assert any(x.startswith("spath:") and "us per hop" in x for x in lines)
+    algo = [x for x in lines if x.startswith("algorithms: ")]
+    assert len(algo) == 1
+    assert all(f"{name} " in algo[0] for name in BENCH_ALGORITHMS)
 
 
 def test_bench_circular(capsys):
@@ -423,6 +433,7 @@ def test_bench_circular(capsys):
     rep = json.loads(capsys.readouterr().out)
     assert rep["kind"] == "circular"
     assert rep["total_bits"] == sum(rep["components"].values())
+    assert "algorithms" not in rep
 
 
 def test_bench_circular_reports_degree_table(capsys):

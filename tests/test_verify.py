@@ -6,6 +6,7 @@ import random
 import pytest
 
 from conftest import FIG1_INTERVALS, FIG2_ARCS
+from sigraph import algorithms
 from sigraph.circular import ArcRealization, CircularArcGraph, random_arc_realization
 from sigraph.graph import IntervalQueries, SuccinctIntervalGraph
 from sigraph.intervals import (
@@ -105,6 +106,23 @@ def test_shared_neighborhood_bug_is_reported_on_every_linear_kind(monkeypatch):
         )
     for kind, g, real in _linear_cases():
         assert any(s.startswith("neighborhood(1)") for s in verify(g, real)), kind
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_shifted_clique_cut_is_reported_on_every_linear_kind(monkeypatch, shift):
+    """Members that are pairwise adjacent and a size equal to the peak
+    of d do not certify the cut: verify must check it as well. Next to
+    the first peak d is one lower, and the member that opens at the cut
+    (or closes just past it) is not open at the shifted one."""
+    honest = algorithms.max_clique
+    monkeypatch.setattr(
+        algorithms, "max_clique",
+        lambda g: algorithms.CliqueWitness(honest(g).cut + shift, honest(g).members),
+    )
+    for kind, g, real in _linear_cases():
+        issues = verify(g, real)
+        assert any(s.startswith("clique cut") for s in issues), kind
+        assert any(s.startswith("clique members") and "not open" in s for s in issues), kind
 
 
 @pytest.mark.parametrize("query", ["degree", "neighborhood"])
