@@ -1,7 +1,16 @@
-"""Shared fixtures: the two worked examples and small helpers."""
+"""Shared fixtures: the two worked examples, the kind table, the one
+call counter and small helpers."""
 
 from sigraph.bitvector import BitVector
-from sigraph.intervals import IntervalRealization
+from sigraph.circular import ArcRealization, anchor_arcs
+from sigraph.cli import _KINDS
+from sigraph.intervals import IntervalRealization, normalize
+
+# kind -> (build, draw): build(real) makes the structure, draw(n, rng) a
+# random realization it accepts. The circular draw may return no
+# reversed arc; random_arc_realization's default retries for one.
+KINDS = _KINDS
+LINEAR = sorted(set(KINDS) - {"circular"})
 
 # 9-interval family whose queries and algorithm outputs are known by hand.
 FIG1_INTERVALS = (
@@ -66,24 +75,101 @@ def circular_adjacent_case(arcs, u: int, v: int) -> str:
     return "v reversed"
 
 
-def count_calls(monkeypatch, targets) -> dict:
+def few_reversed_arcs(n: int, rng) -> ArcRealization:
+    """Arcs of at most 0.2 of the circle: about 90% of them normal."""
+    raw = []
+    for _ in range(n):
+        a = rng.random()
+        raw.append((a, (a + rng.random() * 0.2) % 1.0))
+    return anchor_arcs(raw)
+
+
+def deep_nest(depth: int, tail: int) -> IntervalRealization:
+    """depth nested intervals, each opening right after a short one has
+    come and gone, around tail short disjoint intervals: a late short
+    interval's earlier neighbors are every other label of the first
+    2 * depth, far before it."""
+    n = 2 * depth + tail
+    intervals = []
+    p = 1
+    for d in range(depth):
+        intervals.append((p, 2 * n + 1 - d))
+        intervals.append((p + 1, p + 2))
+        p += 3
+    for _ in range(tail):
+        intervals.append((p, p + 1))
+        p += 2
+    return normalize(intervals)
+
+
+class Tally(dict):
+    """count_calls' live tallies, and in log every counted call as
+    (key, args) in call order; clear() empties both."""
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+
+    def clear(self):
+        super().clear()
+        self.log.clear()
+
+
+class _Reads:
+    """Stands in for a packed array and reports each read to tally with
+    the values it read: an index reads 1 value, a slice its length."""
+
+    def __init__(self, values, tally):
+        self._values = values
+        self._tally = tally
+
+    def __getitem__(self, i):
+        got = self._values[i]
+        self._tally((i,), len(got) if isinstance(i, slice) else 1)
+        return got
+
+
+def count_calls(monkeypatch, targets, *, names=None, reads=()) -> Tally:
     """Wrap each (owner, name) method of targets to tally its calls and
     return the live tallies, keyed "Owner.name"; a BitVector select is
-    keyed by its bit, "BitVector.select0" or "BitVector.select1"."""
-    calls: dict = {}
+    keyed by its bit, "BitVector.select0" or "BitVector.select1".
+
+    names maps a label to an instance: that instance's calls are keyed
+    by the label in place of the owner, as in "S.rank". reads lists
+    (instance, slot) pairs, each slot a packed array: the values read
+    from it are tallied under "Type.slot". The log keeps each call's
+    arguments (a method's without self), and each read's index or
+    slice."""
+    calls = Tally()
+    # The instance is kept beside its label, so that its id cannot pass
+    # to a new object while the patch is live.
+    labels = {id(obj): (label, obj) for label, obj in (names or {}).items()}
+
+    def tally(key, args, step=1):
+        calls[key] = calls.get(key, 0) + step
+        calls.log.append((key, args))
 
     def patch(owner, name):
         orig = getattr(owner, name)
         key = f"{owner.__name__}.{name}"
         by_bit = owner is BitVector and name == "select"
+        method = isinstance(owner, type)
 
         def wrapper(*args, **kwargs):
-            k = f"{key}{args[1]}" if by_bit else key
-            calls[k] = calls.get(k, 0) + 1
+            k = key
+            if labels and method and id(args[0]) in labels:
+                k = f"{labels[id(args[0])][0]}.{name}"
+            if by_bit:
+                k += str(args[1])
+            tally(k, args[1:] if method else args)
             return orig(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, wrapper)
 
     for owner, name in targets:
         patch(owner, name)
+    for obj, slot in reads:
+        key = f"{type(obj).__name__}.{slot}"
+        view = _Reads(getattr(obj, slot), lambda args, step, key=key: tally(key, args, step))
+        monkeypatch.setattr(obj, slot, view)
     return calls

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIG1_D, count_calls, fig1_realization
+from conftest import FIG1_D, KINDS, LINEAR, count_calls, fig1_realization
 from sigraph.algorithms import (
     bfs_order,
     build_d_sequence,
@@ -17,19 +17,9 @@ from sigraph.algorithms import (
 )
 from sigraph.bitvector import BitVector
 from sigraph.graph import IntervalQueries, SuccinctIntervalGraph
-from sigraph.intervals import (
-    IntervalRealization,
-    random_proper_realization,
-    random_realization,
-)
+from sigraph.intervals import IntervalRealization, random_realization
 from sigraph.oracle import OracleGraph, mis_size_dp
 from sigraph.rmq import RangeMaxIndex, RangeMinIndex
-from sigraph.variants import (
-    MODE_IMPROPER,
-    MODE_PROPER,
-    KProperGraph,
-    ProperIntervalGraph,
-)
 
 
 @pytest.fixture(scope="module")
@@ -144,18 +134,6 @@ class TestProperties:
 
 # -- every structure, against brute-force definitions ----------------------
 
-STRUCTURES = {
-    "interval": SuccinctIntervalGraph.from_realization,
-    "proper": ProperIntervalGraph.from_realization,
-    "kproper": lambda real: KProperGraph.from_realization(real, MODE_PROPER),
-    "kimproper": lambda real: KProperGraph.from_realization(real, MODE_IMPROPER),
-}
-
-
-def _realization(kind, n, rng):
-    return (random_proper_realization if kind == "proper" else random_realization)(n, rng)
-
-
 def _brute_coloring(o) -> tuple[int, ...]:
     colors = [0] * (o.n + 1)
     for v in range(1, o.n + 1):
@@ -193,24 +171,24 @@ def _assert_exact(g, real):
     assert mvc(g) == cover
 
 
-@pytest.mark.parametrize("kind", sorted(STRUCTURES))
+@pytest.mark.parametrize("kind", LINEAR)
 def test_exact_outputs_on_every_structure(kind):
     rng = random.Random(f"exact/{kind}")
     for _ in range(40):
-        real = _realization(kind, rng.randint(1, 60), rng)
-        g = STRUCTURES[kind](real)
+        real = KINDS[kind][1](rng.randint(1, 60), rng)
+        g = KINDS[kind][0](real)
         o = OracleGraph.from_intervals(real)
         assert greedy_coloring(g).colors == _brute_coloring(o)
         assert mis(g) == _brute_mis(real, o)
         _assert_exact(g, real)
 
 
-@pytest.mark.parametrize("kind", sorted(STRUCTURES))
+@pytest.mark.parametrize("kind", LINEAR)
 def test_algorithms_make_no_per_vertex_queries(kind, monkeypatch):
     """At n = 2000 each algorithm, on its own, calls no neighborhood,
     rank, select or range query; a per-vertex decode would make
     thousands."""
-    g = STRUCTURES[kind](_realization(kind, 2000, random.Random(11)))
+    g = KINDS[kind][0](KINDS[kind][1](2000, random.Random(11)))
     calls = count_calls(monkeypatch, (
         (IntervalQueries, "neighborhood"),
         (type(g), "neighborhood"),
@@ -225,12 +203,12 @@ def test_algorithms_make_no_per_vertex_queries(kind, monkeypatch):
         assert calls == {}, algorithm.__name__
 
 
-@pytest.mark.parametrize("kind", sorted(STRUCTURES))
+@pytest.mark.parametrize("kind", LINEAR)
 def test_exact_outputs_on_multi_word_s(kind):
     """n = 2000: S spans 63 words, so the d steps and the clique's label
     prefix cross many word edges."""
-    real = _realization(kind, 2000, random.Random(f"multiword/{kind}"))
-    _assert_exact(STRUCTURES[kind](real), real)
+    real = KINDS[kind][1](2000, random.Random(f"multiword/{kind}"))
+    _assert_exact(KINDS[kind][0](real), real)
 
 
 def _nested(n):
@@ -258,10 +236,10 @@ EDGE_SHAPES = {
 def test_clique_edge_shapes(shape):
     intervals, cut, members, proper = EDGE_SHAPES[shape]
     real = IntervalRealization(intervals)
-    for kind, build in STRUCTURES.items():
+    for kind in LINEAR:
         if kind == "proper" and not proper:
             continue
-        g = build(real)
+        g = KINDS[kind][0](real)
         w = max_clique(g)
         assert (w.cut, w.members) == (cut, members), kind
         if shape == "single":

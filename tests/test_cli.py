@@ -9,10 +9,9 @@ from types import BuiltinFunctionType, FunctionType, MethodType, ModuleType
 
 import pytest
 
-from conftest import FIG1_INTERVALS, FIG2_ARCS, FIG2_TABLE_BLOB
+from conftest import FIG1_INTERVALS, FIG2_ARCS, FIG2_TABLE_BLOB, KINDS
 from sigraph import algorithms
-from sigraph.circular import ArcRealization, CircularArcGraph
-from sigraph.cli import _KINDS, load_structure, main
+from sigraph.cli import load_structure, main
 from sigraph.graph import IntervalQueries, SuccinctIntervalGraph
 from sigraph.intervals import IntervalRealization, random_realization
 from sigraph.serial import width_for
@@ -57,7 +56,7 @@ def fig2_file(tmp_path):
 
 def test_build_writes_loadable_structure(fig1_file):
     g = load_structure(fig1_file)
-    assert isinstance(g, SuccinctIntervalGraph)
+    assert type(g) is SuccinctIntervalGraph
     assert g.n == 9
     lib = SuccinctIntervalGraph.from_realization(IntervalRealization(FIG1_INTERVALS))
     assert fig1_file.read_bytes() == lib.to_bytes()
@@ -382,7 +381,7 @@ BENCH_ALGORITHMS = {"mis", "mvc", "max_clique", "greedy_coloring"}
 
 
 def test_bench_json_fields(capsys):
-    for kind in sorted(_KINDS):
+    for kind in sorted(KINDS):
         assert main(["bench", "--type", kind, "--n", "60", "--queries", "5",
                      "--seed", "5", "--json"]) == 0
         rep = json.loads(capsys.readouterr().out)
@@ -477,7 +476,7 @@ def _walk_bytes(root) -> int:
     return total
 
 
-@pytest.mark.parametrize("kind", sorted(_KINDS))
+@pytest.mark.parametrize("kind", sorted(KINDS))
 def test_bench_reports_heap_bits(kind, capsys):
     """bench reports what the structure it built holds on the heap, as
     bits and bits per vertex, next to the accounted bits."""
@@ -485,7 +484,7 @@ def test_bench_reports_heap_bits(kind, capsys):
     assert main(["bench", "--type", kind, "--n", str(n), "--queries", "5",
                  "--seed", str(seed), "--json"]) == 0
     rep = json.loads(capsys.readouterr().out)
-    build, draw = _KINDS[kind]
+    build, draw = KINDS[kind]
     g = build(draw(n, random.Random(seed)))
     assert rep["heap_bits"] == 8 * _walk_bytes(g)
     assert rep["heap_bits_per_vertex"] == round(rep["heap_bits"] / n, 3)
@@ -495,7 +494,7 @@ def test_bench_reports_heap_bits(kind, capsys):
     assert f"heap bits: {rep['heap_bits']} ({rep['heap_bits_per_vertex']} per vertex)" in out
 
 
-@pytest.mark.parametrize("kind", sorted(_KINDS))
+@pytest.mark.parametrize("kind", sorted(KINDS))
 def test_bench_reports_save_and_load_seconds(kind, capsys):
     """bench times a save and a validated load of the structure's own
     blob next to its build, in both the JSON and the text report."""

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIG1_INTERVALS, FIG1_S, count_calls, fig1_realization
+from conftest import FIG1_INTERVALS, FIG1_S, KINDS, LINEAR, count_calls, deep_nest, fig1_realization
 from sigraph.bitvector import BitVector
 from sigraph.circular import CircularArcGraph
 from sigraph.errors import GraphInputError, QueryRangeError
@@ -12,7 +12,6 @@ from sigraph.graph import IntervalQueries, Structure, SuccinctIntervalGraph
 from sigraph.intervals import (
     IntervalRealization,
     normalize,
-    random_proper_realization,
     random_realization,
 )
 from sigraph.oracle import OracleGraph
@@ -196,14 +195,6 @@ class TestSpace:
 
 # -- spath and neighborhood on every linear structure ---------------------
 
-STRUCTURES = {
-    "interval": SuccinctIntervalGraph,
-    "proper": ProperIntervalGraph,
-    "kproper": lambda real: KProperGraph(real, MODE_PROPER),
-    "kimproper": lambda real: KProperGraph(real, MODE_IMPROPER),
-}
-
-
 def _scattered(n, rng, proper):
     """Integer intervals over a span of 0.3n to 3n: sparse draws leave
     gaps, hence disconnected pairs. Equal lengths never nest."""
@@ -232,28 +223,35 @@ def _greedy_spath(g, u, v):
     return path if u < v else path[::-1]
 
 
-@pytest.mark.parametrize("kind", sorted(STRUCTURES))
-def test_spath_equals_greedy_reference(kind):
+@pytest.mark.parametrize("kind", LINEAR)
+def test_spath_equals_greedy_reference(kind, monkeypatch):
     """Sampled pairs at n in 100..300, where the derived range-max block
-    size leaves at least 3 blocks, so hops search across blocks."""
+    size leaves at least 3 blocks, so hops search across blocks. Each
+    hop searches only the labels it newly reaches: the range-max ranges
+    of one path follow one another without overlap. A walk selects l_v
+    once and reads r one label at a time, never a slice."""
+    build, draw = KINDS[kind]
     rng = random.Random(f"spath/{kind}")
     disconnected = 0
     for t in range(30):
         n = rng.randint(100, 300)
         while -(-n // default_block_size(n)) < 3:
             n = rng.randint(100, 300)
-        if t % 2:
-            real = _scattered(n, rng, proper=kind == "proper")
-        elif kind == "proper":
-            real = random_proper_realization(n, rng)
-        else:
-            real = random_realization(n, rng)
-        g = STRUCTURES[kind](real)
+        real = _scattered(n, rng, proper=kind == "proper") if t % 2 else draw(n, rng)
+        g = build(real)
+        calls = count_calls(monkeypatch, [(RangeMaxIndex, "query"), (BitVector, "select")],
+                            reads=[(g, "_rlist")] if hasattr(g, "_rlist") else ())
         for _ in range(400):
             u, v = rng.randint(1, n), rng.randint(1, n)
+            calls.clear()
             path = g.spath(u, v)
+            ranges = [args for key, args in calls.log if key == "RangeMaxIndex.query"]
+            assert all(j < i for (_, j), (i, _) in zip(ranges, ranges[1:])), (u, v, ranges)
+            assert calls.get("BitVector.select0", 0) == (u != v), (u, v)
+            assert all(type(a[0]) is int for k, a in calls.log if k.endswith("._rlist")), (u, v)
             assert path == _greedy_spath(g, u, v), (real.intervals, u, v)
             disconnected += path is None
+        monkeypatch.undo()
     assert disconnected > 0
 
 
@@ -266,162 +264,26 @@ def _nested(n, rng):
     return normalize(raw)
 
 
-def _zeroed(calls):
-    calls.update(select0=0, select1=0, rank=0, rmq=[])
-    return calls
-
-
-def _counted(monkeypatch):
-    """Patch the primitives the queries reach; return the live tallies:
-    select calls by bit, rank calls, and the ranges passed to
-    RangeMaxIndex.query."""
-    calls = _zeroed({})
-    select, rank, query = BitVector.select, BitVector.rank, RangeMaxIndex.query
-
-    def counting_select(self, bit, k):
-        calls[f"select{bit}"] += 1
-        return select(self, bit, k)
-
-    def counting_rank(self, bit, p):
-        calls["rank"] += 1
-        return rank(self, bit, p)
-
-    def counting_query(self, i, j):
-        calls["rmq"].append((i, j))
-        return query(self, i, j)
-
-    monkeypatch.setattr(BitVector, "select", counting_select)
-    monkeypatch.setattr(BitVector, "rank", counting_rank)
-    monkeypatch.setattr(RangeMaxIndex, "query", counting_query)
-    return calls
-
-
-def _count_guard_graph(kind):
-    rng = random.Random(f"count/{kind}")
-    n = 2000
-    real = random_proper_realization(n, rng) if kind == "proper" else _nested(n, rng)
-    return STRUCTURES[kind](real), rng
-
-
-@pytest.mark.parametrize("kind", sorted(STRUCTURES))
-def test_spath_makes_constant_calls_per_hop(kind, monkeypatch):
-    """One select0 per path, at most one rank and one range-max per hop,
-    and the range-max ranges never overlap: a walk that searched the
-    whole prefix every hop would sum to far more than n. A proper-mode
-    KProperGraph of depth under 256 hops to the last depth-0 label by one
-    rfind over its depths: no range-max at all, and one r read per hop.
-    A proper structure keeps no r: its hop is the last label reached."""
-    g, rng = _count_guard_graph(kind)
-    n = g.n
-    calls = _counted(monkeypatch)
-    if kind == "kproper":
-        assert g.k < 256
-        reads = _CountingReads(g._rlist)
-        monkeypatch.setattr(g, "_rlist", reads)
-    paths = 0
-    for _ in range(300):
-        u, v = rng.randint(1, n), rng.randint(1, n)
-        if u == v:
-            continue
-        _zeroed(calls)
-        if kind == "kproper":
-            reads.sliced = reads.indexed = 0
-        path = g.spath(u, v)
-        if path is None:
-            continue
-        paths += 1
-        hops = len(path) - 1
-        assert calls["select0"] == 1, (u, v)
-        assert calls["rank"] <= hops + 1, (u, v)
-        assert calls["select1"] <= hops + 1, (u, v)
-        if kind != "proper":
-            assert calls["select1"] == 0
-        assert sum(j - i + 1 for i, j in calls["rmq"]) <= n, (u, v)
-        assert len(calls["rmq"]) <= hops, (u, v)
-        if kind in ("kproper", "proper"):
-            assert calls["rmq"] == [], (u, v)
-        if kind == "kproper":
-            assert reads.sliced == 0 and reads.indexed <= hops + 1, (u, v)
-    assert paths >= 100
-
-
-class _CountingReads:
-    """Sequence wrapper tallying the values read: a slice counts its
-    length, an index one."""
-
-    def __init__(self, values):
-        self.values = values
-        self.sliced = self.indexed = 0
-
-    def __getitem__(self, key):
-        got = self.values[key]
-        if isinstance(key, slice):
-            self.sliced += len(got)
-        else:
-            self.indexed += 1
-        return got
-
-
-def _check_neighborhood_counts(g, v, calls, reads):
-    """Run g.neighborhood(v) under the tallies and check its cost: the
-    K = 2v - 1 - l_v earlier neighbors are searched by one read of at
-    most 2K labels ending at v - 1, then at most max(0, 2m - 1) range-max
-    calls, one value read each, for the m earlier neighbors that window
-    missed, besides the read of r_v. Returns the neighborhood and m."""
+def _check_neighborhood_counts(g, v, calls):
+    """Run g.neighborhood(v) under count_calls' log of range-max calls
+    and _rlist reads, and check its cost: the K = 2v - 1 - l_v earlier
+    neighbors are searched by one read of at most 2K labels ending at
+    v - 1, then at most max(0, 2m - 1) range-max calls, one value read
+    each, for the m earlier neighbors that window missed, besides the
+    read of r_v. Returns the neighborhood and m."""
     l = g.interval_of(v)[0]
-    _zeroed(calls)
-    reads.sliced = reads.indexed = 0
+    calls.clear()
     hood = g.neighborhood(v)
     earlier = [u for u in hood if u < v]
     k = len(earlier)
     assert k == 2 * v - 1 - l, v
     missed = sum(1 for u in earlier if u < v - 2 * k)
-    assert reads.sliced <= 2 * k, v
-    assert len(calls["rmq"]) <= max(0, 2 * missed - 1), (v, missed)
-    assert reads.indexed <= len(calls["rmq"]) + 1, v
+    indexed = sum(not isinstance(a[0], slice) for key, a in calls.log if key.endswith("._rlist"))
+    rmq = calls.get("RangeMaxIndex.query", 0)
+    assert sum(c for key, c in calls.items() if key.endswith("._rlist")) - indexed <= 2 * k, v
+    assert rmq <= max(0, 2 * missed - 1), (v, missed)
+    assert indexed <= rmq + 1, v
     return hood, missed
-
-
-@pytest.mark.parametrize("kind", sorted(set(STRUCTURES) - {"proper"}))
-def test_neighborhood_searches_only_earlier_labels(kind, monkeypatch):
-    """Later neighbors form one label range; the earlier ones are read in
-    one window of at most 2K labels, and the range-max recursion runs only
-    for the m the window missed: at most 2m - 1 calls, none when the
-    window holds them all, and none for a vertex with no earlier
-    neighbor. The proper structure reads no r at all
-    (test_proper_neighborhood_reads_no_r)."""
-    g, rng = _count_guard_graph(kind)
-    calls = _counted(monkeypatch)
-    reads = _CountingReads(g._rlist)
-    monkeypatch.setattr(g, "_rlist", reads)
-    lonely = 0
-    for v in [1] + [rng.randint(2, g.n) for _ in range(300)]:
-        hood, _ = _check_neighborhood_counts(g, v, calls, reads)
-        if not any(u < v for u in hood):
-            lonely += 1
-            assert calls["rmq"] == [] and reads.sliced == 0, v
-    assert lonely >= 1
-
-
-def test_proper_neighborhood_reads_no_r(monkeypatch):
-    """A proper family's K = 2v - 1 - l_v earlier neighbors are the K
-    labels just before v, and its later ones run to the last label
-    starting before r_v: every neighborhood equals the oracle's from
-    exactly one select0, one select1 and one rank, with no range-max call
-    and no pass over S's words."""
-    real = random_proper_realization(2000, random.Random("proper/hood"))
-    g = ProperIntervalGraph(real)
-    o = OracleGraph.from_intervals(real)
-    want = [o.neighborhood(v) for v in range(1, g.n + 1)]
-    calls = count_calls(
-        monkeypatch,
-        [(BitVector, "select"), (BitVector, "rank"), (BitVector, "_text"),
-         (RangeMaxIndex, "query")],
-    )
-    for v in range(1, g.n + 1):
-        calls.clear()
-        assert g.neighborhood(v) == want[v - 1], v
-        assert calls == {"BitVector.select0": 1, "BitVector.select1": 1, "BitVector.rank": 1}, v
 
 
 def _long_over_short(n):
@@ -431,54 +293,36 @@ def _long_over_short(n):
     )
 
 
-def _deep_nest(depth, tail):
-    """depth nested intervals, each opening right after a short one has
-    come and gone, around tail short disjoint intervals: a late short
-    interval's earlier neighbors are every other label of the first
-    2 * depth, far before it."""
-    n = 2 * depth + tail
-    intervals = []
-    p = 1
-    for d in range(depth):
-        intervals.append((p, 2 * n + 1 - d))
-        intervals.append((p + 1, p + 2))
-        p += 3
-    for _ in range(tail):
-        intervals.append((p, p + 1))
-        p += 2
-    return normalize(intervals)
-
-
-@pytest.mark.parametrize("kind", sorted(set(STRUCTURES) - {"proper"}))
+@pytest.mark.parametrize("kind", sorted(set(LINEAR) - {"proper"}))
 def test_neighborhood_fallback_matches_oracle(kind, monkeypatch):
     """Families whose earlier neighbors lie far before the window: every
     answer equals the oracle's, the recursion runs, and it stays within
-    its 2m - 1 calls."""
-    for real in (_long_over_short(300), _deep_nest(12, 200)):
-        g = STRUCTURES[kind](real)
+    its 2m - 1 calls. A vertex with no earlier neighbor (K = 0) reads
+    no window and makes no range-max call."""
+    for real in (_long_over_short(300), deep_nest(12, 200)):
+        g = KINDS[kind][0](real)
         o = OracleGraph.from_intervals(real)
-        calls = _counted(monkeypatch)
-        reads = _CountingReads(g._rlist)
-        monkeypatch.setattr(g, "_rlist", reads)
+        calls = count_calls(monkeypatch, [(RangeMaxIndex, "query")],
+                            reads=[(g, "_rlist")])
         fallbacks = 0
         for v in range(1, g.n + 1):
-            hood, missed = _check_neighborhood_counts(g, v, calls, reads)
+            hood, missed = _check_neighborhood_counts(g, v, calls)
             assert hood == o.neighborhood(v), v
             fallbacks += missed > 0
         assert fallbacks >= g.n // 2
         monkeypatch.undo()
 
 
-@pytest.mark.parametrize("kind", sorted(STRUCTURES))
+@pytest.mark.parametrize("kind", LINEAR)
 def test_endpoint_bits_are_the_realization_s(kind):
     rng = random.Random(f"bits/{kind}")
-    draw = random_proper_realization if kind == "proper" else random_realization
+    build, draw = KINDS[kind]
     for n in (1, 2, 7, 300):
         real = draw(n, rng)
         s = ["1"] * (2 * n)
         for l, _ in real.intervals:
             s[l - 1] = "0"
-        assert STRUCTURES[kind](real).endpoint_bits.bit_string() == "".join(s)
+        assert build(real).endpoint_bits.bit_string() == "".join(s)
 
 
 def test_query_hooks_live_in_interval_queries():

@@ -1,12 +1,15 @@
-"""Every name a library module imports is used there or exported by its
-__all__, so no import outlives the code that needed it."""
+"""Every name a library or test module imports is used there or
+exported by its __all__, and every module-level _helper of a test file
+is used in that file, so no import or helper outlives the code that
+needed it."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "sigraph"
+TESTS = Path(__file__).resolve().parent
+MODULES = sorted((TESTS.parent / "src" / "sigraph").glob("*.py")) + sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -33,9 +36,32 @@ def unused_imports(source: str) -> list[str]:
             if name not in used and name not in exported]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def unused_helpers(source: str) -> list[str]:
+    """Module-level functions, classes and assignments named _x that
+    nothing in source reads."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, ast.Assign):
+            defined.update((t.id, node.lineno) for t in node.targets if isinstance(t, ast.Name))
+    read = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [f"{name} (line {line})" for name, line in sorted(defined.items())
+            if name.startswith("_") and name not in read]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_test_helpers(path):
+    assert unused_helpers(path.read_text(encoding="utf-8")) == []
 
 
 def test_the_guard_sees_an_unused_import():
@@ -48,3 +74,14 @@ def test_the_guard_sees_an_unused_import():
         "print(sys.argv, GraphInputError)\n"
     )
     assert unused_imports(source) == ["QRE (line 3)", "os (line 2)"]
+
+
+def test_the_guard_sees_an_unused_helper():
+    source = (
+        "def _used():\n    return 1\n"
+        "def _dead():\n    return _used()\n"
+        "class _Counter:\n    pass\n"
+        "_SPAN = 64\n_LIMIT = 2\n"
+        "def test_it():\n    assert _LIMIT\n"
+    )
+    assert unused_helpers(source) == ["_Counter (line 5)", "_SPAN (line 7)", "_dead (line 3)"]

@@ -12,63 +12,35 @@ import struct
 
 import pytest
 
-from conftest import FIG2_ARCS, circular_adjacent_case, count_calls, fig1_realization
+from conftest import FIG2_ARCS, KINDS, count_calls, few_reversed_arcs, fig1_realization
 from sigraph import circular, variants
 from sigraph.bitvector import BitVector
 from sigraph.circular import (
     ArcRealization,
     CircularArcGraph,
     _arc_symbols,
-    anchor_arcs,
     random_arc_realization,
 )
 from sigraph.errors import GraphInputError, SerializationError
-from sigraph.graph import Structure, SuccinctIntervalGraph
-from sigraph.intervals import (
-    IntervalRealization,
-    random_proper_realization,
-    random_realization,
-)
+from sigraph.graph import Structure
+from sigraph.intervals import IntervalRealization, random_realization
 from sigraph.oracle import OracleGraph
-from sigraph.rmq import RangeMaxIndex, default_block_size
+from sigraph.rmq import default_block_size
 from sigraph.serial import Writer, pack_uints, width_for
 from sigraph.variants import (
     MODE_IMPROPER,
     MODE_PROPER,
     KProperGraph,
-    ProperIntervalGraph,
     containment_depths,
 )
 from sigraph.wavelet import AlphabetSequence
 
 
-def _interval(rng, n):
-    return SuccinctIntervalGraph.from_realization(random_realization(n, rng))
-
-
-def _proper(rng, n):
-    return ProperIntervalGraph.from_realization(random_proper_realization(n, rng))
-
-
-def _kproper(rng, n):
-    return KProperGraph.from_realization(random_realization(n, rng), MODE_PROPER)
-
-
-def _kimproper(rng, n):
-    return KProperGraph.from_realization(random_realization(n, rng), MODE_IMPROPER)
-
-
-def _circular(rng, n):
-    return CircularArcGraph.from_realization(random_arc_realization(n, rng))
-
-
-STRUCTURES = {
-    "interval": _interval,
-    "proper": _proper,
-    "kproper": _kproper,
-    "kimproper": _kimproper,
-    "circular": _circular,
-}
+def _structure(kind, rng, n):
+    """A random structure of the kind; the circular draw here requires a
+    reversed arc, which KINDS' draw does not."""
+    build, draw = KINDS[kind]
+    return build((random_arc_realization if kind == "circular" else draw)(n, rng))
 
 
 # -- operation counts ----------------------------------------------------
@@ -80,11 +52,11 @@ PRIMITIVES = tuple(
 )
 
 
-@pytest.mark.parametrize("kind", sorted(STRUCTURES))
+@pytest.mark.parametrize("kind", sorted(KINDS))
 def test_load_makes_no_per_vertex_queries(kind, monkeypatch):
     """A validated load at n = 2000 calls no select, rank or access on a
     bit vector or a sequence; a per-vertex decode would make thousands."""
-    g = STRUCTURES[kind](random.Random(7), 2000)
+    g = _structure(kind, random.Random(7), 2000)
     blob = g.to_bytes()
     calls = count_calls(monkeypatch, PRIMITIVES)
     h = type(g).from_bytes(blob)
@@ -93,92 +65,12 @@ def test_load_makes_no_per_vertex_queries(kind, monkeypatch):
     assert h.to_bytes() == blob
 
 
-# linear adjacent tests "v starts before r_u" as one rank on S
-_LINEAR_COUNTS = {
-    "degree": {"BitVector.select0": 1, "BitVector.rank": 1},
-    "adjacent": {"BitVector.rank": 1},
-}
-# the proper structure reads r_v as the v-th 1 of S
-_PROPER_COUNTS = {
-    "degree": {"BitVector.select0": 1, "BitVector.select1": 1, "BitVector.rank": 1},
-    "adjacent": {"BitVector.select1": 1, "BitVector.rank": 1},
-}
-# circular degree reads its table. Circular adjacent orders the labels so
-# that u < v and stops at the first case that decides, never selecting:
-# a reversed u holds l_v (one access on the family vector); else r_u is
-# read (one family rank) and v starts before it (one rank on S); else a
-# normal v misses u (a second access); else the reversed v is read and
-# tested against l_u (one more of each rank)
-_CIRCULAR_COUNTS = {
-    "degree": {},
-    "adjacent": {
-        "u reversed": {"BitVector.access": 1},
-        "v starts before r_u": {"BitVector.access": 1, "BitVector.rank": 2},
-        "both normal, no meet": {"BitVector.access": 2, "BitVector.rank": 2},
-        "v reversed": {"BitVector.access": 2, "BitVector.rank": 4},
-    },
-}
-QUERY_COUNTS = {
-    "interval": _LINEAR_COUNTS,
-    "proper": _PROPER_COUNTS,
-    "kproper": _LINEAR_COUNTS,
-    "kimproper": _LINEAR_COUNTS,
-    "circular": _CIRCULAR_COUNTS,
-}
-
-
-@pytest.mark.parametrize("n", [200, 2000])
-@pytest.mark.parametrize("kind", sorted(STRUCTURES))
-def test_degree_and_adjacent_make_fixed_counts(kind, n, monkeypatch):
-    """degree and adjacent are O(1): every vertex and every pair makes
-    the same primitive calls, at n = 200 as at n = 2000, on a built and
-    on a reloaded structure; none of them reaches a range-max index.
-    A circular pair makes the exact calls of its case, and the pairs
-    reach every case."""
-    rng = random.Random(f"fixed/{kind}/{n}")
-    g = STRUCTURES[kind](rng, n)
-    h = type(g).from_bytes(g.to_bytes())
-    pairs = [(u, v) for u in range(1, n + 1) for v in rng.sample(range(1, n + 1), 3)]
-    want = QUERY_COUNTS[kind]
-    arcs = g.realization().arcs if kind == "circular" else None
-    seen = set()
-    calls = count_calls(monkeypatch, PRIMITIVES + ((RangeMaxIndex, "query"),))
-    for built in (g, h):
-        for v in range(1, n + 1):
-            calls.clear()
-            built.degree(v)
-            assert calls == want["degree"], (v, calls)
-        for u, v in pairs:
-            if u == v:
-                continue
-            for a, b in ((u, v), (v, u)):
-                if arcs is None:
-                    expect = want["adjacent"]
-                else:
-                    case = circular_adjacent_case(arcs, a, b)
-                    seen.add(case)
-                    expect = want["adjacent"][case]
-                calls.clear()
-                built.adjacent(a, b)
-                assert calls == expect, (a, b, calls)
-    if arcs is not None:
-        assert seen == set(want["adjacent"])
-
-
 # -- one build path ------------------------------------------------------
 
-# kind -> the class, its realization draw and its constructor's mode argument
-BUILDS = {
-    "interval": (SuccinctIntervalGraph, random_realization, ()),
-    "proper": (ProperIntervalGraph, random_proper_realization, ()),
-    "kproper": (KProperGraph, random_realization, (MODE_PROPER,)),
-    "kimproper": (KProperGraph, random_realization, (MODE_IMPROPER,)),
-    "circular": (
-        CircularArcGraph,
-        lambda n, rng: random_arc_realization(n, rng, require_reversed=False),
-        (),
-    ),
-}
+def _class_and_args(kind):
+    """The class that KINDS builds for the kind, and its mode argument."""
+    g = KINDS[kind][0](KINDS[kind][1](1, random.Random(0)))
+    return type(g), (g.mode,) if isinstance(g, KProperGraph) else ()
 
 
 def test_constructors_take_the_realization_alone():
@@ -187,7 +79,8 @@ def test_constructors_take_the_realization_alone():
     Every kind, the circular one included, shares Structure's
     from_realization, which passes its arguments on to the constructor,
     so it refuses every other argument as the constructor does."""
-    for kind, (cls, draw, args) in BUILDS.items():
+    for kind, (_, draw) in KINDS.items():
+        cls, args = _class_and_args(kind)
         want = ["real", "mode"] if args else ["real"]
         assert list(inspect.signature(cls).parameters) == want, cls
         assert cls.from_realization.__func__ is Structure.from_realization.__func__, cls
@@ -203,12 +96,13 @@ def _oracle(real) -> OracleGraph:
     return OracleGraph.from_intervals(real)
 
 
-@pytest.mark.parametrize("kind", sorted(BUILDS))
+@pytest.mark.parametrize("kind", sorted(KINDS))
 def test_constructor_answers_like_from_realization(kind):
     """cls(real) is the one build path: it gives the blob and the degree,
     neighborhood and spath answers of from_realization(real) and the
     oracle."""
-    cls, draw, args = BUILDS[kind]
+    cls, args = _class_and_args(kind)
+    draw = KINDS[kind][1]
     rng = random.Random(f"constructor/{kind}")
     for n in range(1, 26):
         real = draw(n, rng)
@@ -232,11 +126,11 @@ def test_constructor_answers_like_from_realization(kind):
                     assert all(oracle.adjacent(a, b) for a, b in zip(path, path[1:]))
 
 
-@pytest.mark.parametrize("kind", sorted(STRUCTURES))
+@pytest.mark.parametrize("kind", sorted(KINDS))
 def test_space_report_survives_a_round_trip(kind):
     rng = random.Random(f"space/{kind}")
     for n in (1, 2, 40, 700):
-        g = STRUCTURES[kind](rng, n)
+        g = _structure(kind, rng, n)
         assert type(g).from_bytes(g.to_bytes()).space_report() == g.space_report()
 
 
@@ -244,12 +138,7 @@ def test_space_report_survives_a_round_trip_with_few_reversed_arcs():
     """With about 90% normal arcs the two families' own default block
     sizes differ; both indexes take the normal family's, which the blob
     stores, so a load reports the space that the build did."""
-    rng = random.Random(3000)
-    raw = []
-    for _ in range(3000):
-        a = rng.random()
-        raw.append((a, (a + rng.random() * 0.2) % 1.0))
-    g = CircularArcGraph(anchor_arcs(raw))
+    g = CircularArcGraph(few_reversed_arcs(3000, random.Random(3000)))
     q = g.normal_count
     assert 0.85 < q / g.n < 0.95
     assert default_block_size(q) != default_block_size(g.n - q)
@@ -259,11 +148,11 @@ def test_space_report_survives_a_round_trip_with_few_reversed_arcs():
 # -- bulk decoding -------------------------------------------------------
 
 
-@pytest.mark.parametrize("kind", sorted(STRUCTURES))
+@pytest.mark.parametrize("kind", sorted(KINDS))
 def test_bulk_realization_matches_per_vertex_decode(kind):
     rng = random.Random(f"bulk/{kind}")
     for _ in range(25):
-        g = STRUCTURES[kind](rng, rng.randint(1, 120))
+        g = _structure(kind, rng, rng.randint(1, 120))
         per_vertex = (
             tuple(g.arc_of(v) for v in range(1, g.n + 1))
             if isinstance(g, CircularArcGraph)
@@ -344,7 +233,7 @@ def _patched(blob: bytes, offset: int, fmt: str, value: int) -> bytes:
 def test_zero_block_size_rejected(kind, offset):
     """A load derives the block size from n (from the normal family's
     size for circular arcs), so it rejects every other stored value."""
-    g = STRUCTURES[kind](random.Random(1), 30)
+    g = _structure(kind, random.Random(1), 30)
     blob = g.to_bytes()
     c = default_block_size(g.normal_count if kind == "circular" else g.n)
     assert struct.unpack_from("<L", blob, offset) == (c,)
@@ -355,7 +244,7 @@ def test_zero_block_size_rejected(kind, offset):
 
 @pytest.mark.parametrize("value", [2, 7, 255])
 def test_unknown_mode_byte_rejected(value):
-    blob = _kproper(random.Random(2), 30).to_bytes()
+    blob = _structure("kproper", random.Random(2), 30).to_bytes()
     with pytest.raises(SerializationError, match="depth mode"):
         KProperGraph.from_bytes(_patched(blob, 13, "<B", value))
 
@@ -363,19 +252,19 @@ def test_unknown_mode_byte_rejected(value):
 @pytest.mark.parametrize("value", [1, 2, 7, 255])
 def test_unknown_degree_table_byte_rejected(value):
     """The byte once flagged a stored degree table; only 0 is read now."""
-    blob = _circular(random.Random(3), 30).to_bytes()
+    blob = _structure("circular", random.Random(3), 30).to_bytes()
     with pytest.raises(SerializationError, match="degree table"):
         CircularArcGraph.from_bytes(_patched(blob, 17, "<B", value))
 
 
-@pytest.mark.parametrize("kind", sorted(STRUCTURES) + ["sequence"])
+@pytest.mark.parametrize("kind", sorted(KINDS) + ["sequence"])
 def test_version_mismatch_is_a_serialization_error(kind):
     """Byte 4 of every blob is its format version; one the loader does
     not know raises SerializationError, as it does for a bit vector."""
     if kind == "sequence":
         blob, load = AlphabetSequence.encode([0, 2, 1, 2], 3), AlphabetSequence.decode
     else:
-        g = STRUCTURES[kind](random.Random(5), 20)
+        g = _structure(kind, random.Random(5), 20)
         blob, load = g.to_bytes(), type(g).from_bytes
     for version in (0, 2, 255):
         with pytest.raises(SerializationError, match="version"):
@@ -384,7 +273,7 @@ def test_version_mismatch_is_a_serialization_error(kind):
 
 def test_extra_left_symbols_are_an_input_error():
     """A T holding more left symbols than n used to escape as IndexError."""
-    g = _kproper(random.Random(4), 20)
+    g = _structure("kproper", random.Random(4), 20)
     symbols = g.annotation.to_list()
     first_right = next(i for i, s in enumerate(symbols) if s & 1)
     symbols[first_right] -= 1
@@ -448,7 +337,7 @@ def test_kproper_load_builds_no_realization(mode, monkeypatch):
 def test_circular_load_computes_s_prime_once(monkeypatch):
     """A validated load builds from the S' it compared with the decoded
     one, so it runs _arc_symbols once, as a build does."""
-    g = _circular(random.Random(12), 300)
+    g = _structure("circular", random.Random(12), 300)
     blob = g.to_bytes()
     calls = count_calls(monkeypatch, ((circular, "_arc_symbols"),))
     h = CircularArcGraph.from_bytes(blob)
@@ -509,13 +398,13 @@ def _degrees_agree(g) -> bool:
 
 
 @pytest.mark.parametrize("n", [1, 5, 40])
-@pytest.mark.parametrize("kind", sorted(STRUCTURES))
+@pytest.mark.parametrize("kind", sorted(KINDS))
 def test_single_bit_flips(kind, n):
     """Every bit of a blob, flipped one at a time: each mutant is
     rejected with GraphInputError or loads into a structure that
     re-encodes to the same bytes and answers degree consistently with
     its own realization."""
-    g = STRUCTURES[kind](random.Random(f"flips/{kind}/{n}"), n)
+    g = _structure(kind, random.Random(f"flips/{kind}/{n}"), n)
     cls = type(g)
     blob = g.to_bytes()
     bits = range(8 * len(blob))

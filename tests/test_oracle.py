@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import FIG1_INTERVALS, FIG2_ADJACENCY, FIG2_ARCS, fig1_realization
+from conftest import FIG2_ADJACENCY, FIG2_ARCS, fig1_realization
 from sigraph.errors import GraphInputError
 from sigraph.intervals import IntervalRealization, random_realization
 from sigraph.oracle import OracleGraph, mis_size_dp

@@ -13,8 +13,8 @@ import tracemalloc
 
 import pytest
 
+from conftest import KINDS
 from sigraph.circular import CircularArcGraph
-from sigraph.cli import _KINDS
 from sigraph.errors import GraphInputError
 from sigraph.oracle import OracleGraph
 
@@ -34,7 +34,7 @@ SPANS = (1, 2, 4, 8)
 def _blobs():
     """(kind, n, structure) for every kind and size, from fixed seeds."""
     out = []
-    for kind, (build, draw) in sorted(_KINDS.items()):
+    for kind, (build, draw) in sorted(KINDS.items()):
         for n in SIZES:
             out.append((kind, n, build(draw(n, random.Random(f"probe/{kind}/{n}")))))
     return out

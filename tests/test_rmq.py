@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import count_calls
 from sigraph import QueryRangeError
 from sigraph.rmq import RangeMaxIndex, RangeMinIndex, default_block_size
 
@@ -91,21 +92,16 @@ def test_leaders_answer_whole_blocks(monkeypatch):
         for cls in (RangeMaxIndex, RangeMinIndex)
         for c in (1, 2, 3, 8, 32)
     ]
-    scans = []
-    scan = RangeMaxIndex._scan
-    monkeypatch.setattr(
-        RangeMaxIndex, "_scan",
-        lambda self, a, b: scans.append((a, b)) or scan(self, a, b),
-    )
+    scans = count_calls(monkeypatch, [(RangeMaxIndex, "_scan")])
     for idx in indexes:
         n = len(idx._values)
-        del scans[:]
+        scans.clear()
         idx.query(1, n)
-        assert scans == []
+        assert scans == {}
         for j in range(1, n + 1):
-            del scans[:]
+            scans.clear()
             idx.query(1, j)
-            assert len(scans) <= 1
-            del scans[:]
+            assert scans.get("RangeMaxIndex._scan", 0) <= 1
+            scans.clear()
             idx.query(j, n)
-            assert len(scans) <= 1
+            assert scans.get("RangeMaxIndex._scan", 0) <= 1

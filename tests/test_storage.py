@@ -9,8 +9,8 @@ import random
 
 import pytest
 
+from conftest import KINDS
 from sigraph.bitvector import BitVector
-from sigraph.cli import _KINDS
 from sigraph.intervals import normalize
 from sigraph.rmq import RangeMaxIndex
 from sigraph.variants import MODE_IMPROPER, MODE_PROPER, KProperGraph
@@ -38,11 +38,11 @@ def _held(g):
     return out
 
 
-@pytest.mark.parametrize("kind", sorted(_KINDS))
+@pytest.mark.parametrize("kind", sorted(KINDS))
 def test_no_slot_holds_a_per_vertex_list(kind):
     """Built and loaded at n = 2000: every list a slot holds, and every
     list inside it, has fewer than n/2 entries."""
-    build, draw = _KINDS[kind]
+    build, draw = KINDS[kind]
     g = build(draw(N, random.Random(f"storage/{kind}")))
     for h in (g, type(g).from_bytes(g.to_bytes())):
         held = _held(h)
@@ -98,11 +98,11 @@ def _answers(g) -> tuple:
     )
 
 
-@pytest.mark.parametrize("kind", sorted(_KINDS))
+@pytest.mark.parametrize("kind", sorted(KINDS))
 def test_pickle_and_deepcopy_round_trip(kind):
     """A pickle round trip, a deepcopy and a copy of every kind, built
     and loaded, re-encode byte-identically and give the same answers."""
-    build, draw = _KINDS[kind]
+    build, draw = KINDS[kind]
     g = build(draw(40, random.Random(f"pickle/{kind}")))
     blob = g.to_bytes()
     want = _answers(g)

@@ -220,15 +220,9 @@ def test_depth_classes_is_one_sweep(mode, monkeypatch):
     expected = [[] for _ in range(g.k + 1)]
     for v in range(1, g.n + 1):
         expected[g.depth_of(v)].append(v)
-    calls = []
-    for owner, name in ((BitVector, "select"), (AlphabetSequence, "access")):
-        orig = getattr(owner, name)
-        monkeypatch.setattr(
-            owner, name,
-            lambda self, *a, orig=orig, name=name: calls.append(name) or orig(self, *a),
-        )
+    calls = count_calls(monkeypatch, [(BitVector, "select"), (AlphabetSequence, "access")])
     assert g.depth_classes() == expected
-    assert calls == []
+    assert calls == {}
 
 
 # magic, version, n, mode byte, block size, then T as a sequence blob
