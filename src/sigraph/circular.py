@@ -12,12 +12,12 @@ the parity vector S marking right endpoints, a family vector over left
 endpoints in label order, and a family vector over right endpoints in
 position order. Every S' rank or select is then one or two plain
 bitvector operations. On top sit the right-endpoint lists with range-max
-indexes for reporting and paths, and a degree table, so degree is one
-read. A build and a load both count the table in one sweep over S' with
-two position counters, reversed gaps opened and normal arcs ended. Each
-keeps its marks as one int per block of positions and a Fenwick tree
-over the block counts, so a prefix count is one popcount plus a few
-tree steps: O(n log n) in all.
+indexes for reporting, each list's records for paths, and a degree
+table, so degree is one read. A build and a load both count the table
+in one sweep over S' with two position counters, reversed gaps opened
+and normal arcs ended. Each keeps its marks as one int per block of
+positions and a Fenwick tree over the block counts, so a prefix count is
+one popcount plus a few tree steps: O(n log n) in all.
 
 Every per-arc array is a packed C array. Each bitvector keeps its words
 and its directory in arrays, and a build makes all three from S' as
@@ -31,18 +31,28 @@ right endpoint r lies past l_v exactly when S.rank(0, r) >= v. An
 adjacency test reads at most two families (one access each) and two
 right endpoints (one family rank each), and compares each by one rank:
 at most 2 accesses and 4 ranks. A spath makes that test first, then
-walks heads (label, r, reversed, k, x), where k = S.rank(0, r) is
-ranked once, when the head is made, and x is the arc's rank in its
-family: a hop's meet test makes no rank, and its greedy successor at
-most 2 ranks, 3 range-max calls and one select on the left family
-vector for the label the path prints.
+walks heads (label, r, reversed, k), where k = S.rank(0, r) is ranked
+once, when the head is made: a hop's meet test makes no rank. Its
+greedy successor is the farthest-reaching arc among labels 1..k and the
+reversed arcs, a prefix maximum of a family's right endpoints, so it is
+that family's last record (an arc whose end beats every earlier one in
+its family) at or before label k. The reversed records are kept as
+labels with their ends; the normal ones as ranks, which equal labels
+whenever a hop reads them, since a hop reads them only when no reversed
+arc starts before r. So a hop is one or two bisects in C, at most one
+value, and one rank for the new head's k: no select and no range-max
+call. The farthest reversed arc overall is the last reversed record. A
+reversed head would exclude itself, but it ends at the frontier, and a
+hop takes only an arc ending strictly past it.
 
 The one constructor builds all of it from an ArcRealization; both
 range-max indexes take the block size derived from the normal family's
-size. A blob holds that block size, S' and the right-endpoint lists,
-never the degree table; a load checks the block size, pairs each start
-in S' with the next end of its family's list, lets ArcRealization check
-the pairing, and compares the S' those arcs give with the decoded one.
+size, and each lists its list's records from its block leaders. A blob
+holds that block size, S' and the right-endpoint lists, never the
+records or the degree table; a load checks the block size, pairs each
+start in S' with the next end of its family's list, lets ArcRealization
+check the pairing, and compares the S' those arcs give with the decoded
+one.
 
 A neighborhood marks each family's hits in one byte mask over the
 family's ranks, from its first hit to its last, while they number at
@@ -73,6 +83,7 @@ from __future__ import annotations
 import random
 import sys
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress, islice
 
@@ -221,6 +232,9 @@ class CircularArcGraph(Structure):
         "_rpp",
         "_rmax_n",
         "_rmax_r",
+        "_rec_n",
+        "_rec_r",
+        "_end_r",
         "_degrees",
     )
 
@@ -238,8 +252,9 @@ class CircularArcGraph(Structure):
         # symbols, the others deleted, 1 where reversed. Starts in
         # position order are labels 1..n
         raw = bytes(symbols)
+        families = raw.translate(_REVERSED, _RIGHTS)
         self._s = BitVector(raw.translate(_PARITY))
-        self._lk = BitVector(raw.translate(_REVERSED, _RIGHTS))
+        self._lk = BitVector(families)
         self._rk = BitVector(raw.translate(_REVERSED, _LEFTS))
         self._rp = rp = uint_array([r for l, r in arcs if l < r], 2 * n)
         self._rpp = rpp = uint_array([r for l, r in arcs if l > r], 2 * n)
@@ -247,6 +262,13 @@ class CircularArcGraph(Structure):
         c = default_block_size(self._q)
         self._rmax_n = RangeMaxIndex(rp, c)
         self._rmax_r = RangeMaxIndex(rpp, c)
+        # each family's records: the normal ones as ranks, the reversed
+        # ones as labels with their ends, which is what a hop reads
+        self._rec_n = self._rmax_n.records()
+        ranks = self._rmax_r.records()
+        labels = list(compress(range(1, n + 1), families))   # reversed, by rank
+        self._rec_r = array("I", [labels[x - 1] for x in ranks])
+        self._end_r = array(rpp.typecode, [rpp[x - 1] for x in ranks])
         self._degrees = _arc_degrees(arcs, symbols)
 
     # -- S' operations over the factored vectors -------------------------
@@ -292,10 +314,10 @@ class CircularArcGraph(Structure):
         x = self._lk.rank(0, v)
         return self._rp[x - 1], False, x
 
-    def _head(self, v: int, r: int, rev: bool, x: int) -> tuple[int, int, bool, int, int]:
-        """A walk's head (v, r_v, reversed, k, x), where k = S.rank(0, r_v)
+    def _head(self, v: int, r: int, rev: bool) -> tuple[int, int, bool, int]:
+        """A walk's head (v, r_v, reversed, k), where k = S.rank(0, r_v)
         counts the arcs starting before r_v: one rank, made once."""
-        return v, r, rev, self._s.rank(0, r), x
+        return v, r, rev, self._s.rank(0, r)
 
     def arc_of(self, v: int) -> tuple[int, int]:
         self._check_vertex(v)
@@ -345,8 +367,8 @@ class CircularArcGraph(Structure):
         start count k are already known: no primitive call."""
         if a[0] > b[0]:
             a, b = b, a
-        u, _, revu, ku, _ = a
-        v, _, revv, kv, _ = b
+        u, _, revu, ku = a
+        v, _, revv, kv = b
         return revu or ku >= v or (revv and kv >= u)
 
     def neighborhood(self, v: int) -> list[int]:
@@ -397,55 +419,40 @@ class CircularArcGraph(Structure):
 
     # -- shortest paths --------------------------------------------------
 
-    def _succ(self, head: tuple[int, int, bool, int, int]):
-        """Clockwise greedy hop from a head (label, r, reversed, k, x):
+    def _succ(self, head: tuple[int, int, bool, int]):
+        """Clockwise greedy hop from a head (label, r, reversed, k):
         the head of the neighbor reaching farthest past r; None when
-        nothing advances the frontier. At most 2 ranks, the new head's k
-        included."""
-        _, r, rev, k, mine = head   # k arcs start before r
-        lk = self._lk
-        rpp = self._rpp
-        wrap = lk.rank(1, k)
-        if wrap:
+        nothing advances the frontier. The farthest arc of a family
+        among labels 1..k is its last record at or before k, one bisect
+        in C over the records: one rank, the new head's k, at most one
+        value, and no select or range-max call."""
+        _, r, _, k = head   # labels 1..k start before r
+        labels = self._rec_r
+        i = bisect_right(labels, k)
+        if i:
             # a reversed neighbor starting before r carries the walk
             # past the anchor point: farther than anything on this lap
             # (from a reversed arc, r < l keeps the arc itself out)
-            x = self._rmax_r.query(1, wrap)
-            return self._head(lk.select(1, x), rpp[x - 1], True, x)
-        # no reversed arc starts before r, so all k of them are normal;
-        # each candidate's r is read once
-        best_x = None
-        best_val = r
-        if k:
-            x = self._rmax_n.query(1, k)
-            val = self._rp[x - 1]
-            if val > best_val:
-                best_x, best_val = (x, False), val
-        nrev = self._n - self._q
-        if not rev:
-            # a reversed arc ending past best_val >= r > l reaches back
-            # over this arc's start, so it is a neighbor
-            if nrev:
-                x = self._rmax_r.query(1, nrev)
-                val = rpp[x - 1]
-                if val > best_val:
-                    best_x, best_val = (x, True), val
-        else:
-            for lo, hi in ((1, mine - 1), (mine + 1, nrev)):
-                if lo <= hi:
-                    x = self._rmax_r.query(lo, hi)
-                    val = rpp[x - 1]
-                    if val > best_val:
-                        best_x, best_val = (x, True), val
-        if best_x is None:
-            return None
-        x, is_rev = best_x
-        return self._head(lk.select(int(is_rev), x), best_val, is_rev, x)
+            return self._head(labels[i - 1], self._end_r[i - 1], True)
+        # no reversed arc starts before r, so labels 1..k are the first k
+        # normal arcs and each one's rank is its label; k >= 1, since the
+        # anchor starts at position 1, before every right endpoint
+        rec = self._rec_n
+        x = rec[bisect_right(rec, k) - 1]
+        far = max(r, self._rp[x - 1])
+        # a reversed arc ending past far >= r reaches back over a normal
+        # head's start, and every other reversed arc meets a reversed
+        # head; the head itself ends at r, so it never wins
+        if labels and self._end_r[-1] > far:
+            return self._head(labels[-1], self._end_r[-1], True)
+        if far > r:
+            return self._head(x, far, False)
+        return None
 
     def spath(self, u: int, v: int):
         """A shortest u-v path by two alternating clockwise walks, one
         from each end; the first to reach the other side wins. The walks
-        carry heads (label, r, reversed, k, x), so no hop selects on S and
+        carry heads (label, r, reversed, k), so no hop selects on S and
         the meet tests make no primitive call."""
         if self.adjacent(u, v):
             return [u, v]
@@ -454,8 +461,8 @@ class CircularArcGraph(Structure):
         # adjacent has checked both labels and made both walks' first meet
         # test; every later test follows a hop, from a head that missed the
         # far endpoint, so a live head is never that endpoint
-        head_a = start_u = self._head(u, *self._right(u))
-        head_b = start_v = self._head(v, *self._right(v))
+        head_a = start_u = self._head(u, *self._right(u)[:2])
+        head_b = start_v = self._head(v, *self._right(v)[:2])
         path_a = [u]
         path_b = [v]
         dead_a = dead_b = False
@@ -504,6 +511,9 @@ class CircularArcGraph(Structure):
             "r_reversed": (self._n - self._q) * width,
             "rmax_normal_directory": self._rmax_n.space_bits(),
             "rmax_reversed_directory": self._rmax_r.space_bits(),
+            # the normal records' ranks, the reversed records' labels and ends
+            "spath_records": (len(self._rec_n) * width_for(self._q)
+                              + len(self._rec_r) * (width_for(self._n) + width)),
             "degree_table": self._n * width_for(max(self._n - 1, 1)),
         }
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import bisect
 from functools import lru_cache
+from itertools import compress, count
 
 from .errors import GraphInputError
 
@@ -81,14 +82,10 @@ class OracleGraph:
         visited = frontier
         d = 0
         while frontier:
+            nxt = 0
             for w in _bits(frontier):
                 dist[w] = d
-            nxt = 0
-            m = frontier
-            while m:
-                low = m & -m
-                nxt |= self.rows[low.bit_length() - 1]
-                m ^= low
+                nxt |= self.rows[w]
             frontier = nxt & ~visited & self._full
             visited |= frontier
             d += 1
@@ -199,12 +196,11 @@ class OracleGraph:
 
 
 def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+    """The set bits of a nonnegative mask, ascending: bin(mask) read from
+    its last digit, which is bit 0, keeping the positions of its "1"s.
+    One C-level pass; popping the low bit would rebuild the whole int
+    once per set bit."""
+    return list(compress(count(), map("1".__eq__, reversed(bin(mask)))))
 
 
 def _mis_of_rows(rows: tuple[int, ...], full: int) -> int:

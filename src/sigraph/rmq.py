@@ -11,6 +11,11 @@ so its accounted size is O((n/c) log n) bits on top of the sequence it
 indexes. Ties resolve to the leftmost position. The minimum index is the
 maximum index over a negated copy of its sequence.
 
+A prefix query needs no index at all: its answer is the last record (a
+position whose value beats every earlier one) at or before the prefix
+end. records() lists them from the block leaders, reading only the
+blocks whose leader beats the running maximum, each up to its leader.
+
 Queries are 1-based inclusive ranges; answers are 1-based positions.
 """
 
@@ -94,6 +99,27 @@ class RangeMaxIndex:
             best = self._pick(best, mid)
         right = last if last <= b else self._scan(bb * c, b + 1)
         return self._pick(best, right) + 1
+
+    def records(self) -> array:
+        """Ascending positions whose value is strictly greater than every
+        earlier value, as an array('I'): the last of them at or before j
+        is query(1, j), leftmost tie included. A block holds a record only
+        when its leader beats the running maximum, and then only up to its
+        leader, which is the block's leftmost maximum."""
+        values = self._values
+        out = array("I")
+        if not self._n:
+            return out
+        best = values[0] - 1   # position 1 is always a record
+        c = self._c
+        for b, lead in enumerate(self._leaders):
+            if values[lead] <= best:
+                continue
+            for p, val in enumerate(values[b * c:lead + 1], b * c + 1):
+                if val > best:
+                    out.append(p)
+                    best = val
+        return out
 
     def _table_query(self, lo: int, hi: int) -> int:
         k = (hi - lo + 1).bit_length() - 1

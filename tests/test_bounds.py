@@ -75,13 +75,12 @@ BOUNDS = {
             "select0": (1, 1), "select1": (1, 0), "rank": (0, 5), "access": (0, 1),
             "select_marked": (0, 2), "rmq": (2, 0), "r": (66, 1), "text": (64, 0),
         },
-        # adjacent and both walks' starts, then per greedy hop at most 2
-        # ranks, 3 range-max calls, 3 values and one select; a path of h
-        # hops takes at most 2h - 2 greedy hops, one walk's or the other's
-        "spath": {
-            "select0": (2, 0), "select1": (2, 0), "rank": (4, 4), "access": (0, 4),
-            "rmq": (6, 0), "r": (6, 0),
-        },
+        # adjacent and both walks' starts (at most 8 ranks and 4 values),
+        # then per greedy hop one rank, at most one value, and no select
+        # or range-max call; a path of h hops takes at most 2h - 2 greedy
+        # hops, one walk's or the other's, and a pair with no path at
+        # least 2, one per walk
+        "spath": {"rank": (2, 6), "access": (0, 4), "r": (2, 2)},
     },
 }
 # circular adjacent orders the labels so that u < v and stops at the

@@ -15,6 +15,7 @@ from conftest import (
     FIG2_TABLE_BLOB,
     circular_adjacent_case,
     count_calls,
+    few_reversed_arcs,
 )
 from sigraph import circular
 from sigraph.bitvector import BitVector
@@ -307,6 +308,16 @@ def _pairings(points):
             yield [(first, points[i])] + rest
 
 
+def _configurations(n: int) -> set[ArcRealization]:
+    """Every anchored configuration of n arcs: each pairing of the 2n
+    positions, each arc in both orientations."""
+    return {
+        anchor_arcs([(a, b) if flip >> i & 1 else (b, a) for i, (a, b) in enumerate(pairs)])
+        for pairs in _pairings(list(range(1, 2 * n + 1)))
+        for flip in range(1 << n)
+    }
+
+
 def test_matches_oracle_on_every_small_configuration():
     """Every arc configuration with n <= 4: each pairing of the 2n
     positions, each arc in both orientations, anchored. Every ordered
@@ -314,12 +325,7 @@ def test_matches_oracle_on_every_small_configuration():
     oracle, and the pairs reach every case of the adjacent test."""
     cases = set()
     for n in range(1, 5):
-        reals = {
-            anchor_arcs([(a, b) if flip >> i & 1 else (b, a) for i, (a, b) in enumerate(pairs)])
-            for pairs in _pairings(list(range(1, 2 * n + 1)))
-            for flip in range(1 << n)
-        }
-        for real in reals:
+        for real in _configurations(n):
             _check_against_oracle(real)
             cases.update(
                 circular_adjacent_case(real.arcs, u, v)
@@ -344,35 +350,34 @@ def _short_arcs(n: int, rng) -> ArcRealization:
 
 @pytest.mark.parametrize("make", [random_arc_realization, _short_arcs])
 def test_spath_heads_rank_their_right_endpoint_once(make, monkeypatch):
-    """A head carries k = S.rank(0, r), ranked once when it is made, and
-    its family rank x, so the meet test needs no primitive call; a
-    greedy hop makes at most 2 ranks, and its new head carries them too."""
+    """A head carries k = S.rank(0, r), ranked once when it is made, so
+    the meet test needs no primitive call; a greedy hop makes one rank,
+    its new head's k."""
     n = 2000
     rng = random.Random(f"heads/{make.__name__}")
     g = CircularArcGraph(make(n, rng))
     s = g._s
-    heads = [g._head(v, *g._right(v)) for v in rng.sample(range(1, n + 1), 400)]
-    for v, r, rev, k, x in heads:
+    heads = [g._head(v, *g._right(v)[:2]) for v in rng.sample(range(1, n + 1), 400)]
+    for v, r, rev, k in heads:
         assert (r, rev) == (g.arc_of(v)[1], g.is_reversed(v))
         assert k == s.rank(0, r)
-        assert x == g._lk.rank(int(rev), v)
     calls = count_calls(monkeypatch, [(BitVector, "rank")])
     hops = 0
     for a in heads:
         calls.clear()
         nxt = g._succ(a)
-        assert calls.get("BitVector.rank", 0) <= 2, (a, calls)
+        assert calls.get("BitVector.rank", 0) == (nxt is not None), (a, calls)
         if nxt is not None:
             hops += 1
             assert nxt[3] == s.rank(0, nxt[1])
-            assert nxt[4] == g._lk.rank(int(nxt[2]), nxt[0])
     assert hops > 300
 
 
 @pytest.mark.parametrize("make", [random_arc_realization, _short_arcs])
 def test_adjacent_and_spath_never_select_on_s(make, monkeypatch):
     """Labels follow start order, so adjacency and the spath walks test
-    starts by rank: they select on the left family vector, never on S."""
+    starts by rank, and a hop reads its label from the records: neither
+    selects, on S or on a family vector."""
     n = 2000
     rng = random.Random(f"select-free/{make.__name__}")
     g = CircularArcGraph(make(n, rng))
@@ -381,7 +386,102 @@ def test_adjacent_and_spath_never_select_on_s(make, monkeypatch):
         g.adjacent(rng.randint(1, n), rng.randint(1, n))
     for _ in range(300):
         g.spath(rng.randint(1, n), rng.randint(1, n))
-    assert calls and set(calls) <= {"BitVector.select0", "BitVector.select1"}
+    assert calls == {}
+
+
+def _range_max_succ(g: CircularArcGraph, head):
+    """The greedy hop by range-max calls: a prefix of r' on a wrap hop,
+    else a prefix of r and the maximum of r', less the head on a
+    reversed one. The reference the record hop must agree with."""
+    v, r, rev, k = head
+    lk, rp, rpp = g._lk, g._rp, g._rpp
+    wrap = lk.rank(1, k)
+    if wrap:
+        x = g._rmax_r.query(1, wrap)
+        return g._head(lk.select(1, x), rpp[x - 1], True)
+    best_x, best_val = None, r
+    if k:
+        x = g._rmax_n.query(1, k)
+        if rp[x - 1] > best_val:
+            best_x, best_val = (x, False), rp[x - 1]
+    nrev = len(rpp)
+    mine = lk.rank(1, v)
+    for lo, hi in ((1, mine - 1), (mine + 1, nrev)) if rev else ((1, nrev),):
+        if lo <= hi:
+            x = g._rmax_r.query(lo, hi)
+            if rpp[x - 1] > best_val:
+                best_x, best_val = (x, True), rpp[x - 1]
+    if best_x is None:
+        return None
+    x, is_rev = best_x
+    return g._head(lk.select(int(is_rev), x), best_val, is_rev)
+
+
+def _all_normal_arcs(n: int, rng) -> ArcRealization:
+    """Arcs of at most 0.1 of the circle starting before 0.85: none
+    crosses the anchor point, so r' is empty."""
+    raw = []
+    for _ in range(n):
+        a = rng.uniform(0.0, 0.85)
+        raw.append((a, a + rng.random() * 0.1))
+    return anchor_arcs(raw)
+
+
+def _one_reversed_arc(n: int, rng) -> ArcRealization:
+    """The anchor at 0, short normal arcs, and one arc across the anchor
+    point: r' has one entry."""
+    raw = [(0.0, 0.02), (0.95, 0.05)]
+    for _ in range(n - 2):
+        a = rng.uniform(0.03, 0.85)
+        raw.append((a, a + rng.random() * 0.1))
+    return anchor_arcs(raw)
+
+
+def test_record_hop_matches_the_range_max_hop():
+    """From every head, built and reloaded, the hop read from the records
+    is the range-max hop: on random arcs, short arcs whose records are
+    dense, mostly normal arcs, r' of 0 and of 1 entry, and every
+    configuration with n <= 3. Over 100 of the heads are the farthest
+    reversed arc itself, which the reference leaves out of its own hop."""
+    rng = random.Random("record-hop")
+    reals = [
+        make(n, rng)
+        for make in (random_arc_realization, _short_arcs, few_reversed_arcs,
+                     _all_normal_arcs, _one_reversed_arc)
+        for n in (5, 60, 2000)
+    ]
+    reals += [real for n in (1, 2, 3) for real in _configurations(n)]
+    nrevs = set()
+    top_heads = 0
+    for real in reals:
+        built = CircularArcGraph(real)
+        for g in (built, CircularArcGraph.from_bytes(built.to_bytes())):
+            nrevs.add(min(len(g._rpp), 2))
+            for v in range(1, real.n + 1):
+                head = g._head(v, *g._right(v)[:2])
+                assert g._succ(head) == _range_max_succ(g, head), (real.arcs, head)
+                top_heads += bool(g._rec_r) and v == g._rec_r[-1]
+    assert nrevs == {0, 1, 2}
+    assert top_heads > 100
+
+
+@pytest.mark.parametrize("make", [random_arc_realization, _short_arcs, few_reversed_arcs])
+def test_spath_makes_no_range_max_call(make, monkeypatch):
+    """Every spath hop reads its maxima from the records, built and
+    reloaded, also where most normal arcs are records."""
+    n = 2000
+    rng = random.Random(f"no-rmq/{make.__name__}")
+    built = CircularArcGraph(make(n, rng))
+    if make is _short_arcs:
+        assert len(built._rec_n) > built.normal_count // 4
+    for g in (built, CircularArcGraph.from_bytes(built.to_bytes())):
+        calls = count_calls(monkeypatch, [(RangeMaxIndex, "query"),
+                                          (CircularArcGraph, "_succ")])
+        for _ in range(300):
+            g.spath(rng.randint(1, n), rng.randint(1, n))
+        assert calls["CircularArcGraph._succ"] > 50
+        assert "RangeMaxIndex.query" not in calls
+        monkeypatch.undo()
 
 
 def _nested_normals(n: int) -> ArcRealization:
@@ -544,11 +644,16 @@ def test_space_report_keys_and_budget():
         "r_reversed",
         "rmax_normal_directory",
         "rmax_reversed_directory",
+        "spath_records",
         "degree_table",
     }
     width = max(1, (2 * n - 1).bit_length())
     assert rep["r_normal"] == g.normal_count * width
     assert rep["r_reversed"] == (n - g.normal_count) * width
+    assert rep["spath_records"] == (
+        len(g._rec_n) * g.normal_count.bit_length()
+        + len(g._rec_r) * (n.bit_length() + width)
+    )
     budget = 3.5 * n * n.bit_length()
     assert g.space_bits() <= budget
     assert "degree_table" in CircularArcGraph(ArcRealization(FIG2_ARCS)).space_report()

@@ -5,7 +5,7 @@ import pytest
 from conftest import FIG2_ADJACENCY, FIG2_ARCS, fig1_realization
 from sigraph.errors import GraphInputError
 from sigraph.intervals import IntervalRealization, random_realization
-from sigraph.oracle import OracleGraph, mis_size_dp
+from sigraph.oracle import OracleGraph, _bits, mis_size_dp
 
 
 @pytest.fixture(scope="module")
@@ -120,3 +120,23 @@ class TestOptimaOracles:
             real = random_realization(rng.randint(1, 12), rng)
             g = OracleGraph.from_intervals(real)
             assert mis_size_dp(real) == g.mis_size_exhaustive()
+
+
+def _pop_bits(mask):
+    """Set bits by popping the lowest one at a time."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def test_bits_match_the_pop_loop():
+    rng = random.Random(4000)
+    masks = [0, 1, 2, 1 << 63, 1 << 64, 1 << 3999, (1 << 4000) - 1]
+    masks += [rng.getrandbits(rng.randint(1, 4000)) for _ in range(200)]
+    masks += [rng.getrandbits(4000) & rng.getrandbits(4000) & rng.getrandbits(4000)
+              for _ in range(50)]
+    for mask in masks:
+        assert _bits(mask) == _pop_bits(mask)

@@ -1,4 +1,6 @@
 import random
+from array import array
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings
@@ -105,3 +107,40 @@ def test_leaders_answer_whole_blocks(monkeypatch):
             scans.clear()
             idx.query(j, n)
             assert scans.get("RangeMaxIndex._scan", 0) <= 1
+
+
+def _check_records(idx, n):
+    """The records rise strictly in position and in value, and the last
+    of them at or before j is the prefix answer query(1, j), for every j."""
+    recs = idx.records()
+    assert isinstance(recs, array) and recs[0] == 1
+    values = idx._values
+    assert all(a < b and values[a - 1] < values[b - 1] for a, b in zip(recs, recs[1:]))
+    for j in range(1, n + 1):
+        assert recs[bisect_right(recs, j) - 1] == idx.query(1, j), j
+
+
+@pytest.mark.parametrize("block", [1, 2, None])
+@pytest.mark.parametrize("values", [
+    [5],
+    [3] * 70,
+    list(range(100)),
+    list(range(100, 0, -1)),
+    [3, 7, 7, 1, 7, 2, 8, 8, 0, 8],
+    [1, 2, 3, 2, 1, 4, 5, 6, 0] * 9,
+    R9,
+    array("I", [9, 9, 4, 12, 12, 3, 40, 40, 41] * 8),
+], ids=["n1", "equal", "increasing", "decreasing", "ties", "runs", "R9", "packed"])
+@pytest.mark.parametrize("cls", [RangeMaxIndex, RangeMinIndex])
+def test_records_answer_every_prefix(cls, values, block):
+    _check_records(cls(values, block_size=block), len(values))
+
+
+@given(
+    st.lists(st.integers(-20, 20), min_size=1, max_size=300),
+    st.sampled_from([1, 2, None]),
+)
+@settings(max_examples=150, deadline=None)
+def test_records_answer_random_prefixes(values, block):
+    _check_records(RangeMaxIndex(values, block_size=block), len(values))
+    _check_records(RangeMinIndex(values, block_size=block), len(values))
