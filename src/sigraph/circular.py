@@ -521,7 +521,7 @@ class CircularArcGraph(Structure):
         # the flag byte is always 0; from_bytes rejects the 1 that marked
         # a stored degree table
         w = Writer().magic(_MAGIC, _VERSION)
-        w.u64(self._n).u32(self._rmax_n._c).u8(0)
+        w.u64(self._n).u32(default_block_size(self._q)).u8(0)
         w.block(AlphabetSequence.encode(self._symbols(), 4))
         width = width_for(2 * self._n)
         w.block(pack_uints(self._rp, width))

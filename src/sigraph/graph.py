@@ -297,7 +297,7 @@ class SuccinctIntervalGraph(IntervalQueries):
 
     def to_bytes(self) -> bytes:
         w = Writer().magic(_MAGIC, _VERSION)
-        w.u64(self._n).u32(self._rmax._c)
+        w.u64(self._n).u32(default_block_size(self._n))
         w.block(self._s.to_bytes())
         w.block(pack_uints(self._rlist, width_for(2 * self._n)))
         return w.getvalue()

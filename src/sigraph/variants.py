@@ -257,7 +257,7 @@ class KProperGraph(IntervalQueries):
     def to_bytes(self) -> bytes:
         w = Writer().magic(_KPROPER_MAGIC, _VERSION)
         w.u64(self._n).u8(0 if self._mode == MODE_PROPER else 1)
-        w.u32(self._rmax._c)
+        w.u32(default_block_size(self._n))
         w.block(AlphabetSequence.encode(self._symbols(), 2 * self._k + 2))
         return w.getvalue()
 

@@ -5,7 +5,8 @@ realization's type and checks g's own answers against it, so code that
 several structures share is never compared with itself. It returns a
 list of mismatch descriptions; an empty list means every check passed.
 Checks cover all query pairs, so they are meant for moderate n, not
-benchmarks.
+benchmarks. On linear structures it checks the algorithms too, the d
+sequence among them: 2n values, ending at 0, never below 0.
 """
 
 from __future__ import annotations
@@ -69,6 +70,12 @@ def _check_queries(g, oracle: OracleGraph, issues: list[str]) -> None:
 def _check_algorithms(g, real, oracle: OracleGraph, issues: list[str]) -> None:
     n = g.n
     d = algorithms.build_d_sequence(g)
+    if len(d) != 2 * n:
+        issues.append(f"d sequence has {len(d)} values, expected {2 * n}")
+    if d[-1] != 0:
+        issues.append(f"d sequence ends at {d[-1]}, not 0")
+    if min(d) < 0:
+        issues.append(f"d sequence goes below 0, to {min(d)}")
     clique = algorithms.max_clique(g)
     if clique.size != max(d):
         issues.append(f"clique size {clique.size} != peak open count {max(d)}")

@@ -1,10 +1,11 @@
 """Shared fixtures: the two worked examples, the kind table, the one
-call counter and small helpers."""
+call counter, the degree check of loaded blobs and small helpers."""
 
 from sigraph.bitvector import BitVector
 from sigraph.circular import ArcRealization, anchor_arcs
 from sigraph.cli import _KINDS
 from sigraph.intervals import IntervalRealization, normalize
+from sigraph.oracle import OracleGraph
 
 # kind -> (build, draw): build(real) makes the structure, draw(n, rng) a
 # random realization it accepts. The circular draw may return no
@@ -59,6 +60,14 @@ FIG2_TABLE_BLOB = (
 
 def fig1_realization() -> IntervalRealization:
     return IntervalRealization(FIG1_INTERVALS)
+
+
+def degrees_agree(g) -> bool:
+    """Every degree of g equals the oracle's on g's own realization."""
+    real = g.realization()
+    oracle = (OracleGraph.from_arc_positions(real.arcs) if isinstance(real, ArcRealization)
+              else OracleGraph.from_intervals(real))
+    return all(g.degree(v) == oracle.degree(v) for v in range(1, g.n + 1))
 
 
 def circular_adjacent_case(arcs, u: int, v: int) -> str:

@@ -18,8 +18,9 @@ from sigraph.algorithms import (
 from sigraph.bitvector import BitVector
 from sigraph.graph import IntervalQueries, SuccinctIntervalGraph
 from sigraph.intervals import IntervalRealization, random_realization
-from sigraph.oracle import OracleGraph, mis_size_dp
+from sigraph.oracle import OracleGraph
 from sigraph.rmq import RangeMaxIndex, RangeMinIndex
+from sigraph.verify import verify
 
 
 @pytest.fixture(scope="module")
@@ -81,55 +82,18 @@ class TestTrivialShapes:
         assert peo(g) == [1, 2, 3]
 
 
-def _check_algorithms(real):
-    g = SuccinctIntervalGraph.from_realization(real)
-    o = OracleGraph.from_intervals(real)
-    n = real.n
-
-    d = build_d_sequence(g)
-    assert len(d) == 2 * n
-    assert d[-1] == 0
-    assert min(d) >= 0
-
-    ind = mis(g)
-    assert o.is_independent(ind)
-    assert len(ind) == mis_size_dp(real)
-    cover = mvc(g)
-    assert sorted(ind + cover) == list(range(1, n + 1))
-    assert o.is_vertex_cover(cover)
-
-    w = max_clique(g)
-    assert o.is_clique(w.members)
-    assert w.size == max(d)
-    for v in w.members:
-        l, r = g.interval_of(v)
-        assert l <= w.cut < r
-
-    col = greedy_coloring(g)
-    for u in range(1, n + 1):
-        for v in o.neighborhood(u):
-            assert col.colors[u - 1] != col.colors[v - 1]
-    assert col.used == w.size
-
-    assert o.valid_dfs(dfs_order(g))
-    assert o.valid_bfs(bfs_order(g))
-    assert o.is_peo(peo(g))
-
-    if n <= 16:
-        assert len(ind) == o.mis_size_exhaustive()
-        assert w.size == o.clique_size_exhaustive()
-
-
 class TestProperties:
     @given(st.integers(1, 60), st.integers(0, 10**9))
     @settings(max_examples=60, deadline=None)
     def test_random_instances(self, n, seed):
-        _check_algorithms(random_realization(n, random.Random(seed)))
+        real = random_realization(n, random.Random(seed))
+        assert verify(SuccinctIntervalGraph(real), real) == []
 
     def test_small_exhaustive_band(self):
         rng = random.Random(271)
         for _ in range(60):
-            _check_algorithms(random_realization(rng.randint(1, 14), rng))
+            real = random_realization(rng.randint(1, 14), rng)
+            assert verify(SuccinctIntervalGraph(real), real) == []
 
 
 # -- every structure, against brute-force definitions ----------------------

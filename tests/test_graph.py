@@ -22,6 +22,7 @@ from sigraph.variants import (
     KProperGraph,
     ProperIntervalGraph,
 )
+from sigraph.verify import verify
 
 
 @pytest.fixture(scope="module")
@@ -108,33 +109,12 @@ class TestQueries:
 
 def _check_against_oracle(real):
     g = SuccinctIntervalGraph.from_realization(real)
-    o = OracleGraph.from_intervals(real)
-    n = real.n
-    for v in range(1, n + 1):
-        assert g.degree(v) == o.degree(v)
-        assert g.neighborhood(v) == o.neighborhood(v)
-    for u in range(1, n + 1):
-        dist = o.dists_from(u)
-        for v in range(1, n + 1):
-            assert g.adjacent(u, v) == o.adjacent(u, v)
-            path = g.spath(u, v)
-            if dist[v] is None:
-                assert path is None
-            else:
-                assert path is not None
-                assert len(path) - 1 == dist[v]
-                assert path[0] == u and path[-1] == v
-                assert all(o.adjacent(a, b) for a, b in zip(path, path[1:]))
+    assert verify(g, real) == []
+    labels = range(1, real.n + 1)
+    for u in labels:
         # succ picks the farthest-reaching interval starting before r_u
-        s = g.succ(u)
-        candidates = [
-            w
-            for w in range(1, n + 1)
-            if g.interval_of(w)[0] < g.interval_of(u)[1]
-        ]
-        best = max(candidates, key=lambda w: g.interval_of(w)[1])
-        assert s == best
-    assert g.realization().intervals == real.intervals
+        best = max((w for w in labels if real.left(w) < real.right(u)), key=real.right)
+        assert g.succ(u) == best
 
 
 class TestOracleEquivalence:

@@ -1,7 +1,8 @@
 """Every name a library or test module imports is used there or
 exported by its __all__, and every module-level _helper of a test file
 is used in that file, so no import or helper outlives the code that
-needed it."""
+needed it. Only four test modules sweep answers against the oracle's
+distances; every other one leaves that to verify."""
 
 import ast
 from pathlib import Path
@@ -10,6 +11,8 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 MODULES = sorted((TESTS.parent / "src" / "sigraph").glob("*.py")) + sorted(TESTS.glob("*.py"))
+# verify's tests, the oracle's own, the count contract and the acceptance spec
+ORACLE_SWEEPERS = {"test_verify.py", "test_oracle.py", "test_bounds.py", "test_acceptance.py"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -54,6 +57,14 @@ def unused_helpers(source: str) -> list[str]:
             if name.startswith("_") and name not in read]
 
 
+def oracle_sweeps(source: str) -> list[int]:
+    """Lines of source that call dists_from, the oracle's BFS that a
+    sweep of spath answers needs."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "dists_from"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -85,3 +96,19 @@ def test_the_guard_sees_an_unused_helper():
         "def test_it():\n    assert _LIMIT\n"
     )
     assert unused_helpers(source) == ["_Counter (line 5)", "_SPAN (line 7)", "_dead (line 3)"]
+
+
+def test_only_verify_sweeps_the_oracle():
+    sweeps = {path.name: oracle_sweeps(path.read_text(encoding="utf-8"))
+              for path in TESTS.glob("*.py") if path.name not in ORACLE_SWEEPERS}
+    assert {name: lines for name, lines in sweeps.items() if lines} == {}
+
+
+def test_the_guard_sees_an_oracle_sweep():
+    source = (
+        "def sweep(g, o):\n"
+        "    dists = o.dists_from(1)\n"
+        "    note = 'o.dists_from(2)'\n"
+        "    return dists, OracleGraph.dists_from(o, 3), dists_from\n"
+    )
+    assert oracle_sweeps(source) == [2, 4]

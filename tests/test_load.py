@@ -12,7 +12,7 @@ import struct
 
 import pytest
 
-from conftest import FIG2_ARCS, KINDS, count_calls, few_reversed_arcs, fig1_realization
+from conftest import FIG2_ARCS, KINDS, count_calls, degrees_agree, few_reversed_arcs, fig1_realization
 from sigraph import circular, variants
 from sigraph.bitvector import BitVector
 from sigraph.circular import (
@@ -24,7 +24,6 @@ from sigraph.circular import (
 from sigraph.errors import GraphInputError, SerializationError
 from sigraph.graph import Structure
 from sigraph.intervals import IntervalRealization, random_realization
-from sigraph.oracle import OracleGraph
 from sigraph.rmq import default_block_size
 from sigraph.serial import Writer, pack_uints, width_for
 from sigraph.variants import (
@@ -33,6 +32,7 @@ from sigraph.variants import (
     KProperGraph,
     containment_depths,
 )
+from sigraph.verify import verify
 from sigraph.wavelet import AlphabetSequence
 
 
@@ -90,40 +90,24 @@ def test_constructors_take_the_realization_alone():
                 cls.from_realization(real, *args, *extra, **named)
 
 
-def _oracle(real) -> OracleGraph:
-    if isinstance(real, ArcRealization):
-        return OracleGraph.from_arc_positions(real.arcs)
-    return OracleGraph.from_intervals(real)
-
-
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_constructor_answers_like_from_realization(kind):
     """cls(real) is the one build path: it gives the blob and the degree,
-    neighborhood and spath answers of from_realization(real) and the
-    oracle."""
+    neighborhood and spath answers of from_realization(real), and
+    verify finds nothing wrong with it."""
     cls, args = _class_and_args(kind)
     draw = KINDS[kind][1]
     rng = random.Random(f"constructor/{kind}")
     for n in range(1, 26):
         real = draw(n, rng)
-        oracle = _oracle(real)
         g = cls(real, *args)
         f = cls.from_realization(real, *args)
         assert g.to_bytes() == f.to_bytes()
-        for v in range(1, n + 1):
-            assert g.degree(v) == f.degree(v) == oracle.degree(v), (n, v)
-            assert g.neighborhood(v) == f.neighborhood(v) == oracle.neighborhood(v), (n, v)
-        for u in range(1, n + 1):
-            dists = oracle.dists_from(u)
-            for v in range(1, n + 1):
-                path = g.spath(u, v)
-                assert path == f.spath(u, v), (n, u, v)
-                if dists[v] is None:
-                    assert path is None, (n, u, v)
-                else:
-                    assert len(path) - 1 == dists[v], (n, u, v)
-                    assert (path[0], path[-1]) == (u, v)
-                    assert all(oracle.adjacent(a, b) for a, b in zip(path, path[1:]))
+        assert verify(g, real) == [], n
+        labels = range(1, n + 1)
+        for u in labels:
+            assert (g.degree(u), g.neighborhood(u)) == (f.degree(u), f.neighborhood(u)), (n, u)
+            assert [g.spath(u, v) for v in labels] == [f.spath(u, v) for v in labels], (n, u)
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -290,14 +274,14 @@ def test_extra_left_symbols_are_an_input_error():
 
 def _kproper_blob(g, symbols, sigma) -> bytes:
     w = Writer().magic(b"SKGR", 1)
-    w.u64(g.n).u8(0 if g.mode == MODE_PROPER else 1).u32(g._rmax._c)
+    w.u64(g.n).u8(0 if g.mode == MODE_PROPER else 1).u32(default_block_size(g.n))
     w.block(AlphabetSequence.encode(symbols, sigma))
     return w.getvalue()
 
 
 def _circular_blob(g, rp, rpp) -> bytes:
     w = Writer().magic(b"SCAG", 1)
-    w.u64(g.n).u32(g._rmax_n._c).u8(0)
+    w.u64(g.n).u32(default_block_size(g.normal_count)).u8(0)
     w.block(AlphabetSequence.encode(g.endpoint_symbols.to_list(), 4))
     width = width_for(2 * g.n)
     w.block(pack_uints(rp, width))
@@ -387,16 +371,6 @@ def test_one_comparison_catches_both_right_list_swaps():
 # -- single-bit mutations ------------------------------------------------
 
 
-def _degrees_agree(g) -> bool:
-    real = g.realization()
-    oracle = (
-        OracleGraph.from_arc_positions(real.arcs)
-        if isinstance(g, CircularArcGraph)
-        else OracleGraph.from_intervals(real)
-    )
-    return all(g.degree(v) == oracle.degree(v) for v in range(1, g.n + 1))
-
-
 @pytest.mark.parametrize("n", [1, 5, 40])
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_single_bit_flips(kind, n):
@@ -419,5 +393,5 @@ def test_single_bit_flips(kind, n):
             continue
         accepted += 1
         assert h.to_bytes() == mutant, f"bit {bit} accepted but re-encodes differently"
-        assert _degrees_agree(h), f"bit {bit} accepted with inconsistent degrees"
+        assert degrees_agree(h), f"bit {bit} accepted with inconsistent degrees"
     assert accepted < len(bits) // 4

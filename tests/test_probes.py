@@ -13,10 +13,8 @@ import tracemalloc
 
 import pytest
 
-from conftest import KINDS
-from sigraph.circular import CircularArcGraph
+from conftest import KINDS, degrees_agree
 from sigraph.errors import GraphInputError
-from sigraph.oracle import OracleGraph
 
 SIZES = (1, 5, 40)
 
@@ -106,16 +104,6 @@ def _span_edits(blob: bytes):
             yield f"{k} bytes at {pos} deleted", blob[:pos] + blob[pos + k:]
 
 
-def _degrees_agree(g) -> bool:
-    real = g.realization()
-    oracle = (
-        OracleGraph.from_arc_positions(real.arcs)
-        if isinstance(g, CircularArcGraph)
-        else OracleGraph.from_intervals(real)
-    )
-    return all(g.degree(v) == oracle.degree(v) for v in range(1, g.n + 1))
-
-
 def _probe(cls, data: bytes, what: str) -> bool:
     """Load data with cls under tracemalloc: True when it is accepted,
     which asserts a byte-identical re-encode and oracle degrees."""
@@ -130,7 +118,7 @@ def _probe(cls, data: bytes, what: str) -> bool:
     if g is None:
         return False
     assert g.to_bytes() == data, f"{cls.__name__} accepted {what} but re-encodes differently"
-    assert _degrees_agree(g), f"{cls.__name__} accepted {what} with wrong degrees"
+    assert degrees_agree(g), f"{cls.__name__} accepted {what} with wrong degrees"
     return True
 
 

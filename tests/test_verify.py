@@ -1,30 +1,20 @@
 """The cross-checker must stay silent on honest structures and speak up
-when a query path is wrong, whichever structure runs that path."""
+when a query path is wrong, whichever structure runs that path. Each
+message it can emit is shown to fire by a fault planted in one method."""
 
 import random
 
 import pytest
 
-from conftest import FIG1_INTERVALS, FIG2_ARCS
+from conftest import FIG1_INTERVALS, FIG2_ARCS, KINDS, LINEAR
 from sigraph import algorithms
-from sigraph.circular import ArcRealization, CircularArcGraph, random_arc_realization
+from sigraph.circular import ArcRealization, CircularArcGraph
 from sigraph.graph import IntervalQueries, SuccinctIntervalGraph
-from sigraph.intervals import (
-    IntervalRealization,
-    normalize,
-    random_proper_realization,
-    random_realization,
-)
+from sigraph.intervals import IntervalRealization, normalize, random_realization
 from sigraph.variants import MODE_IMPROPER, MODE_PROPER, KProperGraph, ProperIntervalGraph
 from sigraph.verify import verify
 
-# the four linear kinds, each with the realization generator it accepts
-LINEAR = {
-    "interval": (SuccinctIntervalGraph, random_realization),
-    "proper": (ProperIntervalGraph, random_proper_realization),
-    "kproper": (lambda real: KProperGraph(real, MODE_PROPER), random_realization),
-    "kimproper": (lambda real: KProperGraph(real, MODE_IMPROPER), random_realization),
-}
+FIG1 = IntervalRealization(FIG1_INTERVALS)
 NESTED = IntervalRealization(((1, 4), (2, 3)))
 
 
@@ -43,19 +33,19 @@ def _draw(draw, nested: bool) -> IntervalRealization:
 def _linear_cases():
     """(kind, structure, realization): FIG1 and a nested random input for
     every kind that accepts nesting, a random proper input for proper."""
-    fig1 = IntervalRealization(FIG1_INTERVALS)
     nested = _draw(random_realization, True)
-    for kind, (build, draw) in LINEAR.items():
-        cases = [_draw(draw, False)] if kind == "proper" else [fig1, nested]
+    for kind in LINEAR:
+        build, draw = KINDS[kind]
+        cases = [_draw(draw, False)] if kind == "proper" else [FIG1, nested]
         for real in cases:
             yield kind, build(real), real
 
 
 def test_clean_on_golden_instances():
-    fig1 = IntervalRealization(FIG1_INTERVALS)
-    for kind, (build, _) in LINEAR.items():
+    for kind in LINEAR:
+        build = KINDS[kind][0]
         if kind != "proper":
-            assert verify(build(fig1), fig1) == [], kind
+            assert verify(build(FIG1), FIG1) == [], kind
             assert verify(build(NESTED), NESTED) == [], kind
     fig2 = ArcRealization(FIG2_ARCS)
     assert verify(CircularArcGraph(fig2), fig2) == []
@@ -64,11 +54,9 @@ def test_clean_on_golden_instances():
 def test_clean_on_random_instances():
     rng = random.Random(42)
     for _ in range(6):
-        for kind, (build, draw) in LINEAR.items():
+        for kind, (build, draw) in KINDS.items():
             real = draw(rng.randint(1, 15), rng)
             assert verify(build(real), real) == [], kind
-        real = random_arc_realization(rng.randint(1, 15), rng)
-        assert verify(CircularArcGraph(real), real) == []
 
 
 def test_clean_on_a_tower_too_deep_for_byte_depths():
@@ -139,38 +127,112 @@ def test_circular_query_bug_is_reported(monkeypatch, query):
     assert any(s.startswith(f"{query}(2)") for s in verify(g, real))
 
 
-class _WrongDegree(SuccinctIntervalGraph):
-    def degree(self, v):
-        return super().degree(v) + (v == 2)
+# -- one planted fault for each message verify emits --------------------
+
+# FIG1 then ten disjoint intervals: n = 19 lies past the exhaustive band,
+# and no path joins FIG1 to the tail
+TAILED = IntervalRealization(FIG1_INTERVALS + tuple((19 + 2 * i, 20 + 2 * i) for i in range(10)))
+G = SuccinctIntervalGraph
 
 
-class _WrongHood(SuccinctIntervalGraph):
-    def neighborhood(self, v):
-        hood = super().neighborhood(v)
-        return hood[:-1] if v == 1 and hood else hood
+def _at(pair, path):
+    """A fake spath that answers path for the pair, honestly elsewhere."""
+    return lambda honest, g, u, v: path if (u, v) == pair else honest(g, u, v)
 
 
-class _WrongPath(SuccinctIntervalGraph):
-    def spath(self, u, v):
-        path = super().spath(u, v)
-        if path is not None and len(path) > 2:
-            return [path[0], *path, path[-1]][: len(path)]
-        return path
+def _drop_last(honest, g):
+    w = honest(g)
+    return algorithms.CliqueWitness(w.cut, w.members[:-1])
 
 
-def _issues_for(cls):
-    real = IntervalRealization(FIG1_INTERVALS)
-    return verify(cls(real), real)
+# case -> (realization, owner, name, fake, wanted): fake(honest, *args)
+# stands in for owner.name, and verify must report every wanted text
+# and nothing else. On FIG1, spath(1, 9) is [1, 3, 5, 6, 9], mis is
+# [2, 5, 9], the clique {1, 2, 3, 4} is cut at 4, d peaks again at 14,
+# and the coloring is (1, 2, 3, 4, 1, 2, 3, 1, 4).
+PLANTED = {
+    "degree": (FIG1, G, "degree", lambda h, g, v: h(g, v) + (v == 2),
+               ["degree(2): got 4", "degree(2) = 4 but neighborhood has 3"]),
+    "neighborhood": (FIG1, G, "neighborhood", lambda h, g, v: h(g, v)[: -1 if v == 1 else None],
+                     ["neighborhood(1): got [2, 3]"]),
+    "adjacent": (FIG1, G, "adjacent", lambda h, g, u, v: h(g, u, v) != ((u, v) == (1, 9)),
+                 ["adjacent(1,9)"]),
+    "spath-unreachable": (TAILED, G, "spath", _at((1, 10), [1, 10]), ["vertices unreachable"]),
+    "spath-none": (FIG1, G, "spath", _at((1, 2), None), ["spath(1,2): got none"]),
+    "spath-endpoints": (FIG1, G, "spath", _at((1, 2), [2, 1]), ["spath(1,2): endpoints wrong"]),
+    "spath-length": (FIG1, G, "spath", _at((1, 2), [1, 3, 2]), ["spath(1,2): length 2"]),
+    "spath-hop": (FIG1, G, "spath", _at((1, 9), [1, 2, 5, 6, 9]), ["hop 2-5 not an edge"]),
+    "realization": (FIG1, G, "realization", lambda h, g: IntervalRealization(((1, 2),)),
+                    ["decoded realization"]),
+    "round-trip": (FIG1, G, "from_bytes", lambda h, blob: G(IntervalRealization(((1, 2),))),
+                   ["round trip"]),
+    "d-length": (FIG1, algorithms, "build_d_sequence", lambda h, g: h(g) + [0],
+                 ["d sequence has 19 values"]),
+    "d-end": (FIG1, algorithms, "build_d_sequence", lambda h, g: h(g)[:-1] + [1],
+              ["d sequence ends at 1"]),
+    "d-negative": (FIG1, algorithms, "build_d_sequence", lambda h, g: [-1] + h(g)[1:],
+                   ["d sequence goes below 0"]),
+    "clique-size": (TAILED, algorithms, "max_clique", _drop_last,
+                    ["clique size 3 != peak", "clique cut 4", "coloring uses 4"]),
+    "clique-not-adjacent": (
+        FIG1, algorithms, "max_clique", lambda h, g: algorithms.CliqueWitness(4, (1, 2, 3, 9)),
+        ["not pairwise adjacent", "[9] are not open"]),
+    "clique-other-peak": (
+        FIG1, algorithms, "max_clique", lambda h, g: algorithms.CliqueWitness(14, (1, 2, 3, 4)),
+        ["[1, 2, 3, 4] are not open at cut 14"]),
+    "mis-independent": (FIG1, algorithms, "mis", lambda h, g: [2, 3, 9],
+                        ["mis [2, 3, 9] is not independent", "mvc [1, 4, 5, 6, 7, 8] misses"]),
+    "mis-size": (TAILED, algorithms, "mis", lambda h, g: h(g)[:-1], ["mis size 12 != dp size 13"]),
+    "mvc-cover": (FIG1, algorithms, "mvc", lambda h, g: h(g)[1:],
+                  ["misses an edge", "not the complement"]),
+    "mvc-complement": (FIG1, algorithms, "mvc", lambda h, g: sorted(h(g) + [2]),
+                       ["not the complement"]),
+    "coloring-count": (
+        FIG1, algorithms, "greedy_coloring",
+        lambda h, g: algorithms.Coloring(h(g).colors[:-1] + (5,)), ["coloring uses 5"]),
+    "coloring-conflict": (
+        FIG1, algorithms, "greedy_coloring",
+        lambda h, g: algorithms.Coloring((1, 1) + h(g).colors[2:]), ["the same color"]),
+    "dfs": (FIG1, algorithms, "dfs_order", lambda h, g: [5, 1, 2, 3, 4, 6, 7, 8, 9], ["dfs"]),
+    "bfs": (FIG1, algorithms, "bfs_order", lambda h, g: [5, 1, 2, 3, 4, 6, 7, 8, 9], ["bfs"]),
+    "peo": (FIG1, algorithms, "peo", lambda h, g: [5, 1, 2, 3, 4, 6, 7, 8, 9], ["peo"]),
+    "exhaustive-mis": (FIG1, algorithms, "mis", lambda h, g: h(g)[:-1],
+                       ["!= dp size", "mis size differs from exhaustive"]),
+    "exhaustive-clique": (
+        FIG1, algorithms, "max_clique", _drop_last,
+        ["clique size 3 != peak", "clique cut 4", "coloring uses 4",
+         "clique size differs from exhaustive"]),
+}
 
 
-def test_detects_wrong_degree():
-    assert any("degree(2)" in s for s in _issues_for(_WrongDegree))
+def _planted(monkeypatch, case):
+    """verify's report on the case's instance, its fault planted."""
+    real, owner, name, fake, _ = PLANTED[case]
+    honest = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: fake(honest, *args))
+    return verify(G(real), real)
 
 
-def test_detects_wrong_neighborhood():
-    assert any("neighborhood(1)" in s for s in _issues_for(_WrongHood))
+@pytest.mark.parametrize("case", PLANTED)
+def test_planted_fault_is_reported(monkeypatch, case):
+    """Each fault is planted in one method of a small instance; verify
+    reports it under its own message, next to the companions listed when
+    the fault cannot break one check alone."""
+    wanted = PLANTED[case][-1]
+    issues = _planted(monkeypatch, case)
+    for text in wanted:
+        assert any(text in s for s in issues), (text, issues)
+    for s in issues:
+        assert any(text in s for text in wanted), (s, wanted)
 
 
-def test_detects_wrong_path():
-    issues = _issues_for(_WrongPath)
-    assert any("spath" in s for s in issues)
+def test_detects_wrong_degree(monkeypatch):
+    assert any("degree(2)" in s for s in _planted(monkeypatch, "degree"))
+
+
+def test_detects_wrong_neighborhood(monkeypatch):
+    assert any("neighborhood(1)" in s for s in _planted(monkeypatch, "neighborhood"))
+
+
+def test_detects_wrong_path(monkeypatch):
+    assert any("spath" in s for s in _planted(monkeypatch, "spath-endpoints"))
