@@ -24,19 +24,20 @@ its own select. Either way the batch costs O(marked count), and it
 builds no list of the occurrences it is asked for.
 
 A vector pickles, and deep-copies, through to_bytes and the validating
-from_bytes.
+from_bytes. Its blob is an SBVC header, written and read by serial's
+Writer and Reader, then the words little-endian; serial's le and from_le
+do every byte-order conversion.
 
 All public positions are 1-based; rank takes a prefix length in [0, N].
 """
 
 from __future__ import annotations
 
-import struct
-import sys
 from array import array
 from itertools import accumulate, compress
 
 from .errors import QueryRangeError, SerializationError
+from .serial import Reader, Writer, from_le, le
 
 _SB_WORDS = 64          # words per superblock
 _SB_BITS = _SB_WORDS * 64
@@ -55,28 +56,8 @@ _IS_ONE = bytes.maketrans(b"01", b"\x00\x01")
 
 _WORD_MASK = (1 << 64) - 1
 
-# blobs hold the words little-endian; array('Q') holds them natively
-_SWAP = sys.byteorder == "big"
-
 _MAGIC = b"SBVC"
 _VERSION = 1
-
-
-def _words_from_le(data: bytes) -> array:
-    """Little-endian 64-bit words as an array('Q')."""
-    words = array("Q")
-    words.frombytes(data)
-    if _SWAP:
-        words.byteswap()
-    return words
-
-
-def _le_bytes(words: array) -> bytes:
-    """An array('Q') as little-endian bytes."""
-    if _SWAP:
-        words = array("Q", words)
-        words.byteswap()
-    return words.tobytes()
 
 
 class BitVector:
@@ -95,7 +76,7 @@ class BitVector:
         # bit p + 1 is bit p of one int, read from the reversed text
         value = int(raw.translate(_BIT_TEXT)[::-1], 2) if n else 0
         packed = value.to_bytes(8 * ((n + 63) >> 6), "little")
-        self._init_from_words(_words_from_le(packed), n)
+        self._init_from_words(from_le("Q", packed), n)
 
     # -- construction ----------------------------------------------------
 
@@ -103,9 +84,9 @@ class BitVector:
         self._n = n
         self._words = words
         # the words as little-endian bytes, so that byte i >> 3 holds the
-        # bit at 0-based position i: a view, except on big-endian hosts.
+        # bit at 0-based position i: a view on a little-endian host.
         # access reads one byte, a cached small int, not a boxed word
-        self._bytes = memoryview(_le_bytes(words) if _SWAP else words).cast("B")
+        self._bytes = memoryview(le(words)).cast("B")
         self._nwords = nwords = len(words)
         # ones[i]: the ones before word i
         ones = list(accumulate(map(int.bit_count, words), initial=0))
@@ -270,7 +251,7 @@ class BitVector:
     def _text(self, w_lo: int, w_hi: int) -> str:
         """Words w_lo..w_hi - 1 as '0'/'1' text, bit w_lo * 64 + 1 first;
         64 characters a word, the last word's padding read as zeros."""
-        value = int.from_bytes(_le_bytes(self._words[w_lo:w_hi]), "little")
+        value = int.from_bytes(le(self._words[w_lo:w_hi]), "little")
         return format(value, f"0{64 * (w_hi - w_lo)}b")[::-1]
 
     # -- reporting and serialization ------------------------------------
@@ -293,23 +274,19 @@ class BitVector:
         return sum(self.space_report().values())
 
     def to_bytes(self) -> bytes:
-        return struct.pack("<4sBQ", _MAGIC, _VERSION, self._n) + _le_bytes(self._words)
+        return Writer().magic(_MAGIC, _VERSION).u64(self._n).getvalue() + le(self._words)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "BitVector":
-        if len(data) < 13 or data[:4] != _MAGIC:
-            raise SerializationError("bad bit vector header")
-        if data[4] != _VERSION:
-            raise SerializationError(f"unsupported bit vector version {data[4]}")
-        (n,) = struct.unpack_from("<Q", data, 5)
-        nwords = (n + 63) // 64
-        if len(data) != 13 + 8 * nwords:
-            raise SerializationError("bit vector payload length mismatch")
-        words = _words_from_le(data[13:])
-        if n % 64 and words and words[-1] >> (n % 64):
+        r = Reader(data)
+        r.magic(_MAGIC, _VERSION)
+        n = r.u64()
+        raw = r.take(8 * ((n + 63) >> 6))
+        r.done()
+        if n % 64 and int.from_bytes(raw[-8:], "little") >> n % 64:
             raise SerializationError("nonzero padding bits in bit vector")
         bv = cls.__new__(cls)
-        bv._init_from_words(words, n)
+        bv._init_from_words(from_le("Q", raw), n)
         return bv
 
     def __reduce__(self):

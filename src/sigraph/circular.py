@@ -81,7 +81,6 @@ random arcs almost never leave. O(degree) time in all.
 from __future__ import annotations
 
 import random
-import sys
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -90,9 +89,9 @@ from itertools import compress, islice
 from .bitvector import BitVector
 from .errors import GraphInputError, SerializationError
 from .graph import Structure, search_above
-from .intervals import check_endpoints
+from .intervals import check_endpoints, random_pairs
 from .rmq import RangeMaxIndex, default_block_size
-from .serial import Reader, Writer, check_block_size, pack_uints, uint_array
+from .serial import Reader, Writer, check_block_size, le, pack_uints, uint_array
 from .serial import unpack_uints, width_for
 from .wavelet import AlphabetSequence
 
@@ -124,9 +123,6 @@ _MASK_SPAN = 64
 # between 16 and 32 values and is 1.5x faster at 64
 _WORD_WINDOW = 64
 _TOP_FLAG = bytes(128) + b"\x01" + bytes(127)
-
-# array slices hold native-order fields; the word compare reads them little-endian
-_SWAP = sys.byteorder == "big"
 
 # _arc_degrees: positions per block of its two counters, as a shift. One
 # popcount reads a block; the block trees stay a few levels deep
@@ -203,15 +199,8 @@ def random_arc_realization(
     """Random pairing of {1..2n} with random orientations; retries a few
     times to include at least one reversed arc when asked (a single arc
     can never be reversed, since the anchor starts at its own start)."""
-    if n < 1:
-        raise GraphInputError("need n >= 1")
     for _ in range(20):
-        pts = list(range(1, 2 * n + 1))
-        rng.shuffle(pts)
-        raw = []
-        for i in range(n):
-            a, b = pts[2 * i], pts[2 * i + 1]
-            raw.append((a, b) if rng.random() < 0.5 else (b, a))
+        raw = [(a, b) if rng.random() < 0.5 else (b, a) for a, b in random_pairs(n, rng)]
         real = anchor_arcs(raw)
         if not require_reversed or real.reversed_set() or n == 1:
             return real
@@ -267,8 +256,8 @@ class CircularArcGraph(Structure):
         self._rec_n = self._rmax_n.records()
         ranks = self._rmax_r.records()
         labels = list(compress(range(1, n + 1), families))   # reversed, by rank
-        self._rec_r = array("I", [labels[x - 1] for x in ranks])
-        self._end_r = array(rpp.typecode, [rpp[x - 1] for x in ranks])
+        self._rec_r = uint_array([labels[x - 1] for x in ranks], n)
+        self._end_r = uint_array([rpp[x - 1] for x in ranks], 2 * n)
         self._degrees = _arc_degrees(arcs, symbols)
 
     # -- S' operations over the factored vectors -------------------------
@@ -655,9 +644,7 @@ def flags_above(values, a: int, b: int, threshold: int) -> bytes:
     size = len(seg)
     if size >= _WORD_WINDOW and threshold >= 0:
         width = seg.itemsize
-        if _SWAP:
-            seg.byteswap()
-        fields = int.from_bytes(seg, "little")
+        fields = int.from_bytes(le(seg), "little")
         top = 8 * width - 1
         ones = int.from_bytes((b"\x01" + bytes(width - 1)) * size, "little")
         guards = ones << top

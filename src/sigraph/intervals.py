@@ -145,17 +145,19 @@ def parse_realization_text(text: str) -> tuple[str, list[tuple]]:
     return kind, pairs
 
 
-def random_realization(n: int, rng: random.Random) -> IntervalRealization:
-    """Uniform random pairing of {1..2n} into n intervals."""
+def random_pairs(n: int, rng: random.Random) -> list[tuple[int, int]]:
+    """A uniform random pairing of {1..2n}: one shuffle, then neighbors
+    paired in order."""
     if n < 1:
         raise GraphInputError("need n >= 1")
     pts = list(range(1, 2 * n + 1))
     rng.shuffle(pts)
-    pairs = []
-    for i in range(n):
-        a, b = pts[2 * i], pts[2 * i + 1]
-        pairs.append((a, b) if a < b else (b, a))
-    pairs.sort()
+    return list(zip(pts[::2], pts[1::2]))
+
+
+def random_realization(n: int, rng: random.Random) -> IntervalRealization:
+    """Uniform random pairing of {1..2n} into n intervals."""
+    pairs = sorted((a, b) if a < b else (b, a) for a, b in random_pairs(n, rng))
     return IntervalRealization(tuple(pairs))
 
 

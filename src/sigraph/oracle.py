@@ -12,6 +12,7 @@ from functools import lru_cache
 from itertools import compress, count
 
 from .errors import GraphInputError
+from .intervals import IntervalRealization
 
 _EXHAUSTIVE_LIMIT = 20
 _POLY_LIMIT = 1000
@@ -24,6 +25,13 @@ class OracleGraph:
         self.n = n
         self.rows = rows
         self._full = ((1 << (n + 1)) - 1) & ~1
+
+    @classmethod
+    def of(cls, real) -> "OracleGraph":
+        """The oracle of an IntervalRealization or an ArcRealization."""
+        if isinstance(real, IntervalRealization):
+            return cls.from_intervals(real)
+        return cls.from_arc_positions(real.arcs)
 
     @classmethod
     def from_intervals(cls, real) -> "OracleGraph":

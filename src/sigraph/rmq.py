@@ -25,6 +25,7 @@ from array import array
 from typing import Sequence
 
 from .errors import QueryRangeError
+from .serial import uint_array
 
 
 def default_block_size(n: int) -> int:
@@ -102,15 +103,13 @@ class RangeMaxIndex:
 
     def records(self) -> array:
         """Ascending positions whose value is strictly greater than every
-        earlier value, as an array('I'): the last of them at or before j
+        earlier value, as a serial.uint_array: the last of them at or before j
         is query(1, j), leftmost tie included. A block holds a record only
         when its leader beats the running maximum, and then only up to its
         leader, which is the block's leftmost maximum."""
         values = self._values
-        out = array("I")
-        if not self._n:
-            return out
-        best = values[0] - 1   # position 1 is always a record
+        out = []
+        best = values[0] - 1 if values else 0   # position 1 is always a record
         c = self._c
         for b, lead in enumerate(self._leaders):
             if values[lead] <= best:
@@ -119,7 +118,7 @@ class RangeMaxIndex:
                 if val > best:
                     out.append(p)
                     best = val
-        return out
+        return uint_array(out, self._n)
 
     def _table_query(self, lo: int, hi: int) -> int:
         k = (hi - lo + 1).bit_length() - 1

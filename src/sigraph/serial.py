@@ -1,10 +1,15 @@
-"""Little-endian binary encoding helpers.
+"""Little-endian binary encoding, and the one module that knows how a
+packed array is laid out.
 
 Every persistent structure writes a 4-byte magic tag, a version byte, and
 fixed-width little-endian fields; variable parts are length-prefixed, and
 bit-packed integer arrays pad their final byte with zeros. Decoders
 validate magic, version, lengths, and padding so a decode-encode cycle is
 byte-identical.
+
+Arrays hold native-order values; le and from_le alone convert them to
+and from little-endian bytes (byteswapping on a big-endian host), and
+uint_array picks every packed array's typecode.
 """
 
 from __future__ import annotations
@@ -17,9 +22,33 @@ from math import gcd
 from .errors import SerializationError
 
 
-# lane typecodes, narrowest first; the kernels read lanes little-endian
-_LANES = "BHILQ"
+# unsigned typecodes, narrowest first
+_CODES = "BHILQ"
+# arrays hold native-order values; read only by le and from_le
 _SWAP = sys.byteorder == "big"
+
+
+def le(values: array):
+    """values as little-endian bytes-like data: the array itself on a
+    little-endian host, a byteswapped copy on a big-endian one."""
+    if _SWAP:
+        values = array(values.typecode, values)
+        values.byteswap()
+    return values
+
+
+def from_le(code: str, data) -> array:
+    """The array of typecode code whose little-endian bytes are data."""
+    values = array(code)
+    values.frombytes(data)
+    if _SWAP:
+        values.byteswap()
+    return values
+
+
+def _narrowest(bits: int) -> str:
+    """The narrowest unsigned typecode with at least bits bits."""
+    return next(c for c in _CODES if 8 * array(c).itemsize >= bits)
 
 
 def width_for(max_value: int) -> int:
@@ -29,8 +58,7 @@ def width_for(max_value: int) -> int:
 
 def uint_array(values, max_value: int) -> array:
     """values as an array of the narrowest unsigned typecode holding max_value."""
-    code = next(c for c in "BHILQ" if max_value < 1 << 8 * array(c).itemsize)
-    return array(code, values)
+    return array(_narrowest(max_value.bit_length()), values)
 
 
 def check_block_size(stored: int, derived: int) -> None:
@@ -47,7 +75,7 @@ def _layout(width: int) -> tuple[int, int, str]:
     if not 1 <= width <= 64:
         raise SerializationError(f"field width {width} outside [1, 64]")
     g = 8 // gcd(width, 8)
-    return g, g * width // 8, next(c for c in _LANES if 8 * array(c).itemsize >= width)
+    return g, g * width // 8, _narrowest(width)
 
 
 def _lane_mask(pattern: int, lane_bytes: int, lanes: int) -> int:
@@ -84,14 +112,10 @@ def pack_uints(values, width: int) -> bytes:
     lane = lanes.itemsize
     stride = g * lane
     lanes.frombytes(bytes((groups * g - count) * lane))
-    if _SWAP:
-        lanes.byteswap()
     if 8 * lane == width:
-        return lanes.tobytes()
-    x = int.from_bytes(lanes, "little")
+        return le(lanes).tobytes()
+    x = int.from_bytes(le(lanes), "little")
     if x & _lane_mask(-1 << width & (1 << 8 * lane) - 1, lane, groups * g):
-        if _SWAP:
-            lanes.byteswap()
         raise _misfit(lanes, width)
     if g > 1:
         mask = _lane_mask((1 << width) - 1, stride, groups)
@@ -123,8 +147,7 @@ def unpack_uints(data: bytes, count: int, width: int) -> list[int]:
         raise SerializationError("nonzero padding in packed array")
     g, gbytes, code = _layout(width)
     groups = -(-count // g)
-    lanes = array(code)
-    lane = lanes.itemsize
+    lane = array(code).itemsize
     stride = g * lane
     spread = data
     if gbytes != stride:
@@ -139,9 +162,7 @@ def unpack_uints(data: bytes, count: int, width: int) -> list[int]:
         for j in range(1, g):
             fields |= (x >> width * j & mask) << 8 * lane * j
         spread = fields.to_bytes(groups * stride, "little")
-    lanes.frombytes(spread)
-    if _SWAP:
-        lanes.byteswap()
+    lanes = from_le(code, spread)
     del lanes[count:]
     return lanes.tolist()
 
@@ -184,7 +205,7 @@ class Reader:
 
     def magic(self, tag: bytes, version: int) -> None:
         """Consume and check a magic tag and the version byte after it."""
-        got = self._take(4)
+        got = self.take(4)
         if got != tag:
             raise SerializationError(
                 f"expected {tag.decode('ascii')} data, found {got!r}"
@@ -195,7 +216,8 @@ class Reader:
                 f"unsupported {tag.decode('ascii')} version {found}"
             )
 
-    def _take(self, k: int) -> bytes:
+    def take(self, k: int) -> bytes:
+        """The next k bytes; the length is checked before anything is sliced."""
         if self._pos + k > len(self._data):
             raise SerializationError("truncated data")
         chunk = self._data[self._pos:self._pos + k]
@@ -203,13 +225,13 @@ class Reader:
         return chunk
 
     def u8(self) -> int:
-        return self._take(1)[0]
+        return self.take(1)[0]
 
     def u32(self) -> int:
-        return struct.unpack("<L", self._take(4))[0]
+        return struct.unpack("<L", self.take(4))[0]
 
     def u64(self) -> int:
-        return struct.unpack("<Q", self._take(8))[0]
+        return struct.unpack("<Q", self.take(8))[0]
 
     def flag(self, what: str) -> int:
         """A u8 that must be 0 or 1, so every accepted byte re-encodes."""
@@ -219,7 +241,7 @@ class Reader:
         return v
 
     def block(self) -> bytes:
-        return self._take(self.u64())
+        return self.take(self.u64())
 
     def done(self) -> None:
         if self._pos != len(self._data):

@@ -123,17 +123,13 @@ def verify(g, real) -> list[str]:
     the decoded realization, a byte-identical blob round trip, every
     query against the oracle, and the algorithms on linear structures."""
     issues: list[str] = []
-    circular = isinstance(real, ArcRealization)
-    if circular:
-        oracle = OracleGraph.from_arc_positions(real.arcs)
-    else:
-        oracle = OracleGraph.from_intervals(real)
+    oracle = OracleGraph.of(real)
     if g.realization() != real:
         issues.append("decoded realization differs from the input")
     blob = g.to_bytes()
     if type(g).from_bytes(blob).to_bytes() != blob:
         issues.append("serialization round trip is not byte-identical")
     _check_queries(g, oracle, issues)
-    if not circular:
+    if not isinstance(real, ArcRealization):
         _check_algorithms(g, real, oracle, issues)
     return issues

@@ -64,9 +64,7 @@ def fig1_realization() -> IntervalRealization:
 
 def degrees_agree(g) -> bool:
     """Every degree of g equals the oracle's on g's own realization."""
-    real = g.realization()
-    oracle = (OracleGraph.from_arc_positions(real.arcs) if isinstance(real, ArcRealization)
-              else OracleGraph.from_intervals(real))
+    oracle = OracleGraph.of(g.realization())
     return all(g.degree(v) == oracle.degree(v) for v in range(1, g.n + 1))
 
 

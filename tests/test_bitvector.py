@@ -1,12 +1,14 @@
 import math
 import random
+import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import count_calls
-from sigraph import BitVector, QueryRangeError, SerializationError
+from sigraph import BitVector, QueryRangeError, SerializationError, serial
 
 # Endpoint sequence of the nine-interval worked example used throughout.
 S9 = "000011011001001111"
@@ -165,6 +167,41 @@ def test_serialization_rejects_garbage():
     blob[-1] |= 0x80
     with pytest.raises(SerializationError):
         BitVector.from_bytes(bytes(blob))
+    # so must a short header, a wrong version, a short or long payload,
+    # and a forged huge length, before it allocates anything
+    blob = BitVector([1, 0, 1] * 30).to_bytes()
+    forged_n = blob[:5] + (2**60).to_bytes(8, "little") + blob[13:]
+    for bad in (blob[:4], blob[:12], blob[:4] + b"\x02" + blob[5:],
+                blob[:-8], blob + bytes(8), blob + b"\x00"):
+        with pytest.raises(SerializationError):
+            BitVector.from_bytes(bad)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SerializationError):
+            BitVector.from_bytes(forged_n)
+        assert tracemalloc.get_traced_memory()[1] < 64 * 1024
+    finally:
+        tracemalloc.stop()
+
+
+def test_bytes_survive_a_simulated_big_endian_host(monkeypatch):
+    """With serial's byte order flipped, a vector keeps its words
+    byteswapped, as a big-endian host holds them natively. Everything
+    that reads the words' bytes goes through serial.le, so the blob,
+    access, the bit text and positions still match the host's vector."""
+    rng = random.Random(29)
+    bits = [rng.getrandbits(1) for _ in range(1000)]
+    host = BitVector(bits)
+    blob, text, ones = host.to_bytes(), host.bit_string(), host.positions(1)
+    words = array("Q", host._words)
+    words.byteswap()
+    monkeypatch.setattr(serial, "_SWAP", True)
+    for bv in (BitVector(bits), BitVector.from_bytes(blob)):
+        assert bv._words == words
+        assert bv.to_bytes() == blob
+        assert [bv.access(i) for i in range(1, 1001)] == bits
+        assert bv.bit_string() == text
+        assert bv.positions(1) == ones
 
 
 # -- select_marked -------------------------------------------------------

@@ -26,7 +26,7 @@ from conftest import (
     KINDS, LINEAR, circular_adjacent_case, count_calls, deep_nest, few_reversed_arcs,
 )
 from sigraph.bitvector import BitVector
-from sigraph.circular import ArcRealization, CircularArcGraph, anchor_arcs
+from sigraph.circular import CircularArcGraph, anchor_arcs
 from sigraph.intervals import normalize
 from sigraph.oracle import OracleGraph
 from sigraph.rmq import RangeMaxIndex
@@ -145,10 +145,7 @@ def _realization(draw, n):
 
 @cache
 def _oracle(draw, n):
-    real = _realization(draw, n)
-    if isinstance(real, ArcRealization):
-        return OracleGraph.from_arc_positions(real.arcs)
-    return OracleGraph.from_intervals(real)
+    return OracleGraph.of(_realization(draw, n))
 
 
 @cache

@@ -17,7 +17,7 @@ from conftest import (
     count_calls,
     few_reversed_arcs,
 )
-from sigraph import circular
+from sigraph import circular, serial
 from sigraph.bitvector import BitVector
 from sigraph.circular import (
     ArcRealization,
@@ -929,3 +929,20 @@ def test_flags_above_matches_brute_force(code):
                 for t in thresholds:
                     want = bytes(v > t for v in window)
                     assert flags_above(packed, a, b, t) == want, (code, a, size, t)
+
+
+@pytest.mark.parametrize("code", "BHILQ")
+def test_flags_above_on_a_simulated_big_endian_host(code, monkeypatch):
+    """With serial's byte order flipped and the array byteswapped, as a
+    big-endian host holds it, the word-parallel compare (windows of 64
+    values and more) still reads the values through serial.le."""
+    rng = random.Random(f"swap/{code}")
+    top = 8 * array(code).itemsize - 1
+    values = [rng.randrange(1 << top) for _ in range(200)]
+    packed = array(code, values)
+    packed.byteswap()
+    monkeypatch.setattr(serial, "_SWAP", True)
+    for a, b in ((1, 64), (2, 66), (1, 200), (137, 200)):
+        for t in (0, min(values), values[a], (1 << top) - 1, 1 << top):
+            want = bytes(v > t for v in values[a - 1:b])
+            assert flags_above(packed, a, b, t) == want, (code, a, b, t)

@@ -2,7 +2,9 @@
 exported by its __all__, and every module-level _helper of a test file
 is used in that file, so no import or helper outlives the code that
 needed it. Only four test modules sweep answers against the oracle's
-distances; every other one leaves that to verify."""
+distances; every other one leaves that to verify. Only serial.py looks
+at the host's byte order or packs fields with struct, and only its le
+and from_le read the byte order it found."""
 
 import ast
 from pathlib import Path
@@ -10,7 +12,9 @@ from pathlib import Path
 import pytest
 
 TESTS = Path(__file__).resolve().parent
-MODULES = sorted((TESTS.parent / "src" / "sigraph").glob("*.py")) + sorted(TESTS.glob("*.py"))
+SRC = TESTS.parent / "src" / "sigraph"
+SOURCES = sorted(SRC.glob("*.py"))
+MODULES = SOURCES + sorted(TESTS.glob("*.py"))
 # verify's tests, the oracle's own, the count contract and the acceptance spec
 ORACLE_SWEEPERS = {"test_verify.py", "test_oracle.py", "test_bounds.py", "test_acceptance.py"}
 
@@ -55,6 +59,28 @@ def unused_helpers(source: str) -> list[str]:
     }
     return [f"{name} (line {line})" for name, line in sorted(defined.items())
             if name.startswith("_") and name not in read]
+
+
+def byte_order_code(source: str) -> list[str]:
+    """Lines of source that read the host's byte order, byteswap an
+    array or import struct."""
+    words = ("sys.byteorder", ".byteswap(", "import struct", "from struct import")
+    return [f"{word} (line {i})" for i, line in enumerate(source.splitlines(), 1)
+            for word in words if word in line]
+
+
+def swap_readers(source: str) -> list[str]:
+    """The functions of source that read _SWAP, "<module>" for a read
+    outside every function."""
+    tree = ast.parse(source)
+    inside = {
+        id(node): fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+    }
+    return sorted({
+        inside.get(id(node), "<module>") for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "_SWAP" and isinstance(node.ctx, ast.Load)
+    })
 
 
 def oracle_sweeps(source: str) -> list[int]:
@@ -112,3 +138,26 @@ def test_the_guard_sees_an_oracle_sweep():
         "    return dists, OracleGraph.dists_from(o, 3), dists_from\n"
     )
     assert oracle_sweeps(source) == [2, 4]
+
+
+def test_only_serial_knows_the_byte_order():
+    found = {path.name: byte_order_code(path.read_text(encoding="utf-8"))
+             for path in SOURCES if path.name != "serial.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert swap_readers((SRC / "serial.py").read_text(encoding="utf-8")) == ["from_le", "le"]
+
+
+def test_the_guard_sees_byte_order_code():
+    source = (
+        "import struct, sys\n"
+        "from struct import pack\n"
+        "_SWAP = sys.byteorder == 'big'\n"
+        "def le(a):\n    return a if not _SWAP else a.byteswap()\n"
+        "def text(a):\n    byteswap = a.byteswap\n    return _SWAP and byteswap\n"
+        "FLIP = not _SWAP\n"
+    )
+    assert byte_order_code(source) == [
+        "import struct (line 1)", "from struct import (line 2)",
+        "sys.byteorder (line 3)", ".byteswap( (line 5)",
+    ]
+    assert swap_readers(source) == ["<module>", "le", "text"]

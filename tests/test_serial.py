@@ -1,6 +1,8 @@
 """The bit-packing kernels' contract: serial.pack_uints and unpack_uints
 against a bit-by-bit reference, on every width 1..64 and on counts around
-the kernels' group size, plus every rejection a decoder relies on."""
+the kernels' group size, plus every rejection a decoder relies on; and
+le and from_le, the byte-order helpers, on the host and on a simulated
+big-endian host."""
 
 import random
 import tracemalloc
@@ -9,8 +11,9 @@ from math import gcd
 
 import pytest
 
+from sigraph import serial
 from sigraph.errors import SerializationError
-from sigraph.serial import pack_uints, uint_array, unpack_uints
+from sigraph.serial import from_le, le, pack_uints, uint_array, unpack_uints
 
 WIDTHS = range(1, 65)
 
@@ -127,3 +130,42 @@ def test_forged_count_raises_before_allocating(width):
             assert peak < PEAK_BOUND, (width, count, peak)
     finally:
         tracemalloc.stop()
+
+
+def _le_values(code: str) -> tuple[list[int], bytes]:
+    """Random values of an integer typecode, the extremes among them, and
+    their little-endian bytes."""
+    size = array(code).itemsize
+    signed = code.islower()
+    bits = 8 * size - signed
+    lo, hi = -signed << bits, (1 << bits) - 1
+    rng = random.Random(f"serial/le/{code}")
+    values = [lo, hi, 0, 1] + [rng.randint(lo, hi) for _ in range(20)]
+    return values, b"".join(v.to_bytes(size, "little", signed=signed) for v in values)
+
+
+@pytest.mark.parametrize("code", "bBhHiIlLqQ")
+def test_le_and_from_le_on_this_host(code):
+    """On a little-endian host le passes the array itself through."""
+    values, want = _le_values(code)
+    a = array(code, values)
+    assert (le(a) is a) is not serial._SWAP
+    assert bytes(le(a)) == want
+    assert from_le(code, want) == a
+
+
+@pytest.mark.parametrize("code", "bBhHiIlLqQ")
+def test_le_and_from_le_on_a_simulated_big_endian_host(code, monkeypatch):
+    """A byteswapped array stands in for a big-endian host's native
+    layout of the values: le gives their little-endian bytes, in a copy
+    that leaves the array as it was, and from_le inverts it."""
+    values, want = _le_values(code)
+    native = array(code, values)
+    native.byteswap()
+    before = native.tobytes()
+    monkeypatch.setattr(serial, "_SWAP", True)
+    out = le(native)
+    assert out is not native and bytes(out) == want
+    assert native.tobytes() == before
+    back = from_le(code, want)
+    assert back.typecode == code and back.tobytes() == before
