@@ -54,6 +54,16 @@ start in S' with the next end of its family's list, lets ArcRealization
 check the pairing, and compares the S' those arcs give with the decoded
 one.
 
+A cold `sigraph query` answers one query, so it needs at most one
+degree, and the table's O(n log n) sweep is about two thirds of a load.
+It loads a blob through the same validated decode (_load_tableless) and
+skips the sweep: a _DegreeCounter takes the table's place and counts a
+degree when it is read, with one select0, one access, at most 5 ranks
+and one C-level count over one slice of a right-endpoint list, O(n) time.
+degree and the neighborhood's hit counts read self._degrees[v - 1]
+either way, so the tabled path gains no branch. The constructor and
+from_bytes build the table, as every other caller wants it.
+
 A neighborhood marks each family's hits in one byte mask over the
 family's ranks, from its first hit to its last, while they number at
 least one per 64 of those ranks, and turns the mask into labels with
@@ -228,11 +238,14 @@ class CircularArcGraph(Structure):
     )
 
     def __init__(self, real: ArcRealization):
-        self._build(real, _arc_symbols(real.arcs))
+        symbols = _arc_symbols(real.arcs)
+        self._build(real, symbols)
+        self._degrees = _arc_degrees(real.arcs, symbols)
 
     def _build(self, real: ArcRealization, symbols: list[int]) -> None:
-        """Every field from the realization and its S', which a load has
-        already computed to compare with the decoded one."""
+        """Every field but the degrees from the realization and its S',
+        which a load has already computed to compare with the decoded
+        one."""
         arcs = real.arcs
         n = real.n
         self._n = n
@@ -258,7 +271,6 @@ class CircularArcGraph(Structure):
         labels = list(compress(range(1, n + 1), families))   # reversed, by rank
         self._rec_r = uint_array([labels[x - 1] for x in ranks], n)
         self._end_r = uint_array([rpp[x - 1] for x in ranks], 2 * n)
-        self._degrees = _arc_degrees(arcs, symbols)
 
     # -- S' operations over the factored vectors -------------------------
 
@@ -489,7 +501,7 @@ class CircularArcGraph(Structure):
         lk_rep = self._lk.space_report()
         rk_rep = self._rk.space_report()
         width = width_for(2 * self._n)
-        return {
+        rep = {
             "S": s_rep["raw"],
             "S_directory": s_rep["directory"],
             "left_families": lk_rep["raw"],
@@ -503,8 +515,10 @@ class CircularArcGraph(Structure):
             # the normal records' ranks, the reversed records' labels and ends
             "spath_records": (len(self._rec_n) * width_for(self._q)
                               + len(self._rec_r) * (width_for(self._n) + width)),
-            "degree_table": self._n * width_for(max(self._n - 1, 1)),
         }
+        if not isinstance(self._degrees, _DegreeCounter):
+            rep["degree_table"] = self._n * width_for(max(self._n - 1, 1))
+        return rep
 
     def to_bytes(self) -> bytes:
         # the flag byte is always 0; from_bytes rejects the 1 that marked
@@ -519,6 +533,16 @@ class CircularArcGraph(Structure):
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "CircularArcGraph":
+        g, real, symbols = cls._load_tableless(data)
+        g._degrees = _arc_degrees(real.arcs, symbols)
+        return g
+
+    @classmethod
+    def _load_tableless(cls, data: bytes):
+        """The validated decode behind from_bytes, without the degree
+        table: (structure, its realization, its S'). The structure counts
+        each degree when asked (_DegreeCounter); from_bytes puts the table
+        in its place, and a one-shot `sigraph query` keeps the count."""
         r = Reader(data)
         r.magic(_MAGIC, _VERSION)
         n = r.u64()
@@ -559,7 +583,53 @@ class CircularArcGraph(Structure):
             raise GraphInputError("arc orientations disagree with their families")
         g = cls.__new__(cls)
         g._build(real, symbols)
-        return g
+        g._degrees = _DegreeCounter(g)
+        return g, real, symbols
+
+
+class _DegreeCounter:
+    """A structure's degrees without a table: g._degrees[v - 1] counts
+    the degree of v when read, from S, the family vectors and the two
+    right-endpoint lists. It keeps those, not the structure, so the two
+    hold no reference cycle.
+
+    Reversed arcs pairwise intersect, and a normal arc and a reversed
+    one miss each other exactly when the normal arc lies in the gap
+    between the reversed arc's end and its start. A normal v = [l, r]
+    meets the normal arcs starting before r less those ending before l,
+    and the reversed arcs less those starting after r and ending before
+    l. A reversed v = (l, r) meets the other reversed arcs, and the
+    normal arcs less those starting after r and ending before l, which
+    lie among labels k + 1..v - 1 for k = S.rank(0, r). So a count is
+    one select0, one access, at most 5 ranks, r_v, and one C-level count
+    over one slice of the other family's list: O(n) time, no table."""
+
+    __slots__ = ("_s", "_lk", "_rk", "_rp", "_rpp", "_q", "_nrev")
+
+    def __init__(self, g: CircularArcGraph):
+        self._s = g._s
+        self._lk = g._lk
+        self._rk = g._rk
+        self._rp = g._rp
+        self._rpp = g._rpp
+        self._q = g._q
+        self._nrev = g._n - g._q
+
+    def __getitem__(self, i: int) -> int:
+        v = i + 1
+        s, lk = self._s, self._lk
+        l = s.select(0, v)
+        if lk.access(v):
+            x = lk.rank(1, v)
+            k = s.rank(0, self._rpp[x - 1])   # labels 1..k start before r_v
+            # the normal arcs among labels k + 1..v - 1, by rank
+            missed = sum(map(l.__gt__, self._rp[lk.rank(0, k):v - x]))
+            return self._nrev - 1 + self._q - missed
+        k = s.rank(0, self._rp[lk.rank(0, v) - 1])
+        normal = lk.rank(0, k)   # normal arcs starting before r, v among them
+        # reversed ranks past k - normal start after r
+        missed = sum(map(l.__gt__, self._rpp[k - normal:]))
+        return normal - 1 - self._rk.rank(0, s.rank(1, l)) + self._nrev - missed
 
 
 def _report(pick_max, values, lo: int, hi: int, threshold: int, count: int):

@@ -71,11 +71,17 @@ def _heap_bytes(root) -> int:
     return total
 
 
-def load_structure(path):
+def _read_blob(path):
+    """(structure class, blob) of a structure file, by its magic."""
     data = Path(path).read_bytes()
     cls = _LOADERS.get(bytes(data[:4]))
     if cls is None:
         raise SerializationError(f"{path}: not a recognized structure file")
+    return cls, data
+
+
+def load_structure(path):
+    cls, data = _read_blob(path)
     return cls.from_bytes(data)
 
 
@@ -127,7 +133,13 @@ def cmd_build(args) -> int:
 
 
 def cmd_query(args) -> int:
-    g = load_structure(args.file)
+    cls, data = _read_blob(args.file)
+    if cls is CircularArcGraph:
+        # one query reads at most one degree: validate the blob in full,
+        # then count that degree rather than sweep a table of all n
+        g = CircularArcGraph._load_tableless(data)[0]
+    else:
+        g = cls.from_bytes(data)
     need = 2 if args.op in ("adjacent", "spath") else 1
     if len(args.vertex) != need:
         raise GraphInputError(f"{args.op} takes {need} vertex argument(s)")

@@ -12,6 +12,10 @@ path takes the successor steps its walks made, the stalled last one
 included. A counter that a row leaves out must read 0. A row whose a
 are all 0 is exact: every query makes exactly b of each counter, and a
 circular adjacent pair exactly the counts of its case.
+
+A circular structure loaded as `sigraph query` loads it holds no degree
+table and counts a degree when asked: its row, "cold degree", has units
+n, since the one slice of r it reads may span every arc.
 """
 
 import random
@@ -25,8 +29,10 @@ import pytest
 from conftest import (
     KINDS, LINEAR, circular_adjacent_case, count_calls, deep_nest, few_reversed_arcs,
 )
+from sigraph import circular
 from sigraph.bitvector import BitVector
 from sigraph.circular import CircularArcGraph, anchor_arcs
+from sigraph.cli import main
 from sigraph.intervals import normalize
 from sigraph.oracle import OracleGraph
 from sigraph.rmq import RangeMaxIndex
@@ -81,6 +87,8 @@ BOUNDS = {
         # hops, one walk's or the other's, and a pair with no path at
         # least 2, one per walk
         "spath": {"rank": (2, 6), "access": (0, 4), "r": (2, 2)},
+        # l_v and r_v, then one slice of the other family's ends
+        "cold degree": {"select0": (0, 1), "access": (0, 1), "rank": (0, 5), "r": (1, 1)},
     },
 }
 # circular adjacent orders the labels so that u < v and stops at the
@@ -260,3 +268,49 @@ def test_count_calls_tallies_exactly(monkeypatch):
     monkeypatch.undo()
     assert all(owner.__dict__[name] is f for (owner, name), f in zip(targets, originals))
     assert holder.values is packed
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_cold_circular_degree_keeps_its_bound(n, monkeypatch):
+    """A circular structure loaded without its degree table, on each
+    family at n = 64, 1,000 and 10,000: every count keeps the "cold
+    degree" row, makes exactly one select0 and one access, reads r_v
+    and one slice and nothing else of r, and equals the table's."""
+    rng = random.Random(f"cold/{n}")
+    bounds = BOUNDS["circular"]["cold degree"]
+    for draw in FAMILIES["circular"]:
+        g = _graphs("circular", draw, n)[0]
+        h = CircularArcGraph._load_tableless(g.to_bytes())[0]
+        calls = count_calls(monkeypatch, TARGETS, reads=[
+            (obj, slot) for obj in (h, h._degrees) for slot in R_SLOTS if hasattr(obj, slot)
+        ])
+        for v in rng.sample(range(1, n + 1), min(n, SAMPLES["degree"])):
+            want = g.degree(v)
+            calls.clear()
+            got = h.degree(v)
+            counts = _counts(calls)
+            where = (draw.__name__, v, counts)
+            assert got == want, where
+            for counter, count in counts.items():
+                a, b = bounds.get(counter, (0, 0))
+                assert count <= a * n + b, (counter, where)
+            assert counts["select0"] == counts["access"] == 1, where
+            reads = [args[0] for key, args in calls.log if key.rpartition(".")[2] in R_SLOTS]
+            assert [type(i) for i in reads] == [int, slice], where
+        monkeypatch.undo()
+
+
+def test_cold_query_sweeps_no_degree_table(tmp_path, monkeypatch, capsys):
+    """`sigraph query` on a circular blob makes no _arc_degrees call,
+    whatever the op; a validated from_bytes makes exactly one."""
+    g = _graphs("circular", KINDS["circular"][1], 1000)[0]
+    path = tmp_path / "circular.sig"
+    path.write_bytes(g.to_bytes())
+    calls = count_calls(monkeypatch, [(circular, "_arc_degrees")])
+    for argv in (["degree", "7"], ["adjacent", "3", "9"], ["neighborhood", "7"],
+                 ["spath", "3", "900"]):
+        assert main(["query", str(path), *argv]) == 0
+    assert calls == {}
+    CircularArcGraph.from_bytes(path.read_bytes())
+    assert calls == {"sigraph.circular._arc_degrees": 1}
+    capsys.readouterr()

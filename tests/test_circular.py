@@ -1,6 +1,7 @@
 """Circular-arc structure against the worked 7-arc example and a
 brute-force oracle on random realizations."""
 
+import gc
 import math
 import random
 from array import array
@@ -286,11 +287,14 @@ def test_matches_oracle_on_every_small_configuration():
     """Every arc configuration with n <= 4: each pairing of the 2n
     positions, each arc in both orientations, anchored. Every ordered
     pair's adjacent, spath, degree and neighborhood answer matches the
-    oracle, and the pairs reach every case of the adjacent test."""
+    oracle, built and loaded without the degree table, and the pairs
+    reach every case of the adjacent test."""
     cases = set()
     for n in range(1, 5):
         for real in _configurations(n):
-            assert verify(CircularArcGraph(real), real) == []
+            g = CircularArcGraph(real)
+            assert verify(g, real) == []
+            assert verify(_tableless(g), real) == []
             cases.update(
                 circular_adjacent_case(real.arcs, u, v)
                 for u in range(1, n + 1)
@@ -302,13 +306,14 @@ def test_matches_oracle_on_every_small_configuration():
     }
 
 
-def _short_arcs(n: int, rng) -> ArcRealization:
-    """Arcs of at most 20/n of the circle: paths of dozens of hops, and
-    a few reversed arcs around the anchor point."""
+def _short_arcs(n: int, rng, reach: int = 20) -> ArcRealization:
+    """Arcs of at most reach/n of the circle: at 20, paths of dozens of
+    hops, and a few reversed arcs around the anchor point; at 4, about
+    two arcs over each point, as in the count contract."""
     raw = []
     for _ in range(n):
         a = rng.random()
-        raw.append((a, (a + rng.random() * 20 / n) % 1.0))
+        raw.append((a, (a + rng.random() * reach / n) % 1.0))
     return anchor_arcs(raw)
 
 
@@ -469,21 +474,35 @@ def _nested_gaps(n: int) -> ArcRealization:
     return ArcRealization(tuple(arcs))
 
 
+def _tableless(g: CircularArcGraph) -> CircularArcGraph:
+    """g's blob through the validated decode that builds no degree
+    table, as `sigraph query` loads it."""
+    return CircularArcGraph._load_tableless(g.to_bytes())[0]
+
+
 def _assert_oracle_degrees(real: ArcRealization) -> None:
-    """The table, computed at build and at load, gives every vertex its
-    oracle degree."""
+    """The table, computed at build and at load, and the one-shot count
+    of a structure loaded without it give every vertex its oracle
+    degree, and the count's neighborhoods equal the table's."""
     oracle = OracleGraph.from_arc_positions(real.arcs)
-    want = [oracle.degree(v) for v in range(1, real.n + 1)]
+    labels = range(1, real.n + 1)
+    want = [oracle.degree(v) for v in labels]
     g = CircularArcGraph.from_realization(real)
     h = CircularArcGraph.from_bytes(g.to_bytes())
-    for built in (g, h):
-        assert [built.degree(v) for v in range(1, real.n + 1)] == want, real.n
+    cold = _tableless(g)
+    assert isinstance(cold._degrees, circular._DegreeCounter)
+    for built in (g, h, cold):
+        assert [built.degree(v) for v in labels] == want, real.n
+    assert [cold.neighborhood(v) for v in labels] == [g.neighborhood(v) for v in labels]
 
 
 def test_degree_table_matches_oracle():
     rng = random.Random(9)
     for n in range(1, 26):
         _assert_oracle_degrees(random_arc_realization(n, rng, require_reversed=False))
+    for n in range(1, 61):
+        for require_reversed in (True, False):
+            _assert_oracle_degrees(random_arc_realization(n, rng, require_reversed))
 
 
 @pytest.mark.parametrize("shift", [1, 3])
@@ -527,6 +546,75 @@ def test_degree_table_reuses_the_callers_s_prime(monkeypatch):
     h = CircularArcGraph.from_bytes(blob)
     assert calls == {"sigraph.circular._arc_symbols": 1}
     assert g._degrees == h._degrees == table
+
+
+# -- the one-shot count --------------------------------------------------
+
+
+def _gap_around_chain(m: int) -> ArcRealization:
+    """One reversed arc whose gap holds a chain of m normal arcs, each
+    meeting the next; the anchor is the one short arc the reversed arc
+    covers."""
+    raw = [(0.01, 0.05), (0.9, 0.1)]
+    raw += [(0.15 + 0.7 * i / m, 0.15 + 0.7 * (i + 1.5) / m) for i in range(m)]
+    return anchor_arcs(raw)
+
+
+def _one_reversed(n: int, rng: random.Random) -> ArcRealization:
+    """n - 1 random normal arcs over (0.1, 0.8) and one reversed arc
+    that covers the anchor's start."""
+    raw = [(0.05, 0.3), (0.85, 0.08)]
+    for _ in range(n - 2):
+        a = 0.1 + 0.6 * rng.random()
+        raw.append((a, a + 0.1 * rng.random()))
+    return anchor_arcs(raw)
+
+
+def _all_normal(n: int, rng: random.Random) -> ArcRealization:
+    """n random arcs that start and end in (0, 1) in that order: none
+    crosses the anchor's start."""
+    return anchor_arcs([tuple(sorted((rng.random(), rng.random()))) for _ in range(n)])
+
+
+def test_degrees_on_constructed_families():
+    """The table and the one-shot count on few reversed arcs, none,
+    exactly one, one whose gap holds a chain of normal arcs, and arcs of
+    at most 4/n of the circle at n = 2,000."""
+    rng = random.Random(73)
+    for n in (2, 3, 10, 57, 300):
+        _assert_oracle_degrees(few_reversed_arcs(n, rng))
+        _assert_oracle_degrees(_all_normal(n, rng))
+        _assert_oracle_degrees(_one_reversed(n, rng))
+    for m in (8, 9, 40):
+        real = _gap_around_chain(m)
+        assert len(real.reversed_set()) == 1
+        _assert_oracle_degrees(real)
+    _assert_oracle_degrees(_short_arcs(2000, rng, reach=4))
+
+
+def test_tableless_answers_match_the_tabled_ones():
+    """A structure loaded without its table passes verify and answers
+    adjacent and spath exactly as the tabled one."""
+    rng = random.Random(75)
+    reals = [ArcRealization(FIG2_ARCS)]
+    reals += [random_arc_realization(n, rng, require_reversed=n % 2 == 0) for n in range(1, 31)]
+    for real in reals:
+        g = CircularArcGraph(real)
+        h = _tableless(g)
+        assert verify(h, real) == []
+        labels = range(1, real.n + 1)
+        for u in labels:
+            for v in labels:
+                assert h.adjacent(u, v) == g.adjacent(u, v)
+                assert h.spath(u, v) == g.spath(u, v)
+
+
+def test_the_counter_holds_the_vectors_not_the_structure():
+    """The counter keeps the vectors and lists it reads and nothing
+    else, so a tableless structure and its counter make no cycle."""
+    h = _tableless(fig2_graph())
+    held = [x for x in gc.get_referents(h._degrees) if not isinstance(x, (int, type))]
+    assert sorted(map(id, held)) == sorted(map(id, (h._s, h._lk, h._rk, h._rp, h._rpp)))
 
 
 # -- serialization -------------------------------------------------------
@@ -621,6 +709,10 @@ def test_space_report_keys_and_budget():
     budget = 3.5 * n * n.bit_length()
     assert g.space_bits() <= budget
     assert "degree_table" in CircularArcGraph(ArcRealization(FIG2_ARCS)).space_report()
+    # loaded without its table, the structure reports none
+    h = CircularArcGraph._load_tableless(g.to_bytes())[0]
+    assert h.space_report() == {k: bits for k, bits in rep.items() if k != "degree_table"}
+    assert h.space_bits() <= budget - rep["degree_table"]
 
 
 def _family_reports(real: ArcRealization, oracle: OracleGraph):

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import FIG1_INTERVALS, FIG2_ARCS, FIG2_TABLE_BLOB, KINDS
 from sigraph import algorithms
+from sigraph.circular import CircularArcGraph, random_arc_realization
 from sigraph.cli import load_structure, main
 from sigraph.graph import IntervalQueries, SuccinctIntervalGraph
 from sigraph.intervals import IntervalRealization, random_realization
@@ -214,13 +215,41 @@ def test_query_json(fig1_file, capsys):
     assert json.loads(capsys.readouterr().out) == {"adjacent": True}
 
 
-def test_query_circular(fig2_file, capsys):
+def test_query_circular(fig2_file, tmp_path, capsys):
+    """FIG2's answers, then every op, plain and --json, against the
+    library on a random n = 200 circular blob."""
     assert main(["query", str(fig2_file), "degree", "4"]) == 0
     assert capsys.readouterr().out.strip() == "6"
+    assert main(["query", str(fig2_file), "adjacent", "1", "5"]) == 0
+    assert capsys.readouterr().out.strip() == "false"
+    assert main(["query", str(fig2_file), "adjacent", "7", "1"]) == 0
+    assert capsys.readouterr().out.strip() == "true"
     assert main(["query", str(fig2_file), "neighborhood", "6"]) == 0
     assert capsys.readouterr().out.strip() == "4 5"
     assert main(["query", str(fig2_file), "spath", "1", "6"]) == 0
     assert len(capsys.readouterr().out.split()) == 3
+    rng = random.Random(23)
+    g = CircularArcGraph(random_arc_realization(200, rng))
+    blob = tmp_path / "random.sig"
+    blob.write_bytes(g.to_bytes())
+    for _ in range(8):
+        u, v = rng.sample(range(1, 201), 2)
+        path = g.spath(u, v)
+        answers = {
+            ("degree", u): ({"degree": g.degree(u)}, str(g.degree(u))),
+            ("adjacent", u, v): ({"adjacent": g.adjacent(u, v)},
+                                 "true" if g.adjacent(u, v) else "false"),
+            ("neighborhood", u): ({"neighborhood": g.neighborhood(u)},
+                                  " ".join(map(str, g.neighborhood(u)))),
+            ("spath", u, v): ({"path": path},
+                              "none" if path is None else " ".join(map(str, path))),
+        }
+        for (op, *verts), (payload, text) in answers.items():
+            argv = ["query", str(blob), op, *map(str, verts)]
+            assert main(argv) == 0
+            assert capsys.readouterr().out.strip() == text, argv
+            assert main(argv + ["--json"]) == 0
+            assert json.loads(capsys.readouterr().out) == payload, argv
 
 
 def test_query_disconnected_prints_none(tmp_path, capsys):
@@ -233,21 +262,23 @@ def test_query_disconnected_prints_none(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "none"
 
 
-def test_query_out_of_range_is_exit_3(fig1_file, capsys):
-    assert main(["query", str(fig1_file), "degree", "10"]) == 3
-    assert "error" in capsys.readouterr().err
-    assert main(["query", str(fig1_file), "spath", "0", "4"]) == 3
-    capsys.readouterr()
+def test_query_out_of_range_is_exit_3(fig1_file, fig2_file, capsys):
+    for path, n in ((fig1_file, 9), (fig2_file, 7)):
+        assert main(["query", str(path), "degree", str(n + 1)]) == 3
+        assert "error" in capsys.readouterr().err
+        assert main(["query", str(path), "spath", "0", "4"]) == 3
+        capsys.readouterr()
 
 
-def test_query_corrupt_file_is_exit_2(tmp_path, fig1_file, capsys):
-    bad = tmp_path / "bad.sig"
-    bad.write_bytes(b"QQQQ" + fig1_file.read_bytes()[4:])
-    assert main(["query", str(bad), "degree", "1"]) == 2
-    truncated = tmp_path / "short.sig"
-    truncated.write_bytes(fig1_file.read_bytes()[:-2])
-    assert main(["query", str(truncated), "degree", "1"]) == 2
-    capsys.readouterr()
+def test_query_corrupt_file_is_exit_2(tmp_path, fig1_file, fig2_file, capsys):
+    for path in (fig1_file, fig2_file):
+        bad = tmp_path / "bad.sig"
+        bad.write_bytes(b"QQQQ" + path.read_bytes()[4:])
+        assert main(["query", str(bad), "degree", "1"]) == 2
+        truncated = tmp_path / "short.sig"
+        truncated.write_bytes(path.read_bytes()[:-2])
+        assert main(["query", str(truncated), "degree", "1"]) == 2
+        capsys.readouterr()
 
 
 def test_query_wrong_arity_is_exit_2(fig1_file, capsys):

@@ -4,7 +4,8 @@ is used in that file, so no import or helper outlives the code that
 needed it. Only four test modules sweep answers against the oracle's
 distances; every other one leaves that to verify. Only serial.py looks
 at the host's byte order or packs fields with struct, and only its le
-and from_le read the byte order it found."""
+and from_le read the byte order it found. Only from_bytes and the query
+command load a circular blob without its degree table."""
 
 import ast
 from pathlib import Path
@@ -69,9 +70,9 @@ def byte_order_code(source: str) -> list[str]:
             for word in words if word in line]
 
 
-def swap_readers(source: str) -> list[str]:
-    """The functions of source that read _SWAP, "<module>" for a read
-    outside every function."""
+def readers(source: str, name: str) -> list[str]:
+    """The functions of source that read name, as a variable or as an
+    attribute, "<module>" for a read outside every function."""
     tree = ast.parse(source)
     inside = {
         id(node): fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
@@ -79,7 +80,8 @@ def swap_readers(source: str) -> list[str]:
     }
     return sorted({
         inside.get(id(node), "<module>") for node in ast.walk(tree)
-        if isinstance(node, ast.Name) and node.id == "_SWAP" and isinstance(node.ctx, ast.Load)
+        if isinstance(getattr(node, "ctx", None), ast.Load)
+        and name in (getattr(node, "id", None), getattr(node, "attr", None))
     })
 
 
@@ -144,7 +146,7 @@ def test_only_serial_knows_the_byte_order():
     found = {path.name: byte_order_code(path.read_text(encoding="utf-8"))
              for path in SOURCES if path.name != "serial.py"}
     assert {name: lines for name, lines in found.items() if lines} == {}
-    assert swap_readers((SRC / "serial.py").read_text(encoding="utf-8")) == ["from_le", "le"]
+    assert readers((SRC / "serial.py").read_text(encoding="utf-8"), "_SWAP") == ["from_le", "le"]
 
 
 def test_the_guard_sees_byte_order_code():
@@ -160,4 +162,24 @@ def test_the_guard_sees_byte_order_code():
         "import struct (line 1)", "from struct import (line 2)",
         "sys.byteorder (line 3)", ".byteswap( (line 5)",
     ]
-    assert swap_readers(source) == ["<module>", "le", "text"]
+    assert readers(source, "_SWAP") == ["<module>", "le", "text"]
+
+
+def test_only_the_query_command_loads_without_the_table():
+    found = {path.name: readers(path.read_text(encoding="utf-8"), "_load_tableless")
+             for path in SOURCES}
+    assert {name: fns for name, fns in found.items() if fns} == {
+        "circular.py": ["from_bytes"], "cli.py": ["cmd_query"],
+    }
+
+
+def test_the_guard_sees_a_tableless_load():
+    source = (
+        "from .circular import CircularArcGraph\n"
+        "def cmd_query(args):\n    return CircularArcGraph._load_tableless(args.data)[0]\n"
+        "def load(data):\n    loader = CircularArcGraph._load_tableless\n    return loader(data)\n"
+        "def _load_tableless(data):\n    return data\n"
+        "def note():\n    return '_load_tableless'\n"
+        "FAST = _load_tableless(b'')\n"
+    )
+    assert readers(source, "_load_tableless") == ["<module>", "cmd_query", "load"]

@@ -9,6 +9,7 @@ in sweeps rather than in per-vertex select/rank/access calls.
 import inspect
 import random
 import struct
+from itertools import chain
 
 import pytest
 
@@ -34,6 +35,7 @@ from sigraph.variants import (
 )
 from sigraph.verify import verify
 from sigraph.wavelet import AlphabetSequence
+from test_probes import _blobs, _mutants, _span_edits
 
 
 def _structure(kind, rng, n):
@@ -395,3 +397,43 @@ def test_single_bit_flips(kind, n):
         assert h.to_bytes() == mutant, f"bit {bit} accepted but re-encodes differently"
         assert degrees_agree(h), f"bit {bit} accepted with inconsistent degrees"
     assert accepted < len(bits) // 4
+
+
+def _outcome(load, data: bytes):
+    """What load makes of data: the error it rejects data with, or the
+    degrees of the structure it loads."""
+    try:
+        g = load(data)
+    except GraphInputError as e:
+        return type(e), str(e)
+    return [g.degree(v) for v in range(1, g.n + 1)]
+
+
+def _load_tableless(data: bytes) -> CircularArcGraph:
+    return CircularArcGraph._load_tableless(data)[0]
+
+
+@pytest.mark.parametrize("n", [1, 5, 40])
+def test_tableless_load_rejects_what_from_bytes_rejects(n):
+    """The decode that `sigraph query` runs without the degree table on
+    every circular mutant of test_probes (truncations, byte runs, forged
+    fields, span edits) and on every single-bit flip of
+    test_single_bit_flips' circular blob: it rejects each mutant with
+    the error from_bytes raises, or loads the degrees from_bytes loads."""
+    mutants = []
+    for kind, m, g in _blobs():
+        if kind == "circular" and m == n:
+            blob = g.to_bytes()
+            mutants += [data for _, data in chain(_mutants(blob), _span_edits(blob))]
+    blob = _structure("circular", random.Random(f"flips/circular/{n}"), n).to_bytes()
+    mutants.append(blob)    # unmutated, so that one blob at least loads
+    for bit in range(8 * len(blob)):
+        mutant = bytearray(blob)
+        mutant[bit >> 3] ^= 1 << (bit & 7)
+        mutants.append(bytes(mutant))
+    rejected = 0
+    for data in mutants:
+        want = _outcome(CircularArcGraph.from_bytes, data)
+        assert _outcome(_load_tableless, data) == want, data.hex()
+        rejected += isinstance(want, tuple)
+    assert 0 < rejected < len(mutants)
